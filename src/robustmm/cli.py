@@ -77,12 +77,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     solution = solve_inner(model, domain, summaries, delta)
     policy = build_policy(model, domain, solution)
 
-    nodes = domain.axis_nodes
+    # Python floats repr as plain round-trip numbers; numpy scalars would
+    # write np.float64(...). One row at a time keeps the copies small.
+    nodes = domain.axis_nodes.tolist()
     lines = ["eps_plus,eps_minus,density"]
-    dens = policy.density
-    for i in range(domain.grid_n):
-        for j in range(domain.grid_n):
-            lines.append(f"{nodes[i]!r},{nodes[j]!r},{dens[i, j]!r}")
+    for x, row in zip(nodes, policy.density):
+        lines.extend(f"{x!r},{y!r},{v!r}" for y, v in zip(nodes, row.tolist()))
     _atomic_write(cfg.out_dir / "policy.csv", "\n".join(lines) + "\n")
 
     summary = {

@@ -85,6 +85,8 @@ class RunConfig:
         if out_dir is not None:
             cfg = replace(cfg, out_dir=Path(out_dir))
         if seed is not None:
+            if seed < 0:
+                raise ConfigError("seed must be nonnegative")
             cfg = replace(cfg, seed=int(seed))
         return cfg
 
@@ -114,9 +116,12 @@ def _parse_floats(raw: dict[str, str], key: str) -> tuple[float, ...] | None:
     if key not in raw:
         return None
     try:
-        return tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
+        vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as a number list") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{key}: values must be finite")
+    return vals
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -170,10 +175,11 @@ def parse_config(path: str | Path) -> RunConfig:
         if model is None:
             raise ConfigError("domain block requires a model block")
         eps_max = _parse_float(raw, "domain.eps_max")
+        grid_n = _parse_int(raw, "domain.grid_n")
         try:
             domain = SpreadDomain(
                 eps_max=eps_max if eps_max is not None else 0.1 * model.S,
-                grid_n=_parse_int(raw, "domain.grid_n") or 257,
+                grid_n=grid_n if grid_n is not None else 257,
                 quadrature=raw.get("domain.quadrature", "trapezoid"),
             )
         except ValueError as exc:

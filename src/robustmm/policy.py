@@ -101,20 +101,11 @@ class SpreadDomain:
 
     @cached_property
     def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node cells tiling [0, eps_max]; cell lengths equal weights."""
+        """Per-node cells tiling [0, eps_max], split at the midpoints between
+        nodes; for both rules the cell lengths equal the weights."""
         x = self.axis_nodes
-        w = self.axis_weights
-        if self.quadrature == "trapezoid":
-            lo = np.maximum(x - w / 2.0, 0.0)
-            lo[0] = 0.0
-            hi = np.minimum(x + w / 2.0, self.eps_max)
-            hi[-1] = self.eps_max
-            # interior seams must coincide exactly
-            lo[1:] = hi[:-1]
-            return lo, hi
-        step = self.eps_max / self.grid_n
-        lo = np.arange(self.grid_n) * step
-        return lo, lo + step
+        seams = (x[:-1] + x[1:]) / 2.0
+        return np.concatenate(([0.0], seams)), np.concatenate((seams, [self.eps_max]))
 
 
 def default_domain(model: SpreadModel, grid_n: int = 257, quadrature: str = "trapezoid") -> SpreadDomain:
@@ -181,9 +172,10 @@ def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain, points: i
 class _GridEvaluator:
     """Precomputed per-node constants for the Gibbs exponent on a domain.
 
-    The exponent is affine in (a+, a-, b+, b-) apart from the a+ a-
-    cross term, so one pass over the grid caches every coefficient and
-    each candidate moment vector costs five fused array operations.
+    The exponent is affine in the five moment terms x = (a+, a-, b+, b-,
+    a+ a-): exponent = x K + base with K a 5 x N coefficient matrix. So
+    the gradient and Hessian of log Z in x are the Gibbs-weighted mean and
+    covariance of the rows of K, and one grid pass yields all three.
     """
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
@@ -198,30 +190,29 @@ class _GridEvaluator:
         b = (model.S - x) * hm
         eta = model.eta
         c = model.Q + fp[:, None] - fm[None, :]
-        self.coef_ap = (a[:, None] - 2.0 * eta * c * hp[:, None]).ravel()
-        self.coef_am = (b[None, :] - 2.0 * eta * c * hm[None, :]).ravel()
-        self.coef_bp = np.broadcast_to((eta * hp * hp)[:, None], c.shape).ravel()
-        self.coef_bm = np.broadcast_to((eta * hm * hm)[None, :], c.shape).ravel()
-        self.coef_cross = (2.0 * eta * hp[:, None] * hm[None, :]).ravel()
+        K = np.empty((5,) + c.shape)
+        K[0] = a[:, None] - 2.0 * eta * c * hp[:, None]
+        K[1] = 2.0 * eta * c * hm[None, :] - b[None, :]
+        K[2] = -(eta * hp * hp)[:, None]
+        K[3] = -(eta * hm * hm)[None, :]
+        K[4] = 2.0 * eta * hp[:, None] * hm[None, :]
+        K /= model.gamma
+        self.K = K.reshape(5, -1)
         base = (
             ((model.S + x) * fp)[:, None]
             - ((model.S - x) * fm)[None, :]
             - eta * c * c
         )
-        self.base = base.ravel()
+        self.base = base.ravel() / model.gamma
         self.h_all_zero = bool(np.all(hp == 0.0) and np.all(hm == 0.0))
         w = domain.axis_weights
         self.wprod = (w[:, None] * w[None, :]).ravel()
         self.logw = np.log(self.wprod)
 
     def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
-        e = (
-            self.coef_ap * ap
-            - self.coef_am * am
-            - (self.coef_bp * bp - self.coef_cross * (ap * am) + self.coef_bm * bm)
-            + self.base
-        )
-        return e / self.model.gamma
+        e = np.array([ap, am, bp, bm, ap * am]) @ self.K
+        e += self.base
+        return e
 
     def log_mass(self, expo: np.ndarray) -> float:
         """log of the weighted integral of exp(exponent), shift-stabilized.
@@ -237,6 +228,25 @@ class _GridEvaluator:
             return -math.inf
         return m + math.log(float(np.sum(np.exp(shifted - m))))
 
+    def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """log Z at the moment terms x with its gradient and Hessian in x:
+        the Gibbs-weighted mean and covariance of the rows of K."""
+        e = x @ self.K
+        e += self.base
+        if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
+            raise ValueError("integrand overflow")
+        e += self.logw
+        m = float(np.max(e))
+        if m == -math.inf:
+            return -math.inf, np.zeros(5), np.zeros((5, 5))
+        e -= m
+        p = np.exp(e, out=e)
+        total = float(np.sum(p))
+        p /= total
+        mean = self.K @ p
+        second = (self.K * p) @ self.K.T
+        return m + math.log(total), mean, second - np.outer(mean, mean)
+
     def objective(self, ap: float, am: float, bp: float, bm: float) -> float:
         """-gamma * integral of M over the spread square."""
         lz = self.log_mass(self.exponent(ap, am, bp, bm))
@@ -246,18 +256,12 @@ class _GridEvaluator:
         return -self.model.gamma * math.exp(lz)
 
     def objective_batch(self, ap: np.ndarray, am: np.ndarray, bp: np.ndarray, bm: np.ndarray) -> np.ndarray:
-        out = np.empty(len(ap))
+        x = np.stack([ap, am, bp, bm, ap * am], axis=1)
+        out = np.empty(len(x))
         chunk = max(1, 8_000_000 // max(len(self.base), 1))
-        for s in range(0, len(ap), chunk):
-            e = (
-                self.coef_ap[None, :] * ap[s : s + chunk, None]
-                - self.coef_am[None, :] * am[s : s + chunk, None]
-                - self.coef_bp[None, :] * bp[s : s + chunk, None]
-                + self.coef_cross[None, :] * (ap[s : s + chunk] * am[s : s + chunk])[:, None]
-                - self.coef_bm[None, :] * bm[s : s + chunk, None]
-                + self.base[None, :]
-            )
-            e /= self.model.gamma
+        for s in range(0, len(x), chunk):
+            e = x[s : s + chunk] @ self.K
+            e += self.base[None, :]
             if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
                 raise ValueError("integrand overflow")
             e += self.logw[None, :]
@@ -312,15 +316,10 @@ def worst_case_objective(
 ) -> float:
     """Objective -gamma * integral(M) with second moments pinned at their
     adversarial envelopes for the given means."""
-    ev = _GridEvaluator(model, domain)
-    return _envelope_objective(ev, summaries, delta, alpha_plus, alpha_minus)
-
-
-def _envelope_objective(ev, summaries, delta, ap, am) -> float:
     sp, sm = summaries
-    bp = theorem_beta_envelope(sp, delta, ap)
-    bm = theorem_beta_envelope(sm, delta, am)
-    return ev.objective(ap, am, bp, bm)
+    bp = theorem_beta_envelope(sp, delta, alpha_plus)
+    bm = theorem_beta_envelope(sm, delta, alpha_minus)
+    return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
 
 
 def worst_case_objective_grid(
@@ -332,58 +331,42 @@ def worst_case_objective_grid(
     alphas_minus: np.ndarray,
 ) -> np.ndarray:
     """Vectorized worst_case_objective over paired mean arrays."""
-    ev = _GridEvaluator(model, domain)
-    return _envelope_objective_batch(ev, summaries, delta, alphas_plus, alphas_minus)
-
-
-def _envelope_objective_batch(ev, summaries, delta, ap, am) -> np.ndarray:
     sp, sm = summaries
-    ap = np.asarray(ap, dtype=float)
-    am = np.asarray(am, dtype=float)
+    ap = np.asarray(alphas_plus, dtype=float)
+    am = np.asarray(alphas_minus, dtype=float)
     bp = np.array([theorem_beta_envelope(sp, delta, a) for a in ap])
     bm = np.array([theorem_beta_envelope(sm, delta, a) for a in am])
-    return ev.objective_batch(ap, am, bp, bm)
+    return _GridEvaluator(model, domain).objective_batch(ap, am, bp, bm)
 
 
-def _fd_gradient(fun, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float) -> np.ndarray:
-    """Central differences, shrunk one-sidedly at the box faces."""
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        hp = min(h, hi[i] - x[i])
-        hm = min(h, x[i] - lo[i])
-        if hp + hm <= 0:
-            continue
-        xp = x.copy()
-        xp[i] += hp
-        xm = x.copy()
-        xm[i] -= hm
-        g[i] = (fun(xp) - fun(xm)) / (hp + hm)
-    return g
-
-
-def _grid_fallback(fun_batch, lo: np.ndarray, hi: np.ndarray, fun, n: int = 201):
-    """Exhaustive scan of the mean box plus a shrinking pattern search."""
-    gp = np.linspace(lo[0], hi[0], n)
-    gm = np.linspace(lo[1], hi[1], n)
-    pp, mm = np.meshgrid(gp, gm, indexing="ij")
-    vals = fun_batch(pp.ravel(), mm.ravel())
-    k = int(np.argmax(vals))
-    x = np.array([pp.ravel()[k], mm.ravel()[k]])
-    best = float(vals[k])
-    step = max(gp[1] - gp[0] if n > 1 else 1.0, gm[1] - gm[0] if n > 1 else 1.0)
-    floor = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
-    while step > floor:
-        improved = False
-        for d in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = np.clip(x + d, lo, hi)
-            v = fun(cand)
-            if v > best + 0.0:
-                best = v
-                x = cand
-                improved = True
-        if not improved:
-            step *= 0.5
-    return x, best
+def _log_mass_in_t(
+    ev: _GridEvaluator,
+    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
+    delta: float,
+    t: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z on the pinned envelope at alpha = alpha_n + sqrt(delta) sin t,
+    with its exact gradient and Hessian in t: one grid pass, then the
+    chain rule through x(t) = (a+, a-, b+, b-, a+ a-)."""
+    sp, sm = summaries
+    root = math.sqrt(delta)
+    sd = np.sqrt([sp.variance, sm.variance])
+    sin, cos = np.sin(t), np.cos(t)
+    a = np.array([sp.alpha_n, sm.alpha_n]) + root * sin
+    spread = sd + root * cos
+    b = spread * spread + a * a
+    lz, g, h = ev.log_mass_moments(np.array([a[0], a[1], b[0], b[1], a[0] * a[1]]))
+    da = root * cos
+    db = 2.0 * root * (a * cos - spread * sin)
+    d2a = -root * sin
+    d2b = 2.0 * root * (root * sin * sin - sd * cos - a * sin)
+    jac = np.array([[da[0], 0.0], [0.0, da[1]], [db[0], 0.0], [0.0, db[1]],
+                    [a[1] * da[0], a[0] * da[1]]])
+    hess = jac.T @ h @ jac
+    hess += np.diag(g[:2] * d2a + g[2:4] * d2b + g[4] * a[::-1] * d2a)
+    hess[0, 1] += g[4] * da[0] * da[1]
+    hess[1, 0] = hess[0, 1]
+    return lz, jac.T @ g, hess
 
 
 def solve_inner(
@@ -395,10 +378,14 @@ def solve_inner(
 ) -> RobustSolution:
     """Maximize the worst-case objective over the box of feasible means.
 
-    Projected gradient ascent with backtracking from the box center;
-    when the concavity certificate fails, nine starts on a 3x3 lattice;
-    on a line-search stall, an exhaustive 201x201 grid scan with local
-    refinement. delta = 0 short-circuits to the empirical moments.
+    Maximizing -gamma * Z is minimizing log Z. In the coordinates
+    alpha = alpha_n + sqrt(delta) sin t, t in [-pi/2, pi/2]^2, the pinned
+    envelope beta = (sd + sqrt(delta) cos t)^2 + alpha^2 is smooth up to
+    the faces of the mean box, and one grid pass gives log Z with its
+    exact gradient and Hessian in t. Projected Newton (Bertsekas 1982)
+    with Armijo backtracking runs from the box center when the concavity
+    certificate holds, else from the nine points of {-pi/2, 0, pi/2}^2.
+    delta = 0 short-circuits to the empirical moments.
     """
     if delta < 0:
         raise ValueError("negative radius")
@@ -435,109 +422,60 @@ def solve_inner(
             iterations=0,
         )
 
-    root = math.sqrt(delta)
-    margin = 1e-9 * root
-    lo = np.array([sp.alpha_n - root + margin, sm.alpha_n - root + margin])
-    hi = np.array([sp.alpha_n + root - margin, sm.alpha_n + root - margin])
+    half = math.pi / 2.0
 
-    def fun(x: np.ndarray) -> float:
-        return _envelope_objective(ev, summaries, delta, float(x[0]), float(x[1]))
-
-    def fun_batch(ap: np.ndarray, am: np.ndarray) -> np.ndarray:
-        return _envelope_objective_batch(ev, summaries, delta, ap, am)
+    def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+        lz, g, hess = _log_mass_in_t(ev, summaries, delta, t)
+        for it in range(1, opts.max_iter + 1):
+            # a coordinate on a bound whose descent direction leaves the box stays put
+            free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
+            # Newton where the free Hessian is positive definite, else a gradient
+            # step scaled by the curvature magnitudes; flat directions stay put
+            lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+            lam = np.abs(lam)
+            proj = vec.T @ g[free]
+            d = np.zeros(2)
+            d[free] = -vec @ np.divide(proj, lam, out=np.zeros_like(proj), where=lam > 0.0)
+            # stationary once the first-order decrease along d is negligible
+            if -float(g @ d) <= opts.tol * (1.0 + abs(lz)):
+                return t, lz, it, True
+            step = 1.0
+            for _ in range(60):
+                trial = np.clip(t + step * d, -half, half)
+                lz_new, g_new, hess_new = _log_mass_in_t(ev, summaries, delta, trial)
+                if lz_new < lz + 1e-4 * float(g @ (trial - t)):
+                    break
+                step *= 0.5
+            else:
+                return t, lz, it, False
+            t, lz, g, hess = trial, lz_new, g_new, hess_new
+        return t, lz, opts.max_iter, False
 
     if cert:
-        starts = [0.5 * (lo + hi)]
+        starts = [np.zeros(2)]
     else:
-        ticks = [np.array([a, b]) for a in (lo[0], 0.5 * (lo[0] + hi[0]), hi[0])
-                 for b in (lo[1], 0.5 * (lo[1] + hi[1]), hi[1])]
-        starts = ticks
-
-    fd_h = 1e-6 * root
-    best_x: np.ndarray | None = None
-    best_f = -math.inf
+        starts = [np.array([u, v]) for u in (-half, 0.0, half) for v in (-half, 0.0, half)]
+    best_t, best_lz = starts[0], math.inf
     total_iter = 0
     any_converged = False
-
     for start in starts:
-        x = start.astype(float).copy()
-        f = fun(x)
-        converged = False
-        t_prev: float | None = None
-        width = float(np.max(hi - lo))
-        coord_steps = [width / 4.0, width / 4.0]
-
-        def polish() -> float:
-            """Cyclic per-coordinate line search; the envelope cusps are
-            axis-aligned, so this clears the stiff valleys a scalar-step
-            gradient move crawls through."""
-            nonlocal x, f
-            gained = 0.0
-            for i in (0, 1):
-                s = coord_steps[i]
-                for sgn in (1.0, -1.0):
-                    while s >= 1e-14 * width:
-                        y = x.copy()
-                        y[i] = min(max(y[i] + sgn * s, lo[i]), hi[i])
-                        if y[i] == x[i]:
-                            s *= 0.5
-                            continue
-                        fy = fun(y)
-                        if fy > f:
-                            gained += fy - f
-                            x, f = y, fy
-                            s *= 2.0
-                        else:
-                            s *= 0.5
-                coord_steps[i] = max(s, 1e-13 * width)
-            return gained
-
-        for _ in range(opts.max_iter):
-            total_iter += 1
-            g = _fd_gradient(fun, x, lo, hi, fd_h)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm * width <= opts.tol * (1.0 + abs(f)):
-                converged = True
-                break
-            t = t_prev if t_prev is not None else width / gnorm
-            t = min(t, 4.0 * width / gnorm)
-            gain = 0.0
-            accepted = False
-            for _ in range(70):
-                y = np.clip(x + t * g, lo, hi)
-                move = y - x
-                if float(np.linalg.norm(move)) == 0.0:
-                    break
-                fy = fun(y)
-                if fy > f and fy >= f + 1e-4 * float(g @ move):
-                    gain = fy - f
-                    x, f = y, fy
-                    t_prev = t * 2.0
-                    accepted = True
-                    break
-                t *= 0.5
-            gain += polish()
-            if not accepted and gain == 0.0:
-                x, f = _grid_fallback(fun_batch, lo, hi, fun)
-                converged = True
-                break
-            if gain <= opts.tol * (1.0 + abs(f)):
-                converged = True
-                break
-        if f > best_f:
-            best_f = f
-            best_x = x
+        t, lz, iters, converged = descend(start)
+        total_iter += iters
         any_converged = any_converged or converged
+        if lz < best_lz:
+            best_t, best_lz = t, lz
 
-    assert best_x is not None
-    bp = theorem_beta_envelope(sp, delta, float(best_x[0]))
-    bm = theorem_beta_envelope(sm, delta, float(best_x[1]))
+    # |sin| <= 1 and monotone rounding keep these means inside the box
+    root = math.sqrt(delta)
+    ap, am = (np.array([sp.alpha_n, sm.alpha_n]) + root * np.sin(best_t)).tolist()
+    bp = theorem_beta_envelope(sp, delta, ap)
+    bm = theorem_beta_envelope(sm, delta, am)
     solution = RobustSolution(
-        alpha_star_plus=float(best_x[0]),
-        alpha_star_minus=float(best_x[1]),
+        alpha_star_plus=ap,
+        alpha_star_minus=am,
         beta_star_plus=bp,
         beta_star_minus=bm,
-        objective=best_f,
+        objective=ev.objective(ap, am, bp, bm),
         concave_certificate=cert,
         iterations=total_iter,
     )

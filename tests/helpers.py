@@ -21,7 +21,6 @@ from robustmm import (
     worst_case_objective,
     worst_case_objective_grid,
 )
-from robustmm.policy import _grid_fallback
 
 
 def rand_samples(rng: np.random.Generator, side: str, n: int | None = None) -> SampleSet:
@@ -75,9 +74,34 @@ def mean_box(summaries, delta, margin_frac: float = 1e-9):
     return lo, hi
 
 
+def _grid_fallback(fun_batch, lo: np.ndarray, hi: np.ndarray, fun, n: int = 201):
+    """Exhaustive scan of the mean box plus a shrinking pattern search."""
+    gp = np.linspace(lo[0], hi[0], n)
+    gm = np.linspace(lo[1], hi[1], n)
+    pp, mm = np.meshgrid(gp, gm, indexing="ij")
+    vals = fun_batch(pp.ravel(), mm.ravel())
+    k = int(np.argmax(vals))
+    x = np.array([pp.ravel()[k], mm.ravel()[k]])
+    best = float(vals[k])
+    step = max(gp[1] - gp[0] if n > 1 else 1.0, gm[1] - gm[0] if n > 1 else 1.0)
+    floor = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+    while step > floor:
+        improved = False
+        for d in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            cand = np.clip(x + d, lo, hi)
+            v = fun(cand)
+            if v > best + 0.0:
+                best = v
+                x = cand
+                improved = True
+        if not improved:
+            step *= 0.5
+    return x, best
+
+
 def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
-    """Grid-search oracle: exhaustive lattice scan plus the same shrinking
-    pattern refinement the solver falls back to."""
+    """Grid-search oracle: exhaustive lattice scan plus a shrinking
+    pattern refinement, independent of the solver's Newton iteration."""
     lo, hi = mean_box(summaries, delta)
 
     def fun(x):

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from robustmm import build_policy, empirical_moments, read_sample_csv, solve_inner
 from robustmm.cli import main
 from robustmm.config import ConfigError, parse_config
 
@@ -32,6 +34,16 @@ def test_solve_writes_policy_and_summary(tmp_path):
     assert header == "eps_plus,eps_minus,density"
     rows = (out / "policy.csv").read_text().splitlines()[1:]
     assert len(rows) == 33 * 33
+    table = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
+    cfg = parse_config(FIXTURES / "solve.cfg")
+    model, domain = cfg.require_model(), cfg.require_domain()
+    buy, sell = cfg.require_samples()
+    summaries = (empirical_moments(read_sample_csv(buy, "buy")),
+                 empirical_moments(read_sample_csv(sell, "sell")))
+    policy = build_policy(model, domain, solve_inner(model, domain, summaries, cfg.delta))
+    assert np.array_equal(table[:, 2], policy.density.ravel())
+    assert np.array_equal(table[:, 0], np.repeat(domain.axis_nodes, 33))
+    assert np.array_equal(table[:, 1], np.tile(domain.axis_nodes, 33))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["seed"] == 7
@@ -185,11 +197,28 @@ def test_config_rejects_partial_model(tmp_path):
         parse_config(cfg)
 
 
-def test_config_rejects_bad_number(tmp_path):
-    cfg = tmp_path / "nan.cfg"
-    cfg.write_text("radius.delta = blue\n")
-    with pytest.raises(ConfigError, match="delta"):
+MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text().splitlines()
+                      if line.startswith("model."))
+
+
+@pytest.mark.parametrize("text, key", [
+    ("radius.delta = blue\n", "radius.delta"),
+    (MODEL_BLOCK + "domain.grid_n = 0\n", "grid_n"),
+    ("simulate.deltas = nan, 0.01\n", "simulate.deltas"),
+    ("validate.deltas = inf\n", "validate.deltas"),
+], ids=["radius.delta", "domain.grid_n", "simulate.deltas", "validate.deltas"])
+def test_config_rejects_bad_number(tmp_path, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=key):
         parse_config(cfg)
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("solve", FIXTURES / "solve.cfg", out, seed=-1) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_zero_sd_scale_survives(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from robustmm import (
 )
 
 from helpers import fd_hessian, rand_instance, refined_grid_max
+from robustmm.policy import _GridEvaluator, _log_mass_in_t
 
 
 def small_summaries():
@@ -114,6 +116,15 @@ def test_quadrature_weights_integrate_constants():
     for quad in ("trapezoid", "midpoint"):
         dom = SpreadDomain(eps_max=0.7, grid_n=33, quadrature=quad)
         assert float(np.sum(dom.axis_weights)) == pytest.approx(0.7, rel=1e-12)
+
+
+def test_cell_lengths_equal_weights():
+    for quad in ("trapezoid", "midpoint"):
+        dom = SpreadDomain(eps_max=0.7, grid_n=17, quadrature=quad)
+        lo, hi = dom.cell_edges
+        assert lo[0] == 0.0 and hi[-1] == 0.7
+        assert np.array_equal(lo[1:], hi[:-1])
+        np.testing.assert_allclose(hi - lo, dom.axis_weights, rtol=1e-12)
 
 
 def test_quadrature_second_order():
@@ -249,6 +260,18 @@ def test_degenerate_policy_raises():
         build_policy(model, dom, sol)
 
 
+def test_vanishing_integrand_gives_degenerate_policy():
+    # eta C^2 overflows to +inf, so every Gibbs weight is exp(-inf) = 0
+    sp, sm = small_summaries()
+    model = plain_model(Q=1e200)
+    dom = SpreadDomain(eps_max=0.8, grid_n=33)
+    with np.errstate(over="ignore"):
+        sol = solve_inner(model, dom, (sp, sm), 0.02)
+        assert sol.objective == 0.0
+        with pytest.raises(DegeneratePolicyError, match="degenerate"):
+            build_policy(model, dom, sol)
+
+
 def test_integrand_overflow_raises():
     sp, sm = small_summaries()
     model = plain_model(S=1e6, gamma=1e-6, f_plus=constant(5.0))
@@ -263,7 +286,6 @@ def test_gibbs_density_maximizes_entropy_regularized_value():
     sol = solve_inner(model, dom, summaries, delta)
     pol = build_policy(model, dom, sol)
 
-    from robustmm.policy import _GridEvaluator
     ev = _GridEvaluator(model, dom)
     reward = model.gamma * ev.exponent(
         sol.alpha_star_plus, sol.alpha_star_minus,
@@ -369,3 +391,45 @@ def test_hessian_negative_under_certificate():
         h = fd_hessian(fun, x, 1e-3 * root)
         scale = 1.0 + float(np.max(np.abs(h)))
         assert float(np.linalg.eigvalsh(h)[-1]) <= 1e-6 * scale
+
+
+def test_one_pass_derivatives_match_central_differences():
+    rng = np.random.default_rng(37)
+    h = 1e-6
+    for cert in (True, False):
+        for _ in range(3):
+            model, dom, summaries, delta = rand_instance(rng, cert=cert)
+            ev = _GridEvaluator(model, dom)
+            t = rng.uniform(-1.4, 1.4, size=2)
+            _, grad, hess = _log_mass_in_t(ev, summaries, delta, t)
+            fd_grad = np.zeros(2)
+            fd_hess = np.zeros((2, 2))
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = h
+                up = _log_mass_in_t(ev, summaries, delta, t + e)
+                down = _log_mass_in_t(ev, summaries, delta, t - e)
+                fd_grad[i] = (up[0] - down[0]) / (2.0 * h)
+                fd_hess[:, i] = (up[1] - down[1]) / (2.0 * h)
+            np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
+                                       atol=1e-6 * float(np.max(np.abs(fd_grad))))
+            np.testing.assert_allclose(hess, fd_hess, rtol=1e-6,
+                                       atol=1e-6 * float(np.max(np.abs(fd_hess))))
+
+
+def test_solve_on_face_of_mean_box_matches_refined_grid():
+    # eta = 0 leaves the exponent linear in the means, so log Z rises with
+    # alpha+ and falls with alpha-: the maximizer sits at the corner
+    # (alpha_n+ - sqrt(delta), alpha_n- + sqrt(delta)) of the mean box
+    rng = np.random.default_rng(38)
+    for cert in (True, False):
+        for _ in range(2):
+            model, dom, summaries, delta = rand_instance(rng, cert=cert)
+            model = replace(model, eta=0.0)
+            sp, sm = summaries
+            sol = solve_inner(model, dom, summaries, delta)
+            root = math.sqrt(delta)
+            assert sol.alpha_star_plus == pytest.approx(sp.alpha_n - root, abs=1e-12)
+            assert sol.alpha_star_minus == pytest.approx(sm.alpha_n + root, abs=1e-12)
+            grid = refined_grid_max(model, dom, summaries, delta)
+            assert abs(sol.objective - grid) <= 1e-6 * (1.0 + abs(grid))
