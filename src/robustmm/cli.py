@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -26,10 +27,19 @@ from .validation import format_table, run_validation
 
 def _atomic_write(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / (path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # a unique temp file beside the target: runs sharing the directory
+    # never write the same one, and os.replace stays on one file system
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp makes the file private; give it the mode open() gives
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def _json_dumps(obj) -> str:

@@ -183,7 +183,8 @@ def parse_config(path: str | Path) -> RunConfig:
                 quadrature=raw.get("domain.quadrature", "trapezoid"),
             )
         except ValueError as exc:
-            raise ConfigError(f"domain block: {exc}") from exc
+            # SpreadDomain messages start with the field name
+            raise ConfigError(f"domain.{exc}") from exc
 
     delta = _parse_float(raw, "radius.delta")
     chi = _parse_float(raw, "radius.chi")

@@ -1,14 +1,19 @@
 """Exact transport distances and brute-force moment searches on the line.
 
-These routines deliberately avoid the closed-form moment envelopes: the
-squared 2-Wasserstein distance between discrete measures is computed by
-coupling quantile functions over the merged cumulative-weight partition
-(exact for the quadratic cost on the line), and extremal moments inside
-a transport ball are found by direct search over small atomic measures.
-Agreement between the two routes is what the validation suite certifies.
+These routines deliberately avoid the closed-form moment envelopes. On
+the line the quadratic transport cost is attained by the monotone
+coupling of quantile functions. w2_squared integrates the squared
+quantile gap over the merged cumulative-weight partition; the searches
+price whole batches of candidates against one empirical measure through
+its integrated quantiles (see _BallSearch), which is the same coupling
+integrated exactly per cell. Extremal moments inside a transport ball
+are found by direct search over small atomic measures, taking at each
+step the best move of a batch that fits the budget. Agreement between
+the two routes is what the validation suite certifies.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -141,64 +146,66 @@ def default_support(empirical: DiscreteMeasure, delta: float, m: int | None = No
 
 
 class _BallSearch:
-    """Shared state for extremal-moment searches inside one W2 ball."""
+    """Transport costs from candidate measures to one empirical measure.
+
+    The empirical quantile Qe is a step function, so G(t) = int_0^t Qe and
+    H(t) = int_0^t Qe^2 are piecewise linear with knots at the cumulative
+    weights. Under the monotone coupling a candidate atom x_j of weight
+    w_j meets the cell (c_{j-1}, c_j] of Qe and costs
+    w_j x_j^2 - 2 x_j dG_j + dH_j there, exactly. Atoms are measured from
+    the empirical mean: the cost is invariant under a common shift, and
+    the shift keeps the terms that cancel small.
+    """
 
     def __init__(self, empirical: DiscreteMeasure, delta: float):
         xe, we = empirical._sorted()
         self.xe = xe
         self.we = we
-        self.cwe = np.cumsum(we)
-        self.delta = float(delta)
-        self.budget = self.delta * (1.0 + 1e-9) + 1e-15
+        self.center = float(np.dot(we, xe))
+        d = xe - self.center
+        self.knots = np.concatenate(([0.0], np.cumsum(we)))
+        self.g = np.concatenate(([0.0], np.cumsum(we * d)))
+        self.h = np.concatenate(([0.0], np.cumsum(we * d * d)))
+        self.budget = float(delta) * (1.0 + 1e-9) + 1e-15
 
-    def cost(self, x: np.ndarray, w: np.ndarray) -> float:
-        order = np.argsort(x, kind="stable")
-        return _w2sq_sorted(x[order], np.cumsum(w[order]), self.xe, self.cwe)
+    def cost_batch(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Squared W2 to the empirical measure for each row of atoms.
 
-    def feasible(self, x: np.ndarray, w: np.ndarray) -> bool:
-        return self.cost(x, w) <= self.budget
-
-    def cost_batch_uniform(self, rows: np.ndarray) -> np.ndarray:
-        """Costs for many m-atom uniform-weight candidates (rows sorted)."""
-        m = rows.shape[1]
-        cwr = np.arange(1, m + 1) / m
-        ts = np.sort(np.concatenate([cwr, self.cwe]), kind="stable")
-        ir = np.minimum(np.searchsorted(cwr, ts, side="left"), m - 1)
-        ie = np.minimum(np.searchsorted(self.cwe, ts, side="left"), len(self.xe) - 1)
-        seg = np.diff(ts, prepend=0.0)
-        d = rows[:, ir] - self.xe[ie][None, :]
-        return (d * d) @ seg
-
-    def cost_batch_general(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Costs for candidates with per-row weights (rows sorted rowwise)."""
-        k, m = rows.shape
-        n = len(self.xe)
-        out = np.empty(k)
-        chunk = max(1, 4_000_000 // ((m + n) * m))
-        for s in range(0, k, chunk):
-            x = rows[s : s + chunk]
-            cw = np.cumsum(weights[s : s + chunk], axis=1)
-            ts = np.sort(np.concatenate([cw, np.broadcast_to(self.cwe, (x.shape[0], n))], axis=1), axis=1)
-            ic = np.minimum((cw[:, None, :] < ts[:, :, None]).sum(axis=2), m - 1)
-            ie = np.minimum((self.cwe[None, None, :] < ts[:, :, None]).sum(axis=2), n - 1)
-            qc = np.take_along_axis(x, ic, axis=1)
-            qe = self.xe[ie]
-            seg = np.diff(ts, prepend=0.0, axis=1)
-            d = qc - qe
-            out[s : s + chunk] = np.sum(seg * d * d, axis=1)
-        return out
+        rows is k x m, each row in any order; weights is one m-vector
+        shared by every row or a k x m array of per-row weights.
+        """
+        x = rows - self.center
+        order = x.argsort(axis=1)
+        sel = (np.arange(len(x))[:, None], order)
+        x = x[sel]
+        w = weights[order] if weights.ndim == 1 else weights[sel]
+        # cumulative weights with a leading zero, so that the cell
+        # increments are differences of adjacent columns
+        cw = np.zeros((len(x), x.shape[1] + 1))
+        np.cumsum(w, axis=1, out=cw[:, 1:])
+        g = np.interp(cw, self.knots, self.g)
+        h = np.interp(cw, self.knots, self.h)
+        return (x * (w * x - 2.0 * (g[:, 1:] - g[:, :-1])) + (h[:, 1:] - h[:, :-1])).sum(axis=1)
 
 
-def _objective_values(x: np.ndarray, w: np.ndarray, second: bool) -> float:
-    if second:
-        return float(np.dot(w, x * x))
-    return float(np.dot(w, x))
+def _objective(rows: np.ndarray, weights: np.ndarray, second: bool) -> np.ndarray:
+    """Mean, or second moment when second is set, of each row's measure."""
+    return (weights * (rows * rows if second else rows)).sum(axis=-1)
 
 
-def _objective_batch(rows: np.ndarray, weights: np.ndarray, second: bool) -> np.ndarray:
-    if second:
-        return np.sum(weights * rows * rows, axis=1)
-    return np.sum(weights * rows, axis=1)
+def _best_feasible(
+    search: _BallSearch, rows: np.ndarray, weights: np.ndarray, scores: np.ndarray, floor: float
+) -> int | None:
+    """Index of the highest-scoring row inside the budget among the rows
+    scoring above floor; only those rows are priced."""
+    idx = (scores > floor).nonzero()[0]
+    if idx.size == 0:
+        return None
+    w = weights if weights.ndim == 1 else weights[idx]
+    idx = idx[search.cost_batch(rows[idx], w) <= search.budget]
+    if idx.size == 0:
+        return None
+    return int(idx[np.argmax(scores[idx])])
 
 
 def moment_range_search(
@@ -215,8 +222,12 @@ def moment_range_search(
     min_second_moment; the second-moment objectives constrain the mean to
     the given alpha. The search runs a grid pass with uniform weights, a
     simplex-grid weight pass (step 0.05) at the best positions, and a
-    local descent on atom positions with single-atom, common-translation
-    and common-dilation moves, halving the step until it falls below tol.
+    local descent on atom positions in phases of common translation,
+    common dilation and single-atom moves. Each descent step builds all
+    of its phase's moves from the current atoms, prices those that
+    improve the objective in one batch with the integrated-quantile cost
+    of _BallSearch, and takes the best one inside the budget; when none
+    fits, the step halves, down to tol.
 
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
@@ -240,116 +251,80 @@ def moment_range_search(
         support = default_support(empirical, delta)
     m = support.m
 
-    def repair(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         # mean constraint is restored exactly by a common translation
         if second:
-            return x + (alpha - float(np.dot(w, x)))
-        return x
+            return rows + (alpha - (w * rows).sum(axis=1))[:, None]
+        return rows
 
     # Always-feasible anchor: the empirical measure itself, translated to
     # meet the mean constraint when one is imposed (cost (alpha-mean)^2).
-    anchor_x = search.xe.copy()
-    anchor_w = search.we.copy()
-    anchor_x = repair(anchor_x, anchor_w)
-    best_x, best_w = anchor_x, anchor_w
-    best_val = _objective_values(anchor_x, anchor_w, second)
+    anchor_w = search.we
+    anchor_x = repair(search.xe[None, :], anchor_w)[0]
+    anchor_val = float(_objective(anchor_x, anchor_w, second))
+    best_x, best_w, best_val = anchor_x, anchor_w, anchor_val
 
     if delta == 0.0:
         return best_val
 
     # Pass 1: uniform weights, atom positions on a common grid.
     grid = np.linspace(support.lo, support.hi, support.grid_points)
-    rows = np.array(list(combinations_with_replacement(grid, m)), dtype=float)
     wu = np.full(m, 1.0 / m)
-    if second:
-        rows = rows + (alpha - rows.mean(axis=1))[:, None]
-    costs = search.cost_batch_uniform(rows)
-    feas = costs <= search.budget
-    if np.any(feas):
-        vals = _objective_batch(rows[feas], wu[None, :], second)
-        k = int(np.argmax(sign * vals))
-        if sign * vals[k] > sign * best_val:
-            best_val = float(vals[k])
-            best_x = rows[feas][k].copy()
-            best_w = wu.copy()
+    rows = repair(grid[_combinations(support.grid_points, m)], wu)
+    vals = _objective(rows, wu, second)
+    k = _best_feasible(search, rows, wu, sign * vals, sign * best_val)
+    if k is not None:
+        best_x, best_w, best_val = rows[k], wu, float(vals[k])
 
     # Pass 2: weight simplex grid (step 0.05) at the best atom positions.
     # Skipped when pass 1 improved nothing: best_x is then the n-atom
     # anchor, not an m-atom candidate, and n can exceed the simplex cap.
     if m > 1 and len(best_x) == m:
         weights = _simplex_grid(m, 20)
-        base = np.sort(best_x)
-        pos = np.broadcast_to(base, (weights.shape[0], m)).copy()
-        if second:
-            pos = pos + (alpha - np.sum(weights * pos, axis=1))[:, None]
-        costs = search.cost_batch_general(pos, weights)
-        feas = costs <= search.budget
-        if np.any(feas):
-            vals = _objective_batch(pos[feas], weights[feas], second)
-            k = int(np.argmax(sign * vals))
-            if sign * vals[k] > sign * best_val:
-                best_val = float(vals[k])
-                best_x = pos[feas][k].copy()
-                best_w = weights[feas][k].copy()
+        pos = repair(np.broadcast_to(np.sort(best_x), weights.shape), weights)
+        vals = _objective(pos, weights, second)
+        k = _best_feasible(search, pos, weights, sign * vals, sign * best_val)
+        if k is not None:
+            best_x, best_w, best_val = pos[k], weights[k], float(vals[k])
 
     # Pass 3: local descent on positions, run from the best grid candidate
     # and from the anchor. Single-atom moves alone cannot slide along the
     # budget sphere (freeing budget temporarily lowers the objective), so
     # the descent alternates pure phases: common translation to the budget
-    # boundary, common dilation about the mean, then single-atom sweeps.
+    # boundary, common dilation about the mean, then single-atom moves.
     step0 = (support.hi - support.lo) / max(support.grid_points - 1, 1)
 
-    def descend(x0: np.ndarray, w0: np.ndarray, val0: float) -> float:
-        x = np.asarray(x0, dtype=float).copy()
-        w = np.asarray(w0, dtype=float).copy()
-        best = val0
+    def descend(x: np.ndarray, w: np.ndarray, best: float) -> float:
+        singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
 
-        def try_step(cand: np.ndarray) -> bool:
-            nonlocal x, best
-            cand = repair(cand, w)
-            val = _objective_values(cand, w, second)
-            if sign * val > sign * best + 1e-15 and search.feasible(cand, w):
-                best = val
-                x = cand
-                return True
-            return False
+        def translations(x: np.ndarray, step: float) -> np.ndarray:
+            return x + np.array([[step], [-step]])
 
+        def dilations(x: np.ndarray, step: float) -> np.ndarray:
+            center = alpha if second else float(np.dot(w, x))
+            return center + np.array([[1.0 + step], [max(1.0 - step, 0.0)]]) * (x - center)
+
+        def single_moves(x: np.ndarray, step: float) -> np.ndarray:
+            return x + step * singles
+
+        phases = (dilations, single_moves) if second else (translations, dilations, single_moves)
         for _ in range(50):
             improved_round = False
-            if not second:
+            for moves in phases:
                 step = step0
                 while step >= tol:
-                    if try_step(x + step) or try_step(x - step):
-                        improved_round = True
-                    else:
+                    cands = repair(moves(x, step), w)
+                    vals = _objective(cands, w, second)
+                    k = _best_feasible(search, cands, w, sign * vals, sign * best + 1e-15)
+                    if k is None:
                         step *= 0.5
-            step = step0
-            while step >= tol:
-                center = alpha if second else float(np.dot(w, x))
-                up = center + (1.0 + step) * (x - center)
-                down = center + max(1.0 - step, 0.0) * (x - center)
-                if try_step(up) or try_step(down):
-                    improved_round = True
-                else:
-                    step *= 0.5
-            step = step0
-            while step >= tol:
-                moved = False
-                for i in range(len(x)):
-                    for sgn in (1.0, -1.0):
-                        cand = x.copy()
-                        cand[i] += sgn * step
-                        if try_step(cand):
-                            moved = True
-                if moved:
-                    improved_round = True
-                else:
-                    step *= 0.5
+                    else:
+                        x, best = cands[k], float(vals[k])
+                        improved_round = True
             if not improved_round:
                 break
         return best
 
-    anchor_val = _objective_values(anchor_x, anchor_w, second)
     out = descend(anchor_x, anchor_w, anchor_val)
     if not np.array_equal(best_x, anchor_x) or not np.array_equal(best_w, anchor_w):
         out2 = descend(best_x, best_w, best_val)
@@ -358,21 +333,23 @@ def moment_range_search(
     return out
 
 
-_SIMPLEX_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@functools.cache
+def _combinations(points: int, m: int) -> np.ndarray:
+    """Index rows of every m-element multiset of range(points), sorted."""
+    idx = np.array(list(combinations_with_replacement(range(points), m)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
 
 
+@functools.cache
 def _simplex_grid(m: int, parts: int) -> np.ndarray:
     """All weight vectors with entries k/parts summing to one."""
-    key = (m, parts)
-    cached = _SIMPLEX_CACHE.get(key)
-    if cached is None:
-        rows = [
-            np.bincount(combo, minlength=m) / parts
-            for combo in combinations_with_replacement(range(m), parts)
-        ]
-        cached = np.array(rows)
-        _SIMPLEX_CACHE[key] = cached
-    return cached
+    rows = np.array([
+        np.bincount(combo, minlength=m) / parts
+        for combo in combinations_with_replacement(range(m), parts)
+    ])
+    rows.setflags(write=False)
+    return rows
 
 
 def min_cost_given_moments(
@@ -386,9 +363,12 @@ def min_cost_given_moments(
     second moment beta; diagnostic companion to the profile formula.
 
     Candidates are repaired onto the moment pair by the affine map
-    x -> a x + b (a from the variance ratio, b from the mean), then the
-    transport cost is minimized by the same local-descent move set as
-    moment_range_search.
+    x -> a x + b (a from the variance ratio, b from the mean), and
+    priced with the integrated-quantile cost of _BallSearch. The grid
+    and the empirical anchor are priced in one batch each; the descent
+    then builds all 2m single-atom moves from the current atoms, prices
+    them in one batch and takes the cheapest when it lowers the cost,
+    halving the step otherwise, down to tol or 200 000 priced moves.
     """
     if beta < alpha * alpha - 1e-12:
         raise ValueError("no feasible measure")
@@ -399,62 +379,47 @@ def min_cost_given_moments(
     m = support.m
     target_var = max(beta - alpha * alpha, 0.0)
 
-    def repair(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-        mu = float(np.dot(w, x))
-        var = float(np.dot(w, (x - mu) ** 2))
-        if var <= 0:
-            if target_var > 1e-15:
-                return None
-            return np.full_like(x, alpha)
-        a = math.sqrt(target_var / var)
-        return alpha + a * (x - mu)
+    def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # rows with no spread cannot be scaled to a positive variance
+        dev = rows - (w * rows).sum(axis=1)[:, None]
+        var = (w * dev * dev).sum(axis=1)
+        spread = var > 0
+        scale = np.sqrt(target_var / np.where(spread, var, 1.0)) * spread
+        fixed = alpha + scale[:, None] * dev
+        return fixed[spread] if target_var > 1e-15 else fixed
 
     search = _BallSearch(empirical, 0.0)
 
     best_cost = math.inf
-    best_x: np.ndarray | None = None
-    best_w: np.ndarray | None = None
-
+    x = w = None
     grid = np.linspace(support.lo, support.hi, support.grid_points)
-    rows = np.array(list(combinations_with_replacement(grid, m)), dtype=float)
     wu = np.full(m, 1.0 / m)
-    candidates = [(row, wu) for row in rows]
-    candidates.append((search.xe.copy(), search.we.copy()))
-    for x0, w0 in candidates:
-        fixed = repair(np.asarray(x0, dtype=float), np.asarray(w0, dtype=float))
-        if fixed is None:
-            continue
-        c = search.cost(fixed, np.asarray(w0, dtype=float))
-        if c < best_cost:
-            best_cost = c
-            best_x = fixed
-            best_w = np.asarray(w0, dtype=float)
-    if best_x is None:
+    for rows, weights in (
+        (grid[_combinations(support.grid_points, m)], wu),
+        (search.xe[None, :], search.we),
+    ):
+        rows = repair(rows, weights)
+        if len(rows):
+            costs = search.cost_batch(rows, weights)
+            k = int(np.argmin(costs))
+            if costs[k] < best_cost:
+                best_cost, x, w = float(costs[k]), rows[k], weights
+    if x is None:
         raise ValueError("no feasible measure")
 
-    x, w = best_x.copy(), best_w.copy()
+    singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
     step = (support.hi - support.lo) / max(support.grid_points - 1, 1)
     evals = 0
     while step >= tol and evals < 200_000:
-        improved = False
-        moves = []
-        for i in range(len(x)):
-            for sgn in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sgn * step
-                moves.append(cand)
-        for cand in moves:
-            fixed = repair(cand, w)
-            if fixed is None:
+        cands = repair(x + step * singles, w)
+        evals += len(cands)
+        if len(cands):
+            costs = search.cost_batch(cands, w)
+            k = int(np.argmin(costs))
+            if costs[k] < best_cost - 1e-18:
+                best_cost, x = float(costs[k]), cands[k]
                 continue
-            evals += 1
-            c = search.cost(fixed, w)
-            if c < best_cost - 1e-18:
-                best_cost = c
-                x = fixed
-                improved = True
-        if not improved:
-            step *= 0.5
+        step *= 0.5
     return best_cost
 
 

@@ -29,6 +29,8 @@ from .functions import FunctionSpec
 from .moments import EmpiricalSummary, alpha_range, theorem_beta_envelope
 
 _QUADRATURES = ("trapezoid", "midpoint")
+_GRID_N_MAX = 2049
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 class SolverError(RuntimeError):
@@ -78,8 +80,10 @@ class SpreadDomain:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps_max) and self.eps_max > 0):
             raise ValueError("eps_max must be positive")
-        if self.grid_n < 16:
-            raise ValueError("grid_n must be at least 16")
+        if not 16 <= self.grid_n <= _GRID_N_MAX:
+            # the grid evaluator holds about eight grid_n^2 float arrays,
+            # about 270 MB at the cap
+            raise ValueError(f"grid_n must be between 16 and {_GRID_N_MAX}, got {self.grid_n}")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
 
@@ -189,21 +193,24 @@ class _GridEvaluator:
         a = (model.S + x) * hp
         b = (model.S - x) * hm
         eta = model.eta
-        c = model.Q + fp[:, None] - fm[None, :]
-        K = np.empty((5,) + c.shape)
-        K[0] = a[:, None] - 2.0 * eta * c * hp[:, None]
-        K[1] = 2.0 * eta * c * hm[None, :] - b[None, :]
-        K[2] = -(eta * hp * hp)[:, None]
-        K[3] = -(eta * hm * hm)[None, :]
-        K[4] = 2.0 * eta * hp[:, None] * hm[None, :]
-        K /= model.gamma
-        self.K = K.reshape(5, -1)
-        base = (
-            ((model.S + x) * fp)[:, None]
-            - ((model.S - x) * fm)[None, :]
-            - eta * c * c
-        )
-        self.base = base.ravel() / model.gamma
+        # extreme inputs can overflow to inf here; the checks on the
+        # exponent in log_mass_moments and build_policy handle that
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = model.Q + fp[:, None] - fm[None, :]
+            K = np.empty((5,) + c.shape)
+            K[0] = a[:, None] - 2.0 * eta * c * hp[:, None]
+            K[1] = 2.0 * eta * c * hm[None, :] - b[None, :]
+            K[2] = -(eta * hp * hp)[:, None]
+            K[3] = -(eta * hm * hm)[None, :]
+            K[4] = 2.0 * eta * hp[:, None] * hm[None, :]
+            K /= model.gamma
+            self.K = K.reshape(5, -1)
+            base = (
+                ((model.S + x) * fp)[:, None]
+                - ((model.S - x) * fm)[None, :]
+                - eta * c * c
+            )
+            self.base = base.ravel() / model.gamma
         self.h_all_zero = bool(np.all(hp == 0.0) and np.all(hm == 0.0))
         w = domain.axis_weights
         self.wprod = (w[:, None] * w[None, :]).ravel()
@@ -529,17 +536,20 @@ def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolut
         solution.beta_star_minus,
     )
     if np.any(np.isnan(expo)) or np.any(np.isposinf(expo)):
-        raise DegeneratePolicyError("degenerate policy")
+        raise DegeneratePolicyError("non-finite Gibbs exponent (nan or +inf)")
     m = float(np.max(expo))
     if not math.isfinite(m):
-        raise DegeneratePolicyError("degenerate policy")
+        raise DegeneratePolicyError("zero mass: the Gibbs exponent is -inf at every node")
     t = np.exp(expo - m)
     mass_shifted = float(np.sum(t * ev.wprod))
     if mass_shifted <= 0 or not math.isfinite(mass_shifted):
-        raise DegeneratePolicyError("degenerate policy")
-    z = math.exp(m + math.log(mass_shifted))
-    if z == 0.0 or not math.isfinite(z):
-        raise DegeneratePolicyError("degenerate policy")
+        raise DegeneratePolicyError(f"zero or non-finite Gibbs mass ({mass_shifted!r} after shift)")
+    log_z = m + math.log(mass_shifted)
+    if log_z > _LOG_MAX_FLOAT:
+        raise DegeneratePolicyError(f"normalizer overflow: log Z = {log_z:.6g}")
+    z = math.exp(log_z)
+    if z == 0.0:
+        raise DegeneratePolicyError(f"normalizer underflow: log Z = {log_z:.6g}")
     density = (t / mass_shifted).reshape(domain.grid_n, domain.grid_n)
     return PolicyGrid(domain=domain, density=density, normalization_residual=z)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,34 @@ def test_degenerate_policy_exit_code(tmp_path):
     assert run("solve", cfg, tmp_path / "out") == 4
 
 
+def test_overflowing_model_is_degenerate_without_warning(tmp_path, capsys):
+    # Q = 1e200 overflows eta C^2 in the grid set-up; the run must reach
+    # exit 4 with one message naming the cause, not a numpy warning
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text().replace("model.Q = 1.0", "model.Q = 1e200"))
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", cfg, tmp_path / "out") == 4
+    err = capsys.readouterr().err
+    assert err.count("degenerate policy") == 1
+    assert "zero mass" in err
+
+
+def test_write_ignores_stale_temp_name(tmp_path):
+    # a leftover <name>.tmp, here a directory, must not block the write
+    out = tmp_path / "out"
+    (out / "solution.json.tmp").mkdir(parents=True)
+    assert run("solve", FIXTURES / "solve.cfg", out) == 0
+    assert json.loads((out / "solution.json").read_text())["delta"] == 0.02
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "policy.csv", "solution.json", "solution.json.tmp"]
+    probe = tmp_path / "probe.txt"
+    probe.write_text("x")
+    assert (out / "solution.json").stat().st_mode == probe.stat().st_mode
+
+
 def test_config_comments_and_relative_paths():
     cfg = parse_config(FIXTURES / "solve.cfg")
     buy, sell = cfg.require_samples()
@@ -204,9 +233,10 @@ MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text
 @pytest.mark.parametrize("text, key", [
     ("radius.delta = blue\n", "radius.delta"),
     (MODEL_BLOCK + "domain.grid_n = 0\n", "grid_n"),
+    (MODEL_BLOCK + "domain.grid_n = 4097\n", "domain.grid_n"),
     ("simulate.deltas = nan, 0.01\n", "simulate.deltas"),
     ("validate.deltas = inf\n", "validate.deltas"),
-], ids=["radius.delta", "domain.grid_n", "simulate.deltas", "validate.deltas"])
+], ids=["radius.delta", "domain.grid_n", "domain.grid_n-cap", "simulate.deltas", "validate.deltas"])
 def test_config_rejects_bad_number(tmp_path, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from robustmm import (
     DiscreteMeasure,
     SampleSet,
     SupportSpec,
+    alpha_range,
     empirical_moments,
     min_cost_given_moments,
     moment_range_search,
@@ -14,7 +19,7 @@ from robustmm import (
     w2_distance,
     w2_squared,
 )
-from robustmm.oracle import empirical_measure
+from robustmm.oracle import _BallSearch, _simplex_grid, empirical_measure
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -87,13 +92,22 @@ def test_w2_triangle_inequality():
         assert w2_distance(p, r) <= w2_distance(p, q) + w2_distance(q, r) + 1e-12
 
 
+def kernel_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """Squared W2 through the search kernel: p as one row, priced against q."""
+    return float(_BallSearch(q, 0.0).cost_batch(np.array([p.atoms]), np.array(p.weights))[0])
+
+
 def test_w2_matches_transport_lp():
+    # rand_measure atoms are unsorted and carry unequal weights
     rng = np.random.default_rng(7)
     for _ in range(25):
         p, q = rand_measure(rng), rand_measure(rng)
         ours = w2_squared(p, q)
         lp = lp_w2_squared(p, q)
         assert ours == pytest.approx(lp, rel=1e-8, abs=1e-10)
+        kernel = kernel_w2_squared(p, q)
+        assert abs(kernel - ours) <= 1e-12
+        assert kernel == pytest.approx(lp, rel=1e-8, abs=1e-10)
 
 
 def test_w2_unequal_weight_partition():
@@ -101,6 +115,50 @@ def test_w2_unequal_weight_partition():
     p = DiscreteMeasure((0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0))
     q = DiscreteMeasure((0.0, 1.0), (0.5, 0.5))
     assert w2_squared(p, q) == pytest.approx(lp_w2_squared(p, q), rel=1e-10)
+    for a, b in ((p, q), (q, p)):
+        assert abs(kernel_w2_squared(a, b) - w2_squared(a, b)) <= 1e-12
+
+
+def test_cost_batch_rows_match_w2():
+    # several rows per call: unsorted rows under one shared weight vector,
+    # and per-row simplex weights that include zeros
+    rng = np.random.default_rng(11)
+    emp = rand_measure(rng, max_atoms=6)
+    search = _BallSearch(emp, 0.0)
+    shared = np.array([0.1, 0.4, 0.2, 0.3])
+    rows = rng.uniform(-2.0, 2.0, size=(7, 4))
+    weights = _simplex_grid(4, 4)
+    per_row = rng.uniform(-2.0, 2.0, size=(len(weights), 4))
+    for rs, ws in ((rows, shared), (per_row, weights)):
+        costs = search.cost_batch(rs, ws)
+        assert costs.shape == (len(rs),)
+        for k, (r, c) in enumerate(zip(rs, costs)):
+            cand = DiscreteMeasure(tuple(r), tuple(np.broadcast_to(ws, rs.shape)[k]))
+            assert abs(c - w2_squared(cand, emp)) <= 1e-12
+            if k % 7 == 0:
+                assert c == pytest.approx(lp_w2_squared(cand, emp), rel=1e-8, abs=1e-10)
+
+
+def atomic_measures():
+    """1 to 6 atoms in [-3, 3], weights from small counts (zeros and ties included)."""
+    def build(k):
+        return st.tuples(
+            st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k),
+            st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(lambda c: sum(c) > 0),
+        ).map(lambda aw: DiscreteMeasure(tuple(aw[0]), tuple(c / sum(aw[1]) for c in aw[1])))
+    return st.integers(1, 6).flatmap(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=atomic_measures(), q=atomic_measures(), data=st.data())
+def test_cost_batch_properties(p, q, data):
+    perm = data.draw(st.permutations(range(len(p.atoms))))
+    x = np.array(p.atoms)
+    w = np.array(p.weights)
+    cost, permuted = _BallSearch(q, 0.0).cost_batch(np.stack([x, x[perm]]), np.stack([w, w[perm]]))
+    assert cost >= -1e-14
+    assert permuted == pytest.approx(cost, abs=1e-14)
+    assert abs(cost - w2_squared(p, q)) <= 1e-12
 
 
 def test_product_w2_is_sum_of_marginals():
@@ -184,6 +242,23 @@ def test_envelope_against_oracle_random():
         got = moment_range_search(emp, delta, "max_second_moment", alpha=float(alpha))
         want = theorem_beta_envelope(s, delta, float(alpha))
         assert got == pytest.approx(want, rel=1e-4)
+
+
+def test_searches_at_the_six_atom_cap():
+    # six samples give six-atom candidates, the largest the searches take
+    vals = (0.31, 0.55, 0.62, 0.9, 1.17, 1.4)
+    emp = empirical_measure(SampleSet("buy", vals))
+    s = empirical_moments(SampleSet("buy", vals))
+    delta = 0.04
+    lo, hi = alpha_range(s, delta)
+    assert moment_range_search(emp, delta, "max_mean") == pytest.approx(hi, rel=1e-6)
+    assert moment_range_search(emp, delta, "min_mean") == pytest.approx(lo, rel=1e-6)
+    alpha = s.alpha_n + 0.4 * math.sqrt(delta)
+    beta = theorem_beta_envelope(s, delta, alpha)
+    got = moment_range_search(emp, delta, "max_second_moment", alpha=alpha)
+    assert got == pytest.approx(beta, rel=1e-6)
+    # the envelope is the budget boundary, so reaching it costs delta
+    assert min_cost_given_moments(emp, alpha, beta) == pytest.approx(delta, rel=1e-6)
 
 
 def test_min_cost_zero_at_empirical_moments():

@@ -8,6 +8,7 @@ from scipy import stats
 from robustmm import (
     DegeneratePolicyError,
     EmpiricalSummary,
+    RobustSolution,
     SampleSet,
     SolverError,
     SolverOptions,
@@ -256,20 +257,31 @@ def test_degenerate_policy_raises():
                         h_plus=constant(0.01), h_minus=constant(0.01))
     dom = SpreadDomain(eps_max=0.5, grid_n=33)
     sol = solve_inner(model, dom, (sp, sm), 0.01)
-    with pytest.raises(DegeneratePolicyError, match="degenerate"):
+    with pytest.raises(DegeneratePolicyError, match="normalizer underflow"):
         build_policy(model, dom, sol)
 
 
+@pytest.mark.filterwarnings("error")
 def test_vanishing_integrand_gives_degenerate_policy():
     # eta C^2 overflows to +inf, so every Gibbs weight is exp(-inf) = 0
     sp, sm = small_summaries()
     model = plain_model(Q=1e200)
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
-    with np.errstate(over="ignore"):
-        sol = solve_inner(model, dom, (sp, sm), 0.02)
-        assert sol.objective == 0.0
-        with pytest.raises(DegeneratePolicyError, match="degenerate"):
-            build_policy(model, dom, sol)
+    sol = solve_inner(model, dom, (sp, sm), 0.02)
+    assert sol.objective == 0.0
+    with pytest.raises(DegeneratePolicyError, match="zero mass"):
+        build_policy(model, dom, sol)
+
+
+def test_normalizer_overflow_gives_degenerate_policy():
+    # finite exponents whose mass exceeds the float range: build_policy
+    # must raise its own error, not math.exp's OverflowError
+    sp, sm = small_summaries()
+    model = plain_model(S=1e6, gamma=1e-6, f_plus=constant(5.0))
+    dom = SpreadDomain(eps_max=0.5, grid_n=33)
+    sol = RobustSolution(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n, -1.0, True, 0)
+    with pytest.raises(DegeneratePolicyError, match="normalizer overflow"):
+        build_policy(model, dom, sol)
 
 
 def test_integrand_overflow_raises():
