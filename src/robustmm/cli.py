@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,8 @@ from .simulator import shift_experiment
 from .validation import format_table, run_validation
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
+    """Write data, one string or an iterable of chunks, to path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     # a unique temp file beside the target: runs sharing the directory
     # never write the same one, and os.replace stays on one file system
@@ -36,7 +38,7 @@ def _atomic_write(path: Path, data: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
@@ -88,12 +90,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     policy = build_policy(model, domain, solution)
 
     # Python floats repr as plain round-trip numbers; numpy scalars would
-    # write np.float64(...). One row at a time keeps the copies small.
+    # write np.float64(...). The file is written one grid row at a time, so
+    # no copy of the whole text (several MB at the default grid) is built.
     nodes = domain.axis_nodes.tolist()
-    lines = ["eps_plus,eps_minus,density"]
-    for x, row in zip(nodes, policy.density):
-        lines.extend(f"{x!r},{y!r},{v!r}" for y, v in zip(nodes, row.tolist()))
-    _atomic_write(cfg.out_dir / "policy.csv", "\n".join(lines) + "\n")
+
+    def policy_rows():
+        yield "eps_plus,eps_minus,density\n"
+        for x, row in zip(nodes, policy.density):
+            yield "".join(f"{x!r},{y!r},{v!r}\n" for y, v in zip(nodes, row.tolist()))
+
+    _atomic_write(cfg.out_dir / "policy.csv", policy_rows())
 
     summary = {
         "alpha_star": {"plus": solution.alpha_star_plus, "minus": solution.alpha_star_minus},

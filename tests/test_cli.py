@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robustmm import build_policy, empirical_moments, read_sample_csv, solve_inner
-from robustmm.cli import main
+from robustmm.cli import _atomic_write, main
 from robustmm.config import ConfigError, parse_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,7 +33,9 @@ def test_solve_writes_policy_and_summary(tmp_path):
     assert summary["concave_certificate"] is True
     header = (out / "policy.csv").read_text().splitlines()[0]
     assert header == "eps_plus,eps_minus,density"
-    rows = (out / "policy.csv").read_text().splitlines()[1:]
+    text = (out / "policy.csv").read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    rows = text.splitlines()[1:]
     assert len(rows) == 33 * 33
     table = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
     cfg = parse_config(FIXTURES / "solve.cfg")
@@ -192,6 +194,23 @@ def test_write_ignores_stale_temp_name(tmp_path):
     probe = tmp_path / "probe.txt"
     probe.write_text("x")
     assert (out / "solution.json").stat().st_mode == probe.stat().st_mode
+
+
+def test_streamed_write_is_atomic(tmp_path):
+    # policy.csv is written as a stream of chunks; a stream that fails
+    # part way must leave the old file and no temp file behind
+    target = tmp_path / "policy.csv"
+    _atomic_write(target, iter(["a,b\n", "1,2\n"]))
+    assert target.read_text() == "a,b\n1,2\n"
+
+    def broken():
+        yield "partial\n"
+        raise RuntimeError("stream failed")
+
+    with pytest.raises(RuntimeError, match="stream failed"):
+        _atomic_write(target, broken())
+    assert target.read_text() == "a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["policy.csv"]
 
 
 def test_config_comments_and_relative_paths():
