@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 from .functions import FunctionSpec, affine, constant, exp_decay, parse_function_spec
 from .moments import (
     EmpiricalSummary,
-    MomentBox,
     SampleSet,
     alpha_range,
     beta_bounds,
     beta_lower_raw,
     empirical_moments,
-    moment_box,
     read_sample_csv,
     theorem_beta_envelope,
 )
@@ -41,16 +39,12 @@ from .policy import (
     SpreadDomain,
     SpreadModel,
     build_policy,
-    coefficients,
     concavity_check,
-    default_domain,
     expected_reward,
-    log_M,
     sample_policy,
     solve_inner,
     validate_model_on_domain,
     worst_case_objective,
-    worst_case_objective_grid,
 )
 from .profile import (
     MomentTarget,
@@ -62,15 +56,31 @@ from .profile import (
     select_radius,
 )
 from .simulator import (
-    EpisodeResult,
     MetaDistribution,
     ShiftReport,
     ShiftRow,
     ShiftSpec,
-    draw_order_flow,
-    run_episode,
     shift_experiment,
     simulate_batch,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # functions
+    "FunctionSpec", "affine", "constant", "exp_decay", "parse_function_spec",
+    # moments
+    "EmpiricalSummary", "SampleSet", "alpha_range", "beta_bounds", "beta_lower_raw",
+    "empirical_moments", "read_sample_csv", "theorem_beta_envelope",
+    # oracle
+    "DiscreteMeasure", "SupportSpec", "default_support", "min_cost_given_moments",
+    "moment_range_search", "product_w2_squared", "w2_distance", "w2_squared",
+    # policy
+    "DegeneratePolicyError", "PolicyGrid", "RobustSolution", "SolverError", "SolverOptions",
+    "SpreadDomain", "SpreadModel", "build_policy", "concavity_check", "expected_reward",
+    "sample_policy", "solve_inner", "validate_model_on_domain", "worst_case_objective",
+    # profile
+    "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices",
+    "pair_average_quadratic", "robust_profile", "select_radius",
+    # simulator
+    "MetaDistribution", "ShiftReport", "ShiftRow", "ShiftSpec", "shift_experiment",
+    "simulate_batch",
+]

@@ -75,10 +75,9 @@ class RunConfig:
         return self.model
 
     def require_domain(self) -> SpreadDomain:
-        model = self.require_model()
-        if self.domain is not None:
-            return self.domain
-        return SpreadDomain(eps_max=0.1 * model.S)
+        # parse_config builds a domain whenever it builds a model
+        self.require_model()
+        return self.domain
 
     def with_overrides(self, out_dir: str | None, seed: int | None) -> "RunConfig":
         cfg = self
@@ -171,20 +170,20 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"model block: {exc}") from exc
 
     domain = None
-    if any(k in raw for k in ("domain.eps_max", "domain.grid_n", "domain.quadrature")):
-        if model is None:
-            raise ConfigError("domain block requires a model block")
-        eps_max = _parse_float(raw, "domain.eps_max")
-        grid_n = _parse_int(raw, "domain.grid_n")
+    if model is not None:
+        # keys left out take SpreadDomain's defaults; eps_max defaults to 0.1 * S
+        fields = {"eps_max": _parse_float(raw, "domain.eps_max"),
+                  "grid_n": _parse_int(raw, "domain.grid_n"),
+                  "quadrature": raw.get("domain.quadrature")}
+        given = {k: v for k, v in fields.items() if v is not None}
         try:
-            domain = SpreadDomain(
-                eps_max=eps_max if eps_max is not None else 0.1 * model.S,
-                grid_n=grid_n if grid_n is not None else 257,
-                quadrature=raw.get("domain.quadrature", "trapezoid"),
-            )
+            domain = SpreadDomain(**{"eps_max": 0.1 * model.S, **given})
         except ValueError as exc:
             # SpreadDomain messages start with the field name
-            raise ConfigError(f"domain.{exc}") from exc
+            hint = " (it defaults to 0.1 * model.S)" if str(exc).startswith("eps_max") else ""
+            raise ConfigError(f"domain.{exc}{hint}") from exc
+    elif any(k.startswith("domain.") for k in raw):
+        raise ConfigError("domain block requires a model block")
 
     delta = _parse_float(raw, "radius.delta")
     chi = _parse_float(raw, "radius.chi")

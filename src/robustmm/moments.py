@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -108,15 +107,16 @@ def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:
     return (summary.alpha_n - r, summary.alpha_n + r)
 
 
-def _deviation_root(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[float, float]:
-    """Return (dev, sqrt(delta - dev^2)) with the feasibility clamp applied."""
+def _deviation_root(summary: EmpiricalSummary, delta: float, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Return (dev, sqrt(delta - dev^2)) with the feasibility clamp applied,
+    elementwise over a scalar or an array alpha."""
     if delta < 0:
         raise ValueError("negative radius")
-    dev = alpha - summary.alpha_n
+    dev = np.asarray(alpha, dtype=float) - summary.alpha_n
     rem = delta - dev * dev
-    if rem < -_FEAS_SLACK * (1.0 + delta):
+    if np.any(rem < -_FEAS_SLACK * (1.0 + delta)):
         raise ValueError("alpha infeasible")
-    return dev, math.sqrt(max(rem, 0.0))
+    return dev, np.sqrt(np.maximum(rem, 0.0))
 
 
 def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[float, float]:
@@ -130,7 +130,7 @@ def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[
     sd = math.sqrt(summary.variance)
     upper = summary.beta_n + 2.0 * dev * summary.alpha_n + delta + 2.0 * sd * root
     raw_lower = 2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root
-    return (max(raw_lower, alpha * alpha), upper)
+    return (max(float(raw_lower), alpha * alpha), float(upper))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
@@ -143,10 +143,10 @@ def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> flo
     """
     dev, root = _deviation_root(summary, delta, alpha)
     sd = math.sqrt(summary.variance)
-    return 2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root
+    return float(2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root)
 
 
-def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
+def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha):
     """Worst-case second moment pinned by the inner adversary:
 
         beta(alpha) = (sqrt(beta_n - alpha_n^2) + sqrt(delta - (alpha - alpha_n)^2))^2
@@ -154,36 +154,14 @@ def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha: float)
 
     Algebraically identical to the upper bound of beta_bounds; kept as a
     separate code path so the identity can be checked rather than assumed.
-    At delta = 0 the expression collapses to beta_n exactly.
+    At delta = 0 the expression collapses to beta_n exactly. A scalar
+    alpha gives a float, an array of means an array.
     """
     dev, root = _deviation_root(summary, delta, alpha)
-    if dev == 0.0 and root == 0.0:
-        return summary.beta_n
     s = math.sqrt(summary.variance) + root
-    return s * s + alpha * alpha
-
-
-@dataclass(frozen=True)
-class MomentBox:
-    """Feasible (alpha, beta) region for one side at a given budget delta."""
-
-    alpha_lo: float
-    alpha_hi: float
-    beta_lower_fn: Callable[[float], float]
-    beta_upper_fn: Callable[[float], float]
-    delta: float
-
-
-def moment_box(summary: EmpiricalSummary, delta: float) -> MomentBox:
-    lo, hi = alpha_range(summary, delta)
-
-    def lower(alpha: float) -> float:
-        return beta_bounds(summary, delta, alpha)[0]
-
-    def upper(alpha: float) -> float:
-        return beta_bounds(summary, delta, alpha)[1]
-
-    return MomentBox(alpha_lo=lo, alpha_hi=hi, beta_lower_fn=lower, beta_upper_fn=upper, delta=delta)
+    a = np.asarray(alpha, dtype=float)
+    beta = np.where((dev == 0.0) & (root == 0.0), summary.beta_n, s * s + a * a)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 def read_sample_csv(path: str | Path, side: str) -> SampleSet:

@@ -20,9 +20,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .moments import SampleSet, empirical_moments
+from .moments import SampleSet
 
 _WEIGHT_TOL = 1e-12
+# positions per axis of the searches' uniform-weight candidate grid
+_GRID_POINTS = 9
+# the descent halves its step down to this size
+_STEP_TOL = 1e-8
 
 _OBJECTIVES = ("max_mean", "min_mean", "max_second_moment", "min_second_moment")
 
@@ -119,19 +123,26 @@ class SupportSpec:
     lo: float
     hi: float
     m: int
-    grid_points: int = 9
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError("support interval must be finite with lo < hi")
         if not (1 <= self.m <= 6):
             raise ValueError("atom count m must be between 1 and 6")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be at least 3")
+
+    @property
+    def step(self) -> float:
+        """Spacing of the candidate grid, and the descent's first step."""
+        return (self.hi - self.lo) / (_GRID_POINTS - 1)
+
+    def grid_rows(self) -> np.ndarray:
+        """Every sorted m-atom candidate on the uniform grid over [lo, hi]."""
+        return np.linspace(self.lo, self.hi, _GRID_POINTS)[_combinations(_GRID_POINTS, self.m)]
 
 
-def default_support(empirical: DiscreteMeasure, delta: float, m: int | None = None) -> SupportSpec:
-    """Wide enough to contain any measure within budget delta.
+def default_support(empirical: DiscreteMeasure, delta: float) -> SupportSpec:
+    """Wide enough to contain any measure within budget delta, with as
+    many atoms as the empirical measure, at most six.
 
     Moving a single atom of weight w by more than sqrt(delta / w) already
     exceeds the budget, so padding by the worst case over atoms suffices.
@@ -140,8 +151,7 @@ def default_support(empirical: DiscreteMeasure, delta: float, m: int | None = No
     w = np.asarray(empirical.weights)
     wmin = float(np.min(w[w > 0])) if np.any(w > 0) else 1.0
     pad = math.sqrt(max(delta, 0.0) / wmin) + 1e-6
-    if m is None:
-        m = min(len(empirical.atoms), 6)
+    m = min(len(empirical.atoms), 6)
     return SupportSpec(lo=float(np.min(x)) - pad, hi=float(np.max(x)) + pad, m=m)
 
 
@@ -212,9 +222,7 @@ def moment_range_search(
     empirical: DiscreteMeasure,
     delta: float,
     objective: str,
-    support: SupportSpec | None = None,
     alpha: float | None = None,
-    tol: float = 1e-8,
 ) -> float:
     """Extremal moment over m-atom measures within squared-W2 budget delta.
 
@@ -227,7 +235,7 @@ def moment_range_search(
     of its phase's moves from the current atoms, prices those that
     improve the objective in one batch with the integrated-quantile cost
     of _BallSearch, and takes the best one inside the budget; when none
-    fits, the step halves, down to tol.
+    fits, the step halves, down to 1e-8.
 
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
@@ -247,8 +255,7 @@ def moment_range_search(
         if abs(alpha - emp_mean) > math.sqrt(delta) + 1e-9:
             raise ValueError("no feasible measure")
 
-    if support is None:
-        support = default_support(empirical, delta)
+    support = default_support(empirical, delta)
     m = support.m
 
     def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -268,9 +275,8 @@ def moment_range_search(
         return best_val
 
     # Pass 1: uniform weights, atom positions on a common grid.
-    grid = np.linspace(support.lo, support.hi, support.grid_points)
     wu = np.full(m, 1.0 / m)
-    rows = repair(grid[_combinations(support.grid_points, m)], wu)
+    rows = repair(support.grid_rows(), wu)
     vals = _objective(rows, wu, second)
     k = _best_feasible(search, rows, wu, sign * vals, sign * best_val)
     if k is not None:
@@ -292,8 +298,6 @@ def moment_range_search(
     # budget sphere (freeing budget temporarily lowers the objective), so
     # the descent alternates pure phases: common translation to the budget
     # boundary, common dilation about the mean, then single-atom moves.
-    step0 = (support.hi - support.lo) / max(support.grid_points - 1, 1)
-
     def descend(x: np.ndarray, w: np.ndarray, best: float) -> float:
         singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
 
@@ -311,8 +315,8 @@ def moment_range_search(
         for _ in range(50):
             improved_round = False
             for moves in phases:
-                step = step0
-                while step >= tol:
+                step = support.step
+                while step >= _STEP_TOL:
                     cands = repair(moves(x, step), w)
                     vals = _objective(cands, w, second)
                     k = _best_feasible(search, cands, w, sign * vals, sign * best + 1e-15)
@@ -356,8 +360,6 @@ def min_cost_given_moments(
     empirical: DiscreteMeasure,
     alpha: float,
     beta: float,
-    support: SupportSpec | None = None,
-    tol: float = 1e-8,
 ) -> float:
     """Smallest squared W2 to any m-atom measure with mean alpha and
     second moment beta; diagnostic companion to the profile formula.
@@ -368,15 +370,12 @@ def min_cost_given_moments(
     and the empirical anchor are priced in one batch each; the descent
     then builds all 2m single-atom moves from the current atoms, prices
     them in one batch and takes the cheapest when it lowers the cost,
-    halving the step otherwise, down to tol or 200 000 priced moves.
+    halving the step otherwise, down to 1e-8 or 200 000 priced moves.
     """
     if beta < alpha * alpha - 1e-12:
         raise ValueError("no feasible measure")
-    if support is None:
-        span = max(abs(alpha), math.sqrt(max(beta, 0.0)), 1.0)
-        m = min(len(empirical.atoms), 6)
-        support = SupportSpec(lo=-4.0 * span, hi=4.0 * span, m=m)
-    m = support.m
+    span = max(abs(alpha), math.sqrt(max(beta, 0.0)), 1.0)
+    support = SupportSpec(lo=-4.0 * span, hi=4.0 * span, m=min(len(empirical.atoms), 6))
     target_var = max(beta - alpha * alpha, 0.0)
 
     def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -392,10 +391,9 @@ def min_cost_given_moments(
 
     best_cost = math.inf
     x = w = None
-    grid = np.linspace(support.lo, support.hi, support.grid_points)
-    wu = np.full(m, 1.0 / m)
+    wu = np.full(support.m, 1.0 / support.m)
     for rows, weights in (
-        (grid[_combinations(support.grid_points, m)], wu),
+        (support.grid_rows(), wu),
         (search.xe[None, :], search.we),
     ):
         rows = repair(rows, weights)
@@ -408,9 +406,9 @@ def min_cost_given_moments(
         raise ValueError("no feasible measure")
 
     singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
-    step = (support.hi - support.lo) / max(support.grid_points - 1, 1)
+    step = support.step
     evals = 0
-    while step >= tol and evals < 200_000:
+    while step >= _STEP_TOL and evals < 200_000:
         cands = repair(x + step * singles, w)
         evals += len(cands)
         if len(cands):
@@ -421,9 +419,3 @@ def min_cost_given_moments(
                 continue
         step *= 0.5
     return best_cost
-
-
-def empirical_measure(samples: SampleSet) -> DiscreteMeasure:
-    """Convenience bridge from a sample set to its empirical measure."""
-    empirical_moments(samples)  # surfaces the no-samples error consistently
-    return DiscreteMeasure.from_samples(samples)

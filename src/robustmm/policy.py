@@ -20,13 +20,13 @@ maximization of -gamma * integral(M) over a box of means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .functions import FunctionSpec
-from .moments import EmpiricalSummary, alpha_range, theorem_beta_envelope
+from .moments import EmpiricalSummary, theorem_beta_envelope
 
 _QUADRATURES = ("trapezoid", "midpoint")
 _GRID_N_MAX = 2049
@@ -112,59 +112,9 @@ class SpreadDomain:
         return np.concatenate(([0.0], seams)), np.concatenate((seams, [self.eps_max]))
 
 
-def default_domain(model: SpreadModel, grid_n: int = 257, quadrature: str = "trapezoid") -> SpreadDomain:
-    """Spread cap at ten percent of the mid price."""
-    return SpreadDomain(eps_max=0.1 * model.S, grid_n=grid_n, quadrature=quadrature)
-
-
-def coefficients(model: SpreadModel, eps_plus, eps_minus):
-    """Fill-weighted prices A, B and the flow-adjusted inventory C."""
-    a = (model.S + np.asarray(eps_plus, dtype=float)) * model.h_plus(eps_plus)
-    b = (model.S - np.asarray(eps_minus, dtype=float)) * model.h_minus(eps_minus)
-    c = model.Q + np.asarray(model.f_plus(eps_plus)) - np.asarray(model.f_minus(eps_minus))
-    if np.ndim(eps_plus) == 0 and np.ndim(eps_minus) == 0:
-        return float(a), float(b), float(c)
-    return a, b, c
-
-
-def log_M(
-    model: SpreadModel,
-    eps_plus: float,
-    eps_minus: float,
-    alpha_plus: float,
-    alpha_minus: float,
-    beta_plus: float,
-    beta_minus: float,
-) -> float:
-    """Log of the unnormalized Gibbs density at one spread pair."""
-    a, b, c = coefficients(model, eps_plus, eps_minus)
-    hp = float(model.h_plus(eps_plus))
-    hm = float(model.h_minus(eps_minus))
-    fp = float(model.f_plus(eps_plus))
-    fm = float(model.f_minus(eps_minus))
-    eta = model.eta
-    moment_part = (
-        (a - 2.0 * eta * c * hp) * alpha_plus
-        - (b - 2.0 * eta * c * hm) * alpha_minus
-        - eta
-        * (
-            hp * hp * beta_plus
-            - 2.0 * hp * hm * alpha_plus * alpha_minus
-            + hm * hm * beta_minus
-        )
-    )
-    base_part = (
-        (model.S + eps_plus) * fp - (model.S - eps_minus) * fm - eta * c * c
-    )
-    val = (moment_part + base_part) / model.gamma
-    if not math.isfinite(val):
-        raise ValueError("integrand overflow")
-    return val
-
-
-def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain, points: int = 1025) -> None:
+def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
     """f and h must be finite on the spread interval and h nonnegative."""
-    eps = np.linspace(0.0, domain.eps_max, max(points, 2 * domain.grid_n))
+    eps = np.linspace(0.0, domain.eps_max, max(1025, 2 * domain.grid_n))
     for name in ("f_plus", "f_minus", "h_plus", "h_minus"):
         vals = np.asarray(getattr(model, name)(eps), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -194,7 +144,7 @@ class _GridEvaluator:
         b = (model.S - x) * hm
         eta = model.eta
         # extreme inputs can overflow to inf here; the checks on the
-        # exponent in log_mass_moments and build_policy handle that
+        # exponent in log_mass_moments, objective and build_policy handle that
         with np.errstate(over="ignore", invalid="ignore"):
             c = model.Q + fp[:, None] - fm[None, :]
             K = np.empty((5,) + c.shape)
@@ -211,7 +161,6 @@ class _GridEvaluator:
                 - eta * c * c
             )
             self.base = base.ravel() / model.gamma
-        self.h_all_zero = bool(np.all(hp == 0.0) and np.all(hm == 0.0))
         w = domain.axis_weights
         self.wprod = (w[:, None] * w[None, :]).ravel()
         self.logw = np.log(self.wprod)
@@ -220,20 +169,6 @@ class _GridEvaluator:
         e = np.array([ap, am, bp, bm, ap * am]) @ self.K
         e += self.base
         return e
-
-    def log_mass(self, expo: np.ndarray) -> float:
-        """log of the weighted integral of exp(exponent), shift-stabilized.
-
-        +inf or nan exponents mean the integrand itself overflowed; -inf
-        is a vanishing integrand and is harmless.
-        """
-        if np.any(np.isnan(expo)) or np.any(np.isposinf(expo)):
-            raise ValueError("integrand overflow")
-        shifted = expo + self.logw
-        m = float(np.max(shifted))
-        if m == -math.inf:
-            return -math.inf
-        return m + math.log(float(np.sum(np.exp(shifted - m))))
 
     def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """log Z at the moment terms x with its gradient and Hessian in x:
@@ -254,33 +189,34 @@ class _GridEvaluator:
         second = (self.K * p) @ self.K.T
         return m + math.log(total), mean, second - np.outer(mean, mean)
 
-    def objective(self, ap: float, am: float, bp: float, bm: float) -> float:
-        """-gamma * integral of M over the spread square."""
-        lz = self.log_mass(self.exponent(ap, am, bp, bm))
-        if lz > 700.0:
-            # finite exponent, unrepresentable mass
-            raise ValueError("integrand overflow")
-        return -self.model.gamma * math.exp(lz)
+    def objective(self, ap, am, bp, bm):
+        """-gamma * integral of M over the spread square at paired moments:
+        a float for scalar moments, else an array of their broadcast shape.
 
-    def objective_batch(self, ap: np.ndarray, am: np.ndarray, bp: np.ndarray, bm: np.ndarray) -> np.ndarray:
-        x = np.stack([ap, am, bp, bm, ap * am], axis=1)
-        out = np.empty(len(x))
-        chunk = max(1, 8_000_000 // max(len(self.base), 1))
-        for s in range(0, len(x), chunk):
-            e = x[s : s + chunk] @ self.K
-            e += self.base[None, :]
+        +inf or nan exponents mean the integrand itself overflowed; -inf
+        is a vanishing integrand and gives -0.0. The last log and exp run
+        per row through math, so every row rounds like a scalar call.
+        """
+        ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ap, am, bp, bm)))
+        rows = np.stack([ap, am, bp, bm, ap * am], axis=-1).reshape(-1, 5)
+        lz = []
+        chunk = max(1, 8_000_000 // len(self.base))
+        for s in range(0, len(rows), chunk):
+            e = rows[s : s + chunk] @ self.K
+            e += self.base
             if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
                 raise ValueError("integrand overflow")
-            e += self.logw[None, :]
+            e += self.logw
             m = np.max(e, axis=1)
-            m_safe = np.where(np.isneginf(m), 0.0, m)
-            lz = m_safe + np.log(np.sum(np.exp(e - m_safe[:, None]), axis=1))
-            if np.any(lz[~np.isneginf(m)] > 700.0):
-                raise ValueError("integrand overflow")
-            z = np.exp(lz)
-            z = np.where(np.isneginf(m), 0.0, z)
-            out[s : s + chunk] = -self.model.gamma * z
-        return out
+            e -= np.where(np.isneginf(m), 0.0, m)[:, None]
+            total = np.sum(np.exp(e, out=e), axis=1)
+            lz += [mk + math.log(tk) if mk > -math.inf else -math.inf
+                   for mk, tk in zip(m.tolist(), total.tolist())]
+        if max(lz, default=-math.inf) > 700.0:
+            # finite exponent, unrepresentable mass
+            raise ValueError("integrand overflow")
+        out = np.array([-self.model.gamma * math.exp(v) for v in lz]).reshape(ap.shape)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -318,32 +254,16 @@ def worst_case_objective(
     domain: SpreadDomain,
     summaries: tuple[EmpiricalSummary, EmpiricalSummary],
     delta: float,
-    alpha_plus: float,
-    alpha_minus: float,
-) -> float:
+    alpha_plus,
+    alpha_minus,
+):
     """Objective -gamma * integral(M) with second moments pinned at their
-    adversarial envelopes for the given means."""
+    adversarial envelopes for the given means: scalar means give a float,
+    arrays of paired means an array."""
     sp, sm = summaries
     bp = theorem_beta_envelope(sp, delta, alpha_plus)
     bm = theorem_beta_envelope(sm, delta, alpha_minus)
     return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
-
-
-def worst_case_objective_grid(
-    model: SpreadModel,
-    domain: SpreadDomain,
-    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-    delta: float,
-    alphas_plus: np.ndarray,
-    alphas_minus: np.ndarray,
-) -> np.ndarray:
-    """Vectorized worst_case_objective over paired mean arrays."""
-    sp, sm = summaries
-    ap = np.asarray(alphas_plus, dtype=float)
-    am = np.asarray(alphas_minus, dtype=float)
-    bp = np.array([theorem_beta_envelope(sp, delta, a) for a in ap])
-    bm = np.array([theorem_beta_envelope(sm, delta, a) for a in am])
-    return _GridEvaluator(model, domain).objective_batch(ap, am, bp, bm)
 
 
 def _log_mass_in_t(
@@ -391,8 +311,11 @@ def solve_inner(
     the faces of the mean box, and one grid pass gives log Z with its
     exact gradient and Hessian in t. Projected Newton (Bertsekas 1982)
     with Armijo backtracking runs from the box center when the concavity
-    certificate holds, else from the nine points of {-pi/2, 0, pi/2}^2.
-    delta = 0 short-circuits to the empirical moments.
+    certificate holds, else from the nine points of {-pi/2, 0, pi/2}^2,
+    the center first. Ties keep the earlier start, so when h = 0 (the
+    moments never enter the integrand, and every start stops at once) the
+    answer is the empirical means. delta = 0 short-circuits to the
+    empirical moments.
     """
     if delta < 0:
         raise ValueError("negative radius")
@@ -409,21 +332,6 @@ def solve_inner(
             alpha_star_minus=sm.alpha_n,
             beta_star_plus=sp.beta_n,
             beta_star_minus=sm.beta_n,
-            objective=obj,
-            concave_certificate=cert,
-            iterations=0,
-        )
-
-    if ev.h_all_zero:
-        # moments never enter the integrand; report the empirical means
-        bp = theorem_beta_envelope(sp, delta, sp.alpha_n)
-        bm = theorem_beta_envelope(sm, delta, sm.alpha_n)
-        obj = ev.objective(sp.alpha_n, sm.alpha_n, bp, bm)
-        return RobustSolution(
-            alpha_star_plus=sp.alpha_n,
-            alpha_star_minus=sm.alpha_n,
-            beta_star_plus=bp,
-            beta_star_minus=bm,
             objective=obj,
             concave_certificate=cert,
             iterations=0,
@@ -458,10 +366,9 @@ def solve_inner(
             t, lz, g, hess = trial, lz_new, g_new, hess_new
         return t, lz, opts.max_iter, False
 
-    if cert:
-        starts = [np.zeros(2)]
-    else:
-        starts = [np.array([u, v]) for u in (-half, 0.0, half) for v in (-half, 0.0, half)]
+    starts = [np.zeros(2)]
+    if not cert:
+        starts += [np.array([u, v]) for u in (-half, 0.0, half) for v in (-half, 0.0, half) if u or v]
     best_t, best_lz = starts[0], math.inf
     total_iter = 0
     any_converged = False
@@ -497,7 +404,6 @@ class PolicyGrid:
 
     domain: SpreadDomain
     density: np.ndarray
-    normalization_residual: float
 
     def __post_init__(self) -> None:
         d = np.asarray(self.density, dtype=float)
@@ -547,11 +453,10 @@ def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolut
     log_z = m + math.log(mass_shifted)
     if log_z > _LOG_MAX_FLOAT:
         raise DegeneratePolicyError(f"normalizer overflow: log Z = {log_z:.6g}")
-    z = math.exp(log_z)
-    if z == 0.0:
+    if math.exp(log_z) == 0.0:
         raise DegeneratePolicyError(f"normalizer underflow: log Z = {log_z:.6g}")
     density = (t / mass_shifted).reshape(domain.grid_n, domain.grid_n)
-    return PolicyGrid(domain=domain, density=density, normalization_residual=z)
+    return PolicyGrid(domain=domain, density=density)
 
 
 def sample_policy(grid: PolicyGrid, rng, size: int | None = None):

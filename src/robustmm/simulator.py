@@ -121,52 +121,6 @@ class ShiftSpec:
         )
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
-    cash_delta: float
-    inventory_after: float
-    penalty: float
-    realized_objective: float
-    spreads_used: tuple[float, float]
-    fills: tuple[float, float]
-
-
-def draw_order_flow(
-    metas: tuple[MetaDistribution, MetaDistribution],
-    model: SpreadModel,
-    eps_plus: float,
-    eps_minus: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """One innovation per side mapped through the fill curves."""
-    xi_p = float(metas[0].draw(rng, 1)[0])
-    xi_m = float(metas[1].draw(rng, 1)[0])
-    dn_p = float(model.h_plus(eps_plus)) * xi_p + float(model.f_plus(eps_plus))
-    dn_m = float(model.h_minus(eps_minus)) * xi_m + float(model.f_minus(eps_minus))
-    return dn_p, dn_m
-
-
-def run_episode(
-    policy: PolicyGrid,
-    model: SpreadModel,
-    metas: tuple[MetaDistribution, MetaDistribution],
-    rng: np.random.Generator,
-) -> EpisodeResult:
-    eps_plus, eps_minus = sample_policy(policy, rng)
-    dn_p, dn_m = draw_order_flow(metas, model, eps_plus, eps_minus, rng)
-    cash = (model.S + eps_plus) * dn_p - (model.S - eps_minus) * dn_m
-    inventory = model.Q + dn_p - dn_m
-    penalty = model.eta * inventory * inventory
-    return EpisodeResult(
-        cash_delta=cash,
-        inventory_after=inventory,
-        penalty=penalty,
-        realized_objective=cash - penalty,
-        spreads_used=(eps_plus, eps_minus),
-        fills=(dn_p, dn_m),
-    )
-
-
 def simulate_batch(
     policy: PolicyGrid,
     model: SpreadModel,
@@ -174,7 +128,8 @@ def simulate_batch(
     episodes: int,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
-    """Vectorized episodes; same bookkeeping as run_episode."""
+    """Vectorized episodes: one spread pair and one innovation per side
+    each, booked as the module docstring describes."""
     eps_plus, eps_minus = sample_policy(policy, rng, size=episodes)
     xi_p = metas[0].draw(rng, episodes)
     xi_m = metas[1].draw(rng, episodes)

@@ -19,7 +19,6 @@ from robustmm import (
     empirical_moments,
     exp_decay,
     worst_case_objective,
-    worst_case_objective_grid,
 )
 
 
@@ -109,20 +108,10 @@ def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
                                     float(x[0]), float(x[1]))
 
     def fun_batch(ap, am):
-        return worst_case_objective_grid(model, domain, summaries, delta, ap, am)
+        return worst_case_objective(model, domain, summaries, delta, ap, am)
 
     _, best = _grid_fallback(fun_batch, lo, hi, fun, n=n)
     return float(best)
-
-
-def raw_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
-    lo, hi = mean_box(summaries, delta)
-    gp = np.linspace(lo[0], hi[0], n)
-    gm = np.linspace(lo[1], hi[1], n)
-    pp, mm = np.meshgrid(gp, gm, indexing="ij")
-    vals = worst_case_objective_grid(model, domain, summaries, delta,
-                                     pp.ravel(), mm.ravel())
-    return float(vals.max())
 
 
 def fd_hessian(fun, x: np.ndarray, h: float) -> np.ndarray:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustmm import build_policy, empirical_moments, read_sample_csv, solve_inner
+from robustmm import SpreadDomain, build_policy, empirical_moments, read_sample_csv, solve_inner
 from robustmm.cli import _atomic_write, main
 from robustmm.config import ConfigError, parse_config
 
@@ -229,6 +229,22 @@ def test_config_defaults():
     assert cfg.validate_tol == 1e-4
     assert cfg.shift.sd_scale_plus == 1.0
     assert cfg.out_dir == FIXTURES / "out"
+
+
+def test_config_builds_the_default_domain(tmp_path, capsys):
+    # with no domain keys, eps_max is 0.1 * S and the rest are SpreadDomain's
+    # defaults; S = 0 makes that cap 0, a config error naming both keys
+    text = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text().splitlines()
+                   if not line.startswith("domain."))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert parse_config(cfg).require_domain() == SpreadDomain(eps_max=0.5)
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg.write_text(text.replace("model.S = 5.0", "model.S = 0.0"))
+    assert run("solve", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "domain.eps_max" in err and "model.S" in err
 
 
 def test_config_rejects_delta_and_chi_together(tmp_path):

@@ -10,7 +10,6 @@ from robustmm import (
     beta_bounds,
     beta_lower_raw,
     empirical_moments,
-    moment_box,
     read_sample_csv,
     theorem_beta_envelope,
 )
@@ -74,6 +73,21 @@ def test_envelope_at_zero_radius_is_empirical_second_moment():
     assert theorem_beta_envelope(s, 0.0, s.alpha_n) == s.beta_n
 
 
+def test_envelope_takes_arrays():
+    # an array of means gives the scalar values, bit for bit; the center
+    # of a zero-radius ball still gives beta_n exactly
+    s = empirical_moments(SampleSet("buy", (0.2, 0.9, 1.4)))
+    lo, hi = alpha_range(s, 0.09)
+    alphas = np.linspace(lo, hi, 7)
+    env = theorem_beta_envelope(s, 0.09, alphas)
+    assert env.shape == (7,)
+    assert env.tolist() == [theorem_beta_envelope(s, 0.09, float(a)) for a in alphas]
+    assert type(theorem_beta_envelope(s, 0.09, alphas[3])) is float
+    assert theorem_beta_envelope(s, 0.0, np.array([s.alpha_n]))[0] == s.beta_n
+    with pytest.raises(ValueError, match="alpha infeasible"):
+        theorem_beta_envelope(s, 0.09, np.array([s.alpha_n, hi + 0.1]))
+
+
 def test_envelope_matches_expanded_form():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -106,18 +120,6 @@ def test_beta_bounds_infeasible_alpha_raises():
     s = empirical_moments(SampleSet("buy", (0.5, 1.0)))
     with pytest.raises(ValueError, match="alpha infeasible"):
         beta_bounds(s, 0.01, s.alpha_n + 0.2)
-
-
-def test_moment_box_consistent_with_closed_forms():
-    s = empirical_moments(SampleSet("buy", (0.2, 0.9, 1.4)))
-    delta = 0.09
-    box = moment_box(s, delta)
-    lo, hi = alpha_range(s, delta)
-    assert (box.alpha_lo, box.alpha_hi) == (lo, hi)
-    for alpha in np.linspace(lo + 1e-9, hi - 1e-9, 7):
-        bl, bh = beta_bounds(s, delta, float(alpha))
-        assert box.beta_lower_fn(float(alpha)) == bl
-        assert box.beta_upper_fn(float(alpha)) == bh
 
 
 def test_read_sample_csv_with_header(tmp_path):

@@ -19,7 +19,7 @@ from robustmm import (
     w2_distance,
     w2_squared,
 )
-from robustmm.oracle import _BallSearch, _simplex_grid, empirical_measure
+from robustmm.oracle import _BallSearch, _simplex_grid
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -220,7 +220,7 @@ def test_mean_endpoints_against_closed_form():
     rng = np.random.default_rng(9)
     for _ in range(10):
         vals = tuple(rng.uniform(0.1, 2.0, size=int(rng.integers(2, 6))))
-        emp = empirical_measure(SampleSet("buy", vals))
+        emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.01, 0.3))
         hi = moment_range_search(emp, delta, "max_mean")
@@ -234,7 +234,7 @@ def test_envelope_against_oracle_random():
     rng = np.random.default_rng(10)
     for _ in range(8):
         vals = tuple(rng.uniform(0.1, 2.0, size=int(rng.integers(2, 6))))
-        emp = empirical_measure(SampleSet("buy", vals))
+        emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.02, 0.3))
         frac = float(rng.uniform(-0.8, 0.8))
@@ -247,7 +247,7 @@ def test_envelope_against_oracle_random():
 def test_searches_at_the_six_atom_cap():
     # six samples give six-atom candidates, the largest the searches take
     vals = (0.31, 0.55, 0.62, 0.9, 1.17, 1.4)
-    emp = empirical_measure(SampleSet("buy", vals))
+    emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
     s = empirical_moments(SampleSet("buy", vals))
     delta = 0.04
     lo, hi = alpha_range(s, delta)
@@ -272,7 +272,7 @@ def test_min_cost_within_budget_for_feasible_targets():
     rng = np.random.default_rng(12)
     for _ in range(5):
         vals = tuple(rng.uniform(0.2, 1.5, size=4))
-        emp = empirical_measure(SampleSet("sell", vals))
+        emp = DiscreteMeasure.from_samples(SampleSet("sell", vals))
         s = empirical_moments(SampleSet("sell", vals))
         delta = float(rng.uniform(0.02, 0.2))
         alpha = s.alpha_n + 0.5 * np.sqrt(delta)
@@ -283,6 +283,6 @@ def test_min_cost_within_budget_for_feasible_targets():
 
 def test_support_spec_validation():
     with pytest.raises(ValueError):
-        SupportSpec(lo=1.0, hi=0.0, m=3, grid_points=5)
+        SupportSpec(lo=1.0, hi=0.0, m=3)
     with pytest.raises(ValueError):
-        SupportSpec(lo=0.0, hi=1.0, m=9, grid_points=5)
+        SupportSpec(lo=0.0, hi=1.0, m=9)

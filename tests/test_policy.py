@@ -16,18 +16,15 @@ from robustmm import (
     SpreadModel,
     affine,
     build_policy,
-    coefficients,
     concavity_check,
     constant,
     empirical_moments,
     exp_decay,
-    log_M,
     sample_policy,
     solve_inner,
     theorem_beta_envelope,
     validate_model_on_domain,
     worst_case_objective,
-    worst_case_objective_grid,
 )
 
 from helpers import fd_hessian, rand_instance, refined_grid_max
@@ -48,14 +45,36 @@ def plain_model(**overrides):
     return SpreadModel(**kw)
 
 
+# step 1/16: the nodes include every spread the hand values below use
+HAND_GRID = SpreadDomain(eps_max=1.0, grid_n=17)
+
+
+def exponent_at(model, eps_plus, eps_minus, *moments):
+    """The evaluator's Gibbs exponent at one node of HAND_GRID."""
+    i, j = np.searchsorted(HAND_GRID.axis_nodes, (eps_plus, eps_minus))
+    assert HAND_GRID.axis_nodes[i] == eps_plus and HAND_GRID.axis_nodes[j] == eps_minus
+    expo = _GridEvaluator(model, HAND_GRID).exponent(*moments)
+    return float(expo.reshape(17, 17)[i, j])
+
+
 def test_coefficients_values():
+    # at eta = 0 and gamma = 1 the exponent's a+ and a- slopes are
+    # A = (S + e+) h+ and -B = -(S - e-) h-; eta = 1/2 with h+ = 1 lowers
+    # the a+ slope by C = Q + f+ - f-
     model = SpreadModel(S=2.0, Q=-1.0, eta=0.0, gamma=1.0,
                         f_plus=exp_decay(2.0, 1.0), f_minus=exp_decay(1.0, 2.0),
                         h_plus=constant(1.0), h_minus=constant(2.0))
-    a, b, c = coefficients(model, 0.5, 0.1)
+
+    def slopes(m):
+        zero = exponent_at(m, 0.5, 0.125, 0.0, 0.0, 0.0, 0.0)
+        return (exponent_at(m, 0.5, 0.125, 1.0, 0.0, 0.0, 0.0) - zero,
+                zero - exponent_at(m, 0.5, 0.125, 0.0, 1.0, 0.0, 0.0))
+
+    a, b = slopes(model)
     assert a == pytest.approx(2.5, rel=1e-15)
-    assert b == pytest.approx(3.8, rel=1e-15)
-    assert c == pytest.approx(-1.0 + 2.0 * math.exp(-0.5) - math.exp(-0.2), rel=1e-14)
+    assert b == pytest.approx(3.75, rel=1e-15)
+    c = a - slopes(replace(model, eta=0.5))[0]
+    assert c == pytest.approx(-1.0 + 2.0 * math.exp(-0.5) - math.exp(-0.25), rel=1e-14)
 
 
 def test_log_m_linear_case():
@@ -63,26 +82,23 @@ def test_log_m_linear_case():
     model = SpreadModel(S=2.0, Q=7.0, eta=0.0, gamma=1.0,
                         f_plus=constant(1.0), f_minus=constant(2.0),
                         h_plus=constant(1.0), h_minus=constant(2.0))
-    val = log_M(model, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0)
-    assert val == -8.0
+    assert exponent_at(model, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0) == -8.0
 
 
 def test_log_m_full_formula():
     model = SpreadModel(S=4.0, Q=1.0, eta=0.5, gamma=2.0,
                         f_plus=constant(0.5), f_minus=constant(0.25),
                         h_plus=constant(1.0), h_minus=constant(0.5))
-    val = log_M(model, 0.5, 0.25, 0.8, 0.6, 0.9, 0.5)
+    val = exponent_at(model, 0.5, 0.25, 0.8, 0.6, 0.9, 0.5)
     # (A - 2 eta C h+) a+ - (B - 2 eta C h-) a- - eta (h+^2 b+ - 2 h+ h- a+ a-
     #  + h-^2 b-) + (S+e+) f+ - (S-e-) f- - eta C^2, all over gamma
     assert val == pytest.approx(1.054375, rel=1e-12)
 
 
 def test_log_m_scales_inversely_with_gamma():
-    m1 = plain_model(gamma=1.0)
-    m2 = plain_model(gamma=4.0)
-    v1 = log_M(m1, 0.3, 0.2, 0.8, 0.9, 1.0, 1.1)
-    v2 = log_M(m2, 0.3, 0.2, 0.8, 0.9, 1.0, 1.1)
-    assert v1 == pytest.approx(4.0 * v2, rel=1e-12)
+    e1 = _GridEvaluator(plain_model(gamma=1.0), HAND_GRID).exponent(0.8, 0.9, 1.0, 1.1)
+    e2 = _GridEvaluator(plain_model(gamma=4.0), HAND_GRID).exponent(0.8, 0.9, 1.0, 1.1)
+    np.testing.assert_allclose(e1, 4.0 * e2, rtol=1e-12)
 
 
 def test_model_validation():
@@ -156,10 +172,12 @@ def test_objective_batch_matches_scalar():
     root = math.sqrt(delta)
     ap = sp.alpha_n + rng.uniform(-0.9, 0.9, size=6) * root
     am = sm.alpha_n + rng.uniform(-0.9, 0.9, size=6) * root
-    batch = worst_case_objective_grid(model, dom, summaries, delta, ap, am)
+    batch = worst_case_objective(model, dom, summaries, delta, ap, am)
+    assert batch.shape == (6,)
     for k in range(6):
         scalar = worst_case_objective(model, dom, summaries, delta,
                                       float(ap[k]), float(am[k]))
+        assert type(scalar) is float
         assert batch[k] == pytest.approx(scalar, rel=1e-12)
 
 
@@ -219,11 +237,16 @@ def test_solver_error_carries_best_iterate():
     assert math.isfinite(best.objective)
 
 
-def test_flat_intensity_reports_empirical_means():
+@pytest.mark.parametrize("delta", [0.02, 1.0], ids=["certified", "nine-starts"])
+def test_flat_intensity_reports_empirical_means(delta):
+    # h = 0 keeps the moments out of the integrand, so every start stops
+    # where it began with the same log Z; the center start comes first
+    # and wins the tie
     sp, sm = small_summaries()
     model = plain_model(h_plus=constant(0.0), h_minus=constant(0.0))
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
-    sol = solve_inner(model, dom, (sp, sm), 0.02)
+    sol = solve_inner(model, dom, (sp, sm), delta)
+    assert sol.concave_certificate is (delta == 0.02)
     assert sol.alpha_star_plus == sp.alpha_n
     assert sol.alpha_star_minus == sm.alpha_n
 

@@ -14,7 +14,6 @@ from robustmm import (
     empirical_moments,
     exp_decay,
     expected_reward,
-    run_episode,
     shift_experiment,
     simulate_batch,
     solve_inner,
@@ -97,16 +96,15 @@ def test_shift_spec_apply():
 
 
 def test_order_flow_linear_in_innovation():
-    model = fixture_model()
+    # point-mass laws fix the innovations at 0.7 and 0.3
+    model, dom, sol, pol = fixture_policy()
     metas = (MetaDistribution.two_point(0.7, 0.7, 1.0),
              MetaDistribution.two_point(0.3, 0.3, 1.0))
-    rng = np.random.default_rng(0)
-    from robustmm import draw_order_flow
-    dn_p, dn_m = draw_order_flow(metas, model, 0.25, 0.5, rng)
-    hp = float(model.h_plus(0.25))
-    hm = float(model.h_minus(0.5))
-    assert dn_p == pytest.approx(hp * 0.7 + 0.2, rel=1e-14)
-    assert dn_m == pytest.approx(hm * 0.3 + 0.2, rel=1e-14)
+    batch = simulate_batch(pol, model, metas, 50, np.random.default_rng(0))
+    hp = model.h_plus(batch["eps_plus"])
+    hm = model.h_minus(batch["eps_minus"])
+    np.testing.assert_allclose(batch["fill_plus"], hp * 0.7 + 0.2, rtol=1e-14)
+    np.testing.assert_allclose(batch["fill_minus"], hm * 0.3 + 0.2, rtol=1e-14)
 
 
 def test_accounting_identity_every_episode():
@@ -120,14 +118,6 @@ def test_accounting_identity_every_episode():
     assert np.array_equal(batch["cash_delta"], cash)
     assert np.array_equal(batch["inventory_after"], inv)
     assert np.array_equal(batch["objective"], cash - model.eta * inv * inv)
-
-
-def test_single_episode_identity():
-    model, dom, sol, pol = fixture_policy()
-    metas = (MetaDistribution.gaussian(0.8, 0.4), MetaDistribution.gaussian(0.7, 0.5))
-    ep = run_episode(pol, model, metas, np.random.default_rng(3))
-    assert ep.realized_objective == ep.cash_delta - ep.penalty
-    assert ep.penalty == model.eta * ep.inventory_after ** 2
 
 
 def test_monte_carlo_matches_quadrature():
