@@ -26,8 +26,6 @@ from .oracle import (
     default_support,
     min_cost_given_moments,
     moment_range_search,
-    product_w2_squared,
-    w2_distance,
     w2_squared,
 )
 from .policy import (
@@ -35,7 +33,6 @@ from .policy import (
     PolicyGrid,
     RobustSolution,
     SolverError,
-    SolverOptions,
     SpreadDomain,
     SpreadModel,
     build_policy,
@@ -51,7 +48,6 @@ from .profile import (
     RadiusSelection,
     gram_bound_check,
     moment_matrices,
-    pair_average_quadratic,
     robust_profile,
     select_radius,
 )
@@ -72,14 +68,14 @@ __all__ = [
     "empirical_moments", "read_sample_csv", "theorem_beta_envelope",
     # oracle
     "DiscreteMeasure", "SupportSpec", "default_support", "min_cost_given_moments",
-    "moment_range_search", "product_w2_squared", "w2_distance", "w2_squared",
+    "moment_range_search", "w2_squared",
     # policy
-    "DegeneratePolicyError", "PolicyGrid", "RobustSolution", "SolverError", "SolverOptions",
-    "SpreadDomain", "SpreadModel", "build_policy", "concavity_check", "expected_reward",
-    "sample_policy", "solve_inner", "validate_model_on_domain", "worst_case_objective",
+    "DegeneratePolicyError", "PolicyGrid", "RobustSolution", "SolverError", "SpreadDomain",
+    "SpreadModel", "build_policy", "concavity_check", "expected_reward", "sample_policy",
+    "solve_inner", "validate_model_on_domain", "worst_case_objective",
     # profile
-    "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices",
-    "pair_average_quadratic", "robust_profile", "select_radius",
+    "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices", "robust_profile",
+    "select_radius",
     # simulator
     "MetaDistribution", "ShiftReport", "ShiftRow", "ShiftSpec", "shift_experiment",
     "simulate_batch",

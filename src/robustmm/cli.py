@@ -4,8 +4,8 @@ Every command reads one flat config file, writes its outputs atomically
 into the output directory, and drops a manifest echoing the resolved
 configuration so a rerun with the same inputs is byte-identical.
 
-Exit codes: 0 success, 2 configuration problem, 3 solver failure,
-4 degenerate policy, 5 validation failure.
+Exit codes: 0 success, 2 configuration problem (the message names the key
+or the file and line), 3 solver failure, 4 degenerate policy, 5 validation failure.
 """
 from __future__ import annotations
 
@@ -59,13 +59,13 @@ def _write_manifest(cfg: RunConfig, command: str) -> None:
 
 
 def _load_samples(cfg: RunConfig) -> tuple[SampleSet, SampleSet]:
-    buy_path, sell_path = cfg.require_samples()
-    try:
-        buy = read_sample_csv(buy_path, "buy")
-        sell = read_sample_csv(sell_path, "sell")
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return buy, sell
+    samples = []
+    for side, path in zip(("buy", "sell"), cfg.require_samples()):
+        try:
+            samples.append(read_sample_csv(path, side))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"samples.{side}: {exc}") from exc
+    return samples[0], samples[1]
 
 
 def _resolve_budget(cfg: RunConfig, samples) -> float:

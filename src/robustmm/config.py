@@ -12,8 +12,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .functions import parse_function_spec
-from .policy import SpreadDomain, SpreadModel
-from .simulator import ShiftSpec
+from .policy import SpreadDomain, SpreadModel, validate_model_on_domain
+from .profile import DEFAULT_RESAMPLES, check_chi, check_resamples
+from .simulator import ShiftSpec, check_episodes
+from .validation import DEFAULT_DELTAS, DEFAULT_TOL
 
 
 class ConfigError(ValueError):
@@ -23,7 +25,12 @@ class ConfigError(ValueError):
 _MODEL_KEYS = ("model.S", "model.Q", "model.eta", "model.gamma",
                "model.f_plus", "model.f_minus", "model.h_plus", "model.h_minus")
 
-_KNOWN_KEYS = set(_MODEL_KEYS) | {
+_SHIFT_KEYS = {"mean_shift_plus": "simulate.shift_mean_plus",
+               "sd_scale_plus": "simulate.shift_sd_scale_plus",
+               "mean_shift_minus": "simulate.shift_mean_minus",
+               "sd_scale_minus": "simulate.shift_sd_scale_minus"}
+
+_KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | {
     "samples.buy",
     "samples.sell",
     "domain.eps_max",
@@ -34,10 +41,6 @@ _KNOWN_KEYS = set(_MODEL_KEYS) | {
     "radius.resamples",
     "simulate.deltas",
     "simulate.episodes",
-    "simulate.shift_mean_plus",
-    "simulate.shift_sd_scale_plus",
-    "simulate.shift_mean_minus",
-    "simulate.shift_sd_scale_minus",
     "validate.deltas",
     "validate.tol",
     "seed",
@@ -84,15 +87,28 @@ class RunConfig:
         if out_dir is not None:
             cfg = replace(cfg, out_dir=Path(out_dir))
         if seed is not None:
-            if seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            cfg = replace(cfg, seed=int(seed))
+            cfg = replace(cfg, seed=_check_seed(seed))
         return cfg
 
 
-def _parse_float(raw: dict[str, str], key: str) -> float | None:
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    return seed
+
+
+def _keyed(prefix: str, owner, *args, **kwargs):
+    """Call an owner's constructor or check; its ValueError messages start
+    with the field name, so prefix + message names the config key."""
+    try:
+        return owner(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _parse_float(raw: dict[str, str], key: str, default: float | None = None) -> float | None:
     if key not in raw:
-        return None
+        return default
     try:
         val = float(raw[key])
     except ValueError as exc:
@@ -102,24 +118,29 @@ def _parse_float(raw: dict[str, str], key: str) -> float | None:
     return val
 
 
-def _parse_int(raw: dict[str, str], key: str) -> int | None:
+def _parse_int(raw: dict[str, str], key: str, default: int | None = None) -> int | None:
     if key not in raw:
-        return None
+        return default
     try:
         return int(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as an integer") from exc
 
 
-def _parse_floats(raw: dict[str, str], key: str) -> tuple[float, ...] | None:
+def _parse_radii(raw: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    """A nonempty comma list of finite, nonnegative transport budgets."""
     if key not in raw:
-        return None
+        return default
     try:
         vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as a number list") from exc
     if not all(math.isfinite(v) for v in vals):
         raise ConfigError(f"{key}: values must be finite")
+    if len(vals) == 0:
+        raise ConfigError(f"{key} must list at least one radius")
+    if any(d < 0 for d in vals):
+        raise ConfigError(f"{key}: negative radius")
     return vals
 
 
@@ -150,24 +171,14 @@ def parse_config(path: str | Path) -> RunConfig:
     samples_sell = base / raw["samples.sell"] if "samples.sell" in raw else None
 
     model = None
-    present = [k for k in _MODEL_KEYS if k in raw]
-    if present:
+    if any(k in raw for k in _MODEL_KEYS):
         missing = [k for k in _MODEL_KEYS if k not in raw]
         if missing:
             raise ConfigError(f"incomplete model block, missing {missing}")
-        try:
-            model = SpreadModel(
-                S=_parse_float(raw, "model.S"),
-                Q=_parse_float(raw, "model.Q"),
-                eta=_parse_float(raw, "model.eta"),
-                gamma=_parse_float(raw, "model.gamma"),
-                f_plus=parse_function_spec(raw["model.f_plus"]),
-                f_minus=parse_function_spec(raw["model.f_minus"]),
-                h_plus=parse_function_spec(raw["model.h_plus"]),
-                h_minus=parse_function_spec(raw["model.h_minus"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"model block: {exc}") from exc
+        params = {k[len("model."):]: _parse_float(raw, k) for k in _MODEL_KEYS[:4]}
+        for key in _MODEL_KEYS[4:]:
+            params[key[len("model."):]] = _keyed(f"{key}: ", parse_function_spec, raw[key])
+        model = _keyed("model.", SpreadModel, **params)
 
     domain = None
     if model is not None:
@@ -182,8 +193,11 @@ def parse_config(path: str | Path) -> RunConfig:
             # SpreadDomain messages start with the field name
             hint = " (it defaults to 0.1 * model.S)" if str(exc).startswith("eps_max") else ""
             raise ConfigError(f"domain.{exc}{hint}") from exc
-    elif any(k.startswith("domain.") for k in raw):
-        raise ConfigError("domain block requires a model block")
+        _keyed("model.", validate_model_on_domain, model, domain)
+    else:
+        for key in raw:
+            if key.startswith("domain."):
+                raise ConfigError(f"{key} requires a model block")
 
     delta = _parse_float(raw, "radius.delta")
     chi = _parse_float(raw, "radius.chi")
@@ -191,57 +205,23 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("give exactly one of radius.delta and radius.chi, not both")
     if delta is not None and delta < 0:
         raise ConfigError("radius.delta: negative radius")
-    if chi is not None and not (0.0 < chi < 1.0):
-        raise ConfigError("radius.chi must be in (0, 1)")
+    if chi is not None:
+        _keyed("radius.", check_chi, chi)
+    resamples = _parse_int(raw, "radius.resamples", DEFAULT_RESAMPLES)
+    _keyed("radius.", check_resamples, resamples)
 
-    resamples = _parse_int(raw, "radius.resamples")
-    if resamples is None:
-        resamples = 500
-    elif resamples < 100:
-        raise ConfigError("radius.resamples must be at least 100")
+    episodes = _parse_int(raw, "simulate.episodes", 10_000)
+    _keyed("simulate.", check_episodes, episodes)
+    sim_deltas = _parse_radii(raw, "simulate.deltas", (0.0, 0.01, 0.04))
+    # keys left out take ShiftSpec's defaults
+    shift = ShiftSpec(**{field: _parse_float(raw, key) for field, key in _SHIFT_KEYS.items()
+                         if key in raw})
 
-    episodes = _parse_int(raw, "simulate.episodes")
-    if episodes is None:
-        episodes = 10_000
-    elif episodes < 1000:
-        raise ConfigError("simulate.episodes must be at least 1000")
-
-    sim_deltas = _parse_floats(raw, "simulate.deltas")
-    if sim_deltas is None:
-        sim_deltas = (0.0, 0.01, 0.04)
-    if len(sim_deltas) == 0:
-        raise ConfigError("simulate.deltas must list at least one radius")
-    if any(d < 0 for d in sim_deltas):
-        raise ConfigError("simulate.deltas: negative radius")
-
-    def _default(value: float | None, fallback: float) -> float:
-        return fallback if value is None else value
-
-    shift = ShiftSpec(
-        mean_shift_plus=_default(_parse_float(raw, "simulate.shift_mean_plus"), 0.0),
-        sd_scale_plus=_default(_parse_float(raw, "simulate.shift_sd_scale_plus"), 1.0),
-        mean_shift_minus=_default(_parse_float(raw, "simulate.shift_mean_minus"), 0.0),
-        sd_scale_minus=_default(_parse_float(raw, "simulate.shift_sd_scale_minus"), 1.0),
-    )
-
-    validate_deltas = _parse_floats(raw, "validate.deltas")
-    if validate_deltas is None:
-        validate_deltas = (0.01, 0.04, 0.25)
-    if len(validate_deltas) == 0:
-        raise ConfigError("validate.deltas must list at least one radius")
-    if any(d < 0 for d in validate_deltas):
-        raise ConfigError("validate.deltas: negative radius")
-    validate_tol = _parse_float(raw, "validate.tol")
-    if validate_tol is None:
-        validate_tol = 1e-4
-    elif validate_tol <= 0:
+    validate_deltas = _parse_radii(raw, "validate.deltas", DEFAULT_DELTAS)
+    validate_tol = _parse_float(raw, "validate.tol", DEFAULT_TOL)
+    if validate_tol <= 0:
         raise ConfigError("validate.tol must be positive")
-
-    seed = _parse_int(raw, "seed")
-    if seed is None:
-        seed = 0
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    seed = _check_seed(_parse_int(raw, "seed", 0))
 
     out_dir = Path(raw.get("output.dir", "out"))
     if not out_dir.is_absolute():

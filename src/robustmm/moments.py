@@ -32,6 +32,9 @@ _SIDES = ("buy", "sell")
 # anything more negative is a genuine infeasibility.
 _FEAS_SLACK = 1e-14
 
+# the radius profile takes fourth powers of the values: keep them far inside the float range
+_SAMPLE_ABS_MAX = 1e50
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -46,8 +49,8 @@ class SampleSet:
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ValueError("no samples")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("sample values must be finite")
+        if not all(abs(v) <= _SAMPLE_ABS_MAX for v in values):
+            raise ValueError(f"sample values must be finite and at most {_SAMPLE_ABS_MAX:g} in magnitude")
         object.__setattr__(self, "values", values)
 
     @property
@@ -87,8 +90,6 @@ def empirical_moments(samples: SampleSet) -> EmpiricalSummary:
     the subtraction leaves a value within -1e-12 of zero; a larger
     negative gap would signal corrupted inputs and raises.
     """
-    if len(samples.values) == 0:
-        raise ValueError("no samples")
     x = samples.as_array()
     alpha = float(np.mean(x))
     beta = float(np.mean(x * x))
@@ -183,6 +184,7 @@ def read_sample_csv(path: str | Path, side: str) -> SampleSet:
                 values.append(float(tok))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from exc
-    if not values:
-        raise ValueError(f"{path}: no samples")
-    return SampleSet(side=side, values=tuple(values))
+    try:
+        return SampleSet(side=side, values=tuple(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

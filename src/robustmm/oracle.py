@@ -100,22 +100,6 @@ def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     return _w2sq_sorted(xp, np.cumsum(wp), xq, np.cumsum(wq))
 
 
-def w2_distance(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Exact 2-Wasserstein distance between discrete measures on the line."""
-    return math.sqrt(max(w2_squared(p, q), 0.0))
-
-
-def product_w2_squared(
-    p1: DiscreteMeasure, q1: DiscreteMeasure, p2: DiscreteMeasure, q2: DiscreteMeasure
-) -> float:
-    """Squared W2 between product measures p1 x p2 and q1 x q2.
-
-    The squared Euclidean cost separates across coordinates, so the
-    product distance is the sum of the marginal squared distances.
-    """
-    return w2_squared(p1, q1) + w2_squared(p2, q2)
-
-
 @dataclass(frozen=True)
 class SupportSpec:
     """Search space for atomic candidate measures: m atoms inside [lo, hi]."""
@@ -195,12 +179,16 @@ class _BallSearch:
         np.cumsum(w, axis=1, out=cw[:, 1:])
         g = np.interp(cw, self.knots, self.g)
         h = np.interp(cw, self.knots, self.h)
-        return (x * (w * x - 2.0 * (g[:, 1:] - g[:, :-1])) + (h[:, 1:] - h[:, :-1])).sum(axis=1)
+        # atoms far out overflow to an inf cost, which no budget admits
+        with np.errstate(over="ignore"):
+            return (x * (w * x - 2.0 * (g[:, 1:] - g[:, :-1])) + (h[:, 1:] - h[:, :-1])).sum(axis=1)
 
 
 def _objective(rows: np.ndarray, weights: np.ndarray, second: bool) -> np.ndarray:
-    """Mean, or second moment when second is set, of each row's measure."""
-    return (weights * (rows * rows if second else rows)).sum(axis=-1)
+    """Mean, or second moment when second is set, of each row's measure.
+    Atoms far out overflow to inf or nan; their inf cost rules them out."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (weights * (rows * rows if second else rows)).sum(axis=-1)
 
 
 def _best_feasible(

@@ -31,6 +31,10 @@ from .moments import EmpiricalSummary, theorem_beta_envelope
 _QUADRATURES = ("trapezoid", "midpoint")
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+# a Newton start stops once the first-order decrease along its step is
+# below _NEWTON_TOL * (1 + |log Z|), and fails after _NEWTON_MAX_ITER steps
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_ITER = 500
 
 
 class SolverError(RuntimeError):
@@ -63,10 +67,11 @@ class SpreadModel:
         for name in ("S", "Q", "eta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # messages start with the field name, which the config reports
         if self.gamma <= 0:
-            raise ValueError("entropy temperature gamma must be positive")
+            raise ValueError("gamma must be positive (the entropy temperature)")
         if self.eta < 0:
-            raise ValueError("inventory penalty eta must be nonnegative")
+            raise ValueError("eta must be nonnegative (the inventory penalty)")
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,10 @@ class SpreadDomain:
             # the grid evaluator holds about eight grid_n^2 float arrays,
             # about 270 MB at the cap
             raise ValueError(f"grid_n must be between 16 and {_GRID_N_MAX}, got {self.grid_n}")
+        # node weights are products of two axis weights, each within a factor 2 of the cell
+        lo, hi = self.eps_max / (2 * self.grid_n), 2 * self.eps_max / self.grid_n
+        if not (lo * lo > np.finfo(float).tiny and hi * hi < math.inf):
+            raise ValueError(f"eps_max {self.eps_max!r} is out of range: the cell areas under- or overflow")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
 
@@ -113,10 +122,12 @@ class SpreadDomain:
 
 
 def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
-    """f and h must be finite on the spread interval and h nonnegative."""
+    """f and h must be finite on [0, eps_max] and h nonnegative there."""
     eps = np.linspace(0.0, domain.eps_max, max(1025, 2 * domain.grid_n))
     for name in ("f_plus", "f_minus", "h_plus", "h_minus"):
-        vals = np.asarray(getattr(model, name)(eps), dtype=float)
+        # a curve that overflows is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(getattr(model, name)(eps), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{name} is not finite on [0, eps_max]")
         if name.startswith("h") and np.any(vals < 0):
@@ -165,16 +176,20 @@ class _GridEvaluator:
         self.wprod = (w[:, None] * w[None, :]).ravel()
         self.logw = np.log(self.wprod)
 
-    def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
-        e = np.array([ap, am, bp, bm, ap * am]) @ self.K
-        e += self.base
+    def _affine(self, x: np.ndarray) -> np.ndarray:
+        """x K + base per row of x; callers check for the inf or nan of overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = x @ self.K
+            e += self.base
         return e
+
+    def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
+        return self._affine(np.array([ap, am, bp, bm, ap * am]))
 
     def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """log Z at the moment terms x with its gradient and Hessian in x:
         the Gibbs-weighted mean and covariance of the rows of K."""
-        e = x @ self.K
-        e += self.base
+        e = self._affine(x)
         if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
             raise ValueError("integrand overflow")
         e += self.logw
@@ -185,9 +200,12 @@ class _GridEvaluator:
         p = np.exp(e, out=e)
         total = float(np.sum(p))
         p /= total
-        mean = self.K @ p
-        second = (self.K * p) @ self.K.T
-        return m + math.log(total), mean, second - np.outer(mean, mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self.K @ p
+            cov = (self.K * p) @ self.K.T - np.outer(mean, mean)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("integrand overflow")
+        return m + math.log(total), mean, cov
 
     def objective(self, ap, am, bp, bm):
         """-gamma * integral of M over the spread square at paired moments:
@@ -202,8 +220,7 @@ class _GridEvaluator:
         lz = []
         chunk = max(1, 8_000_000 // len(self.base))
         for s in range(0, len(rows), chunk):
-            e = rows[s : s + chunk] @ self.K
-            e += self.base
+            e = self._affine(rows[s : s + chunk])
             if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
                 raise ValueError("integrand overflow")
             e += self.logw
@@ -234,12 +251,6 @@ class RobustSolution:
     def __post_init__(self) -> None:
         if not math.isfinite(self.objective):
             raise ValueError("objective must be finite")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-9
-    max_iter: int = 500
 
 
 def concavity_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float) -> bool:
@@ -283,17 +294,19 @@ def _log_mass_in_t(
     spread = sd + root * cos
     b = spread * spread + a * a
     lz, g, h = ev.log_mass_moments(np.array([a[0], a[1], b[0], b[1], a[0] * a[1]]))
-    da = root * cos
-    db = 2.0 * root * (a * cos - spread * sin)
-    d2a = -root * sin
-    d2b = 2.0 * root * (root * sin * sin - sd * cos - a * sin)
-    jac = np.array([[da[0], 0.0], [0.0, da[1]], [db[0], 0.0], [0.0, db[1]],
-                    [a[1] * da[0], a[0] * da[1]]])
-    hess = jac.T @ h @ jac
-    hess += np.diag(g[:2] * d2a + g[2:4] * d2b + g[4] * a[::-1] * d2a)
-    hess[0, 1] += g[4] * da[0] * da[1]
-    hess[1, 0] = hess[0, 1]
-    return lz, jac.T @ g, hess
+    # extreme radii overflow these products; the descent takes the inf or nan as it comes
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = root * cos
+        db = 2.0 * root * (a * cos - spread * sin)
+        d2a = -root * sin
+        d2b = 2.0 * root * (root * sin * sin - sd * cos - a * sin)
+        jac = np.array([[da[0], 0.0], [0.0, da[1]], [db[0], 0.0], [0.0, db[1]],
+                        [a[1] * da[0], a[0] * da[1]]])
+        hess = jac.T @ h @ jac
+        hess += np.diag(g[:2] * d2a + g[2:4] * d2b + g[4] * a[::-1] * d2a)
+        hess[0, 1] += g[4] * da[0] * da[1]
+        hess[1, 0] = hess[0, 1]
+        return lz, jac.T @ g, hess
 
 
 def solve_inner(
@@ -301,7 +314,6 @@ def solve_inner(
     domain: SpreadDomain,
     summaries: tuple[EmpiricalSummary, EmpiricalSummary],
     delta: float,
-    options: SolverOptions | None = None,
 ) -> RobustSolution:
     """Maximize the worst-case objective over the box of feasible means.
 
@@ -319,7 +331,6 @@ def solve_inner(
     """
     if delta < 0:
         raise ValueError("negative radius")
-    opts = options or SolverOptions()
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
     sp, sm = summaries
@@ -341,7 +352,7 @@ def solve_inner(
 
     def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
         lz, g, hess = _log_mass_in_t(ev, summaries, delta, t)
-        for it in range(1, opts.max_iter + 1):
+        for it in range(1, _NEWTON_MAX_ITER + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
             # Newton where the free Hessian is positive definite, else a gradient
@@ -352,7 +363,7 @@ def solve_inner(
             d = np.zeros(2)
             d[free] = -vec @ np.divide(proj, lam, out=np.zeros_like(proj), where=lam > 0.0)
             # stationary once the first-order decrease along d is negligible
-            if -float(g @ d) <= opts.tol * (1.0 + abs(lz)):
+            if -float(g @ d) <= _NEWTON_TOL * (1.0 + abs(lz)):
                 return t, lz, it, True
             step = 1.0
             for _ in range(60):
@@ -364,7 +375,7 @@ def solve_inner(
             else:
                 return t, lz, it, False
             t, lz, g, hess = trial, lz_new, g_new, hess_new
-        return t, lz, opts.max_iter, False
+        return t, lz, _NEWTON_MAX_ITER, False
 
     starts = [np.zeros(2)]
     if not cert:
@@ -394,7 +405,7 @@ def solve_inner(
         iterations=total_iter,
     )
     if not any_converged:
-        raise SolverError(f"inner solver did not converge in {opts.max_iter} iterations", best=solution)
+        raise SolverError(f"inner solver did not converge in {_NEWTON_MAX_ITER} iterations", best=solution)
     return solution
 
 
@@ -415,16 +426,12 @@ class PolicyGrid:
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "density", d)
-        w = self.domain.axis_weights
-        total = float(np.sum((w[:, None] * w[None, :]) * d))
-        if abs(total - 1.0) > 1e-6:
+        if abs(float(np.sum(self.cell_masses())) - 1.0) > 1e-6:
             raise ValueError("density must integrate to one")
 
     @cached_property
     def _cell_cdf(self) -> np.ndarray:
-        w = self.domain.axis_weights
-        masses = ((w[:, None] * w[None, :]) * self.density).ravel()
-        cdf = np.cumsum(masses)
+        cdf = np.cumsum(self.cell_masses().ravel())
         return cdf / cdf[-1]
 
     def cell_masses(self) -> np.ndarray:

@@ -26,6 +26,9 @@ import numpy as np
 from .moments import EmpiricalSummary, SampleSet, empirical_moments
 
 _DET_TOL = 1e-12
+DEFAULT_RESAMPLES = 500
+# each round holds about five n-long float arrays: 240 MB at the cap for n = 300
+_RESAMPLES_MAX = 20_000
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,6 @@ class MomentTarget:
         cross = alpha_plus * alpha_minus
         return cls(alpha=(alpha_plus, alpha_minus),
                    sigma=((beta_plus, cross), (cross, beta_minus)))
-
-    def alpha_vec(self) -> np.ndarray:
-        return np.asarray(self.alpha, dtype=float)
-
-    def sigma_mat(self) -> np.ndarray:
-        return np.asarray(self.sigma, dtype=float)
 
 
 def moment_matrices(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +104,8 @@ def robust_profile(
     g = float(alpha_n @ p @ alpha_n)
     if g >= 1.0:
         raise ValueError("gram bound violated: alpha_n' Sigma_n^{-1} alpha_n >= 1")
-    d = sigma_n - target.sigma_mat()
-    da = target.alpha_vec() - alpha_n
+    d = sigma_n - np.asarray(target.sigma)
+    da = np.asarray(target.alpha) - alpha_n
     pa = p @ alpha_n
     dpa = d @ pa
     denom4 = 4.0 * n * (1.0 - g)
@@ -120,26 +117,6 @@ def robust_profile(
     return t1 + t2 + t3 + t4 + t5
 
 
-def pair_average_quadratic(target: MomentTarget,
-                           samples_plus: SampleSet,
-                           samples_minus: SampleSet) -> float:
-    """E[u' P D^2 P u] over the empirical product measure, evaluated as the
-    literal average over all n^2 sample pairs; cross-checks the trace form."""
-    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    _, sigma_n = moment_matrices(summaries)
-    p = _sigma_inverse(sigma_n)
-    d = sigma_n - target.sigma_mat()
-    q = p @ d @ d @ p
-    xp = samples_plus.as_array()
-    xm = samples_minus.as_array()
-    total = (
-        q[0, 0] * np.mean(xp * xp)
-        + q[1, 1] * np.mean(xm * xm)
-        + (q[0, 1] + q[1, 0]) * np.mean(xp) * np.mean(xm)
-    )
-    return float(total)
-
-
 @dataclass(frozen=True)
 class RadiusSelection:
     """Bootstrap quantile of the profile and the radius it certifies."""
@@ -149,23 +126,22 @@ class RadiusSelection:
     resamples: int
     profile_quantile: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.chi < 1.0):
-            raise ValueError("chi must be in (0, 1)")
-        if self.resamples < 100:
-            raise ValueError("resamples must be at least 100")
-        if self.profile_quantile < 0:
-            raise ValueError("profile_quantile must be nonnegative")
-        expected = math.sqrt(self.profile_quantile / 2.0)
-        if not math.isclose(self.delta_hat, expected, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("delta_hat must equal sqrt(profile_quantile / 2)")
+
+def check_chi(chi: float) -> None:
+    if not (0.0 < chi < 1.0):
+        raise ValueError("chi must be in (0, 1)")
+
+
+def check_resamples(resamples: int) -> None:
+    if not 100 <= resamples <= _RESAMPLES_MAX:
+        raise ValueError(f"resamples must be between 100 and {_RESAMPLES_MAX}, got {resamples}")
 
 
 def select_radius(
     samples_plus: SampleSet,
     samples_minus: SampleSet,
     chi: float,
-    resamples: int = 500,
+    resamples: int = DEFAULT_RESAMPLES,
     rng_seed: int = 0,
 ) -> RadiusSelection:
     """Pick the smallest radius whose confidence condition R <= 2 delta^2
@@ -177,10 +153,8 @@ def select_radius(
     quantile uses the "higher" order statistic: deterministic and
     conservative for coverage.
     """
-    if not (0.0 < chi < 1.0):
-        raise ValueError("chi must be in (0, 1)")
-    if resamples < 100:
-        raise ValueError("resamples must be at least 100")
+    check_chi(chi)
+    check_resamples(resamples)
     if samples_plus.n != samples_minus.n:
         raise ValueError("sample sizes must match across sides")
     n = samples_plus.n

@@ -24,6 +24,8 @@ from .policy import (
 )
 
 _KINDS = ("gaussian", "two_point", "empirical")
+# a batch holds about ten episode-long arrays of 8-byte values: 240 MB at the cap
+_EPISODES_MAX = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,11 @@ class ShiftReport:
     shift: ShiftSpec
 
 
+def check_episodes(episodes: int) -> None:
+    if not 1000 <= episodes <= _EPISODES_MAX:
+        raise ValueError(f"episodes must be between 1000 and {_EPISODES_MAX}, got {episodes}")
+
+
 def shift_experiment(
     samples: tuple[SampleSet, SampleSet],
     model: SpreadModel,
@@ -184,8 +191,7 @@ def shift_experiment(
     """
     if any(d < 0 for d in deltas):
         raise ValueError("negative radius")
-    if episodes < 1000:
-        raise ValueError("episodes must be at least 1000")
+    check_episodes(episodes)
     samples_plus, samples_minus = samples
     summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
     base = (MetaDistribution.empirical(samples_plus), MetaDistribution.empirical(samples_minus))
@@ -197,11 +203,14 @@ def shift_experiment(
         solution = solve_inner(model, domain, summaries, delta)
         policy = build_policy(model, domain, solution)
         rng = np.random.default_rng(child)
-        batch = simulate_batch(policy, model, true_metas, episodes, rng)
-        obj = batch["objective"]
-        mean = float(np.mean(obj))
-        std_err = float(np.std(obj, ddof=1) / math.sqrt(episodes))
-        p10 = float(np.percentile(obj, 10.0))
+        # extreme shifts or prices overflow the bookkeeping: one error, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = simulate_batch(policy, model, true_metas, episodes, rng)["objective"]
+            mean = float(np.mean(obj))
+            std_err = float(np.std(obj, ddof=1) / math.sqrt(episodes))
+            p10 = float(np.percentile(obj, 10.0))
+        if not all(map(math.isfinite, (mean, std_err, p10))):
+            raise ValueError(f"episode objectives overflow at delta {delta!r}")
         rows.append(
             ShiftRow(
                 delta=float(delta),

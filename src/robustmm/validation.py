@@ -29,6 +29,7 @@ from .oracle import (
 from .profile import MomentTarget, gram_bound_check, moment_matrices, robust_profile
 
 DEFAULT_TOL = 1e-4
+DEFAULT_DELTAS = (0.01, 0.04, 0.25)
 
 _INTERIOR_FRACTIONS = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
@@ -183,7 +184,7 @@ def metric_check_rows(tol: float = DEFAULT_TOL) -> list[CheckRow]:
 def run_validation(
     samples_plus: SampleSet,
     samples_minus: SampleSet,
-    deltas: tuple[float, ...] = (0.01, 0.04, 0.25),
+    deltas: tuple[float, ...] = DEFAULT_DELTAS,
     tol: float = DEFAULT_TOL,
 ) -> list[CheckRow]:
     rows = metric_check_rows(tol)

@@ -7,9 +7,13 @@ well conditioned.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from robustmm import (
+    DiscreteMeasure,
+    MomentTarget,
     SampleSet,
     SpreadDomain,
     SpreadModel,
@@ -18,6 +22,8 @@ from robustmm import (
     constant,
     empirical_moments,
     exp_decay,
+    moment_matrices,
+    w2_squared,
     worst_case_objective,
 )
 
@@ -125,3 +131,39 @@ def fd_hessian(fun, x: np.ndarray, h: float) -> np.ndarray:
             H[i, j] = (fun(x + ei + ej) - fun(x + ei - ej)
                        - fun(x - ei + ej) + fun(x - ei - ej)) / (4.0 * h * h)
     return 0.5 * (H + H.T)
+
+
+def w2_distance(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """Exact 2-Wasserstein distance between discrete measures on the line."""
+    return math.sqrt(max(w2_squared(p, q), 0.0))
+
+
+def product_w2_squared(
+    p1: DiscreteMeasure, q1: DiscreteMeasure, p2: DiscreteMeasure, q2: DiscreteMeasure
+) -> float:
+    """Squared W2 between product measures p1 x p2 and q1 x q2.
+
+    The squared Euclidean cost separates across coordinates, so the
+    product distance is the sum of the marginal squared distances.
+    """
+    return w2_squared(p1, q1) + w2_squared(p2, q2)
+
+
+def pair_average_quadratic(target: MomentTarget,
+                           samples_plus: SampleSet,
+                           samples_minus: SampleSet) -> float:
+    """E[u' P D^2 P u] over the empirical product measure, evaluated as the
+    literal average over all n^2 sample pairs; cross-checks the trace form."""
+    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
+    _, sigma_n = moment_matrices(summaries)
+    p = np.linalg.inv(sigma_n)
+    d = sigma_n - np.asarray(target.sigma)
+    q = p @ d @ d @ p
+    xp = samples_plus.as_array()
+    xm = samples_minus.as_array()
+    total = (
+        q[0, 0] * np.mean(xp * xp)
+        + q[1, 1] * np.mean(xm * xm)
+        + (q[0, 1] + q[1, 0]) * np.mean(xp) * np.mean(xm)
+    )
+    return float(total)

@@ -271,12 +271,49 @@ MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text
     (MODEL_BLOCK + "domain.grid_n = 4097\n", "domain.grid_n"),
     ("simulate.deltas = nan, 0.01\n", "simulate.deltas"),
     ("validate.deltas = inf\n", "validate.deltas"),
-], ids=["radius.delta", "domain.grid_n", "domain.grid_n-cap", "simulate.deltas", "validate.deltas"])
+    (MODEL_BLOCK.replace("h_plus = exp_decay(1.0, 1.2)", "h_plus = affine(0.1, -1.0)"), "model.h_plus"),
+    (MODEL_BLOCK.replace("f_plus = constant(0.2)", "f_plus = exp_decay(1.0, -2000)"), "model.f_plus"),
+    (MODEL_BLOCK.replace("h_minus = exp_decay(1.0, 1.2)", "h_minus = foo(1.0)"), "model.h_minus"),
+    (MODEL_BLOCK.replace("gamma = 2.0", "gamma = 0"), "model.gamma"),
+    ("radius.resamples = 100000000\n", "radius.resamples"),
+    ("simulate.episodes = 1000000000\n", "simulate.episodes"),
+], ids=["radius.delta", "domain.grid_n", "domain.grid_n-cap", "simulate.deltas", "validate.deltas",
+        "model.h_plus-negative", "model.f_plus-overflow", "model.h_minus-kind", "model.gamma",
+        "radius.resamples-cap", "simulate.episodes-cap"])
 def test_config_rejects_bad_number(tmp_path, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     with pytest.raises(ConfigError, match=key):
         parse_config(cfg)
+
+
+def test_non_finite_sample_names_its_key(tmp_path, capsys):
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    with (tmp_path / "buy.csv").open("a") as fh:
+        fh.write("nan\n")
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text())
+    assert run("solve", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "samples.buy" in err and "finite" in err
+
+
+@pytest.mark.parametrize("old, new, code, text", [
+    ("model.f_plus = constant(0.2)", "model.f_plus = exp_decay(1.0, -2000)", 2, "model.f_plus"),
+    ("radius.delta = 0.02", "radius.delta = 1e300", 3, "integrand overflow"),
+], ids=["curve-overflow", "radius-overflow"])
+def test_overflow_reports_one_line(tmp_path, capsys, old, new, code, text):
+    # no numpy overflow warning on the way: the one stderr line is the verdict
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text().replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", cfg, tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err
 
 
 def test_negative_seed_override_is_config_error(tmp_path, capsys):

@@ -14,12 +14,12 @@ from robustmm import (
     empirical_moments,
     min_cost_given_moments,
     moment_range_search,
-    product_w2_squared,
     theorem_beta_envelope,
-    w2_distance,
     w2_squared,
 )
 from robustmm.oracle import _BallSearch, _simplex_grid
+
+from helpers import product_w2_squared, w2_distance
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

@@ -11,7 +11,6 @@ from robustmm import (
     RobustSolution,
     SampleSet,
     SolverError,
-    SolverOptions,
     SpreadDomain,
     SpreadModel,
     affine,
@@ -28,6 +27,7 @@ from robustmm import (
 )
 
 from helpers import fd_hessian, rand_instance, refined_grid_max
+from robustmm import policy
 from robustmm.policy import _GridEvaluator, _log_mass_in_t
 
 
@@ -226,12 +226,14 @@ def test_surrogate_value_non_increasing_in_radius():
         assert b <= a * (1.0 + 1e-9) + 1e-12
 
 
-def test_solver_error_carries_best_iterate():
+def test_solver_error_carries_best_iterate(monkeypatch):
     sp, sm = small_summaries()
     model = plain_model()
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
+    monkeypatch.setattr(policy, "_NEWTON_TOL", 1e-16)
+    monkeypatch.setattr(policy, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(SolverError) as err:
-        solve_inner(model, dom, (sp, sm), 0.02, SolverOptions(tol=1e-16, max_iter=1))
+        solve_inner(model, dom, (sp, sm), 0.02)
     best = err.value.best
     assert best is not None
     assert math.isfinite(best.objective)

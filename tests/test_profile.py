@@ -10,10 +10,11 @@ from robustmm import (
     empirical_moments,
     gram_bound_check,
     moment_matrices,
-    pair_average_quadratic,
     robust_profile,
     select_radius,
 )
+
+from helpers import pair_average_quadratic
 
 
 def summaries_from(rng, n=12):
