@@ -18,17 +18,16 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, _keyed, parse_config
 from .moments import SampleSet, empirical_moments, read_sample_csv
 from .policy import DegeneratePolicyError, SolverError, build_policy, solve_inner
-from .profile import gram_bound_check, select_radius
+from .profile import check_radius_samples, gram_bound_check, select_radius
 from .simulator import shift_experiment
 from .validation import format_table, run_validation
 
 
 def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
-    """Write data, one string or an iterable of chunks, to path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write data, one string or an iterable of chunks, to path in an existing directory."""
     # a unique temp file beside the target: runs sharing the directory
     # never write the same one, and os.replace stays on one file system
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -46,6 +45,17 @@ def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _make_out_dir(path: Path, key: str) -> None:
+    """Create the output directory up front, so a path that cannot hold
+    the outputs fails before any work, naming the key that set it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot create output directory {path}: {exc.strerror}") from exc
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"{key}: output directory {path} is not writable")
 
 
 def _write_manifest(cfg: RunConfig, command: str) -> None:
@@ -68,6 +78,15 @@ def _load_samples(cfg: RunConfig) -> tuple[SampleSet, SampleSet]:
     return samples[0], samples[1]
 
 
+# a broken sample rule of the radius profile names both sample keys
+_SAMPLES = "samples.buy, samples.sell: "
+
+
+def _select_radius(cfg: RunConfig, samples):
+    _keyed(_SAMPLES, check_radius_samples, *samples)
+    return select_radius(samples[0], samples[1], cfg.chi, resamples=cfg.resamples, rng_seed=cfg.seed)
+
+
 def _resolve_budget(cfg: RunConfig, samples) -> float:
     """Solver budget (squared-radius units). A confidence level chi picks
     the radius delta_hat first; squaring converts it to the budget."""
@@ -75,9 +94,7 @@ def _resolve_budget(cfg: RunConfig, samples) -> float:
         return cfg.delta
     if cfg.chi is None:
         raise ConfigError("give one of radius.delta or radius.chi")
-    selection = select_radius(samples[0], samples[1], cfg.chi,
-                              resamples=cfg.resamples, rng_seed=cfg.seed)
-    return selection.delta_hat ** 2
+    return _select_radius(cfg, samples).delta_hat ** 2
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -120,8 +137,7 @@ def cmd_radius(cfg: RunConfig) -> int:
     samples = _load_samples(cfg)
     if cfg.chi is None:
         raise ConfigError("radius command requires radius.chi")
-    selection = select_radius(samples[0], samples[1], cfg.chi,
-                              resamples=cfg.resamples, rng_seed=cfg.seed)
+    selection = _select_radius(cfg, samples)
     summaries = (empirical_moments(samples[0]), empirical_moments(samples[1]))
     payload = {
         "chi": selection.chi,
@@ -165,6 +181,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     samples = _load_samples(cfg)
+    _keyed(_SAMPLES, gram_bound_check, (empirical_moments(samples[0]), empirical_moments(samples[1])))
     rows = run_validation(samples[0], samples[1], deltas=cfg.validate_deltas, tol=cfg.validate_tol)
     _atomic_write(cfg.out_dir / "validation.json", _json_dumps([r.as_dict() for r in rows]))
     _write_manifest(cfg, "validate")
@@ -205,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config).with_overrides(args.out, args.seed)
+        _make_out_dir(cfg.out_dir, "output.dir" if args.out is None else "--out")
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ _KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | {
     "samples.sell",
     "domain.eps_max",
     "domain.grid_n",
-    "domain.quadrature",
     "radius.delta",
     "radius.chi",
     "radius.resamples",
@@ -98,8 +97,8 @@ def _check_seed(seed: int) -> int:
 
 
 def _keyed(prefix: str, owner, *args, **kwargs):
-    """Call an owner's constructor or check; its ValueError messages start
-    with the field name, so prefix + message names the config key."""
+    """Call an owner's constructor or check; a ValueError becomes a
+    ConfigError whose prefix + message names the config key."""
     try:
         return owner(*args, **kwargs)
     except ValueError as exc:
@@ -148,22 +147,25 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     raw: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
+        raw[key] = value
 
     base = path.parent
 
@@ -182,13 +184,10 @@ def parse_config(path: str | Path) -> RunConfig:
 
     domain = None
     if model is not None:
-        # keys left out take SpreadDomain's defaults; eps_max defaults to 0.1 * S
-        fields = {"eps_max": _parse_float(raw, "domain.eps_max"),
-                  "grid_n": _parse_int(raw, "domain.grid_n"),
-                  "quadrature": raw.get("domain.quadrature")}
-        given = {k: v for k, v in fields.items() if v is not None}
+        # eps_max defaults to 0.1 * S; grid_n left out takes SpreadDomain's default
+        grid_n = {"grid_n": _parse_int(raw, "domain.grid_n")} if "domain.grid_n" in raw else {}
         try:
-            domain = SpreadDomain(**{"eps_max": 0.1 * model.S, **given})
+            domain = SpreadDomain(eps_max=_parse_float(raw, "domain.eps_max", 0.1 * model.S), **grid_n)
         except ValueError as exc:
             # SpreadDomain messages start with the field name
             hint = " (it defaults to 0.1 * model.S)" if str(exc).startswith("eps_max") else ""

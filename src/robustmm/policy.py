@@ -28,7 +28,6 @@ import numpy as np
 from .functions import FunctionSpec
 from .moments import EmpiricalSummary, theorem_beta_envelope
 
-_QUADRATURES = ("trapezoid", "midpoint")
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 # a Newton start stops once the first-order decrease along its step is
@@ -76,11 +75,10 @@ class SpreadModel:
 
 @dataclass(frozen=True)
 class SpreadDomain:
-    """Tensor-product quadrature over the spread square [0, eps_max]^2."""
+    """Tensor-product trapezoid rule over the spread square [0, eps_max]^2."""
 
     eps_max: float
     grid_n: int = 257
-    quadrature: str = "trapezoid"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps_max) and self.eps_max > 0):
@@ -93,29 +91,22 @@ class SpreadDomain:
         lo, hi = self.eps_max / (2 * self.grid_n), 2 * self.eps_max / self.grid_n
         if not (lo * lo > np.finfo(float).tiny and hi * hi < math.inf):
             raise ValueError(f"eps_max {self.eps_max!r} is out of range: the cell areas under- or overflow")
-        if self.quadrature not in _QUADRATURES:
-            raise ValueError(f"quadrature must be one of {_QUADRATURES}")
 
     @cached_property
     def axis_nodes(self) -> np.ndarray:
-        if self.quadrature == "trapezoid":
-            return np.linspace(0.0, self.eps_max, self.grid_n)
-        step = self.eps_max / self.grid_n
-        return (np.arange(self.grid_n) + 0.5) * step
+        return np.linspace(0.0, self.eps_max, self.grid_n)
 
     @cached_property
     def axis_weights(self) -> np.ndarray:
-        if self.quadrature == "trapezoid":
-            step = self.eps_max / (self.grid_n - 1)
-            w = np.full(self.grid_n, step)
-            w[0] = w[-1] = step / 2.0
-            return w
-        return np.full(self.grid_n, self.eps_max / self.grid_n)
+        step = self.eps_max / (self.grid_n - 1)
+        w = np.full(self.grid_n, step)
+        w[0] = w[-1] = step / 2.0
+        return w
 
     @cached_property
     def cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node cells tiling [0, eps_max], split at the midpoints between
-        nodes; for both rules the cell lengths equal the weights."""
+        nodes; the cell lengths equal the weights."""
         x = self.axis_nodes
         seams = (x[:-1] + x[1:]) / 2.0
         return np.concatenate(([0.0], seams)), np.concatenate((seams, [self.eps_max]))
@@ -145,7 +136,6 @@ class _GridEvaluator:
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
         self.model = model
-        self.domain = domain
         x = domain.axis_nodes
         fp = np.asarray(model.f_plus(x), dtype=float)
         fm = np.asarray(model.f_minus(x), dtype=float)
@@ -154,8 +144,7 @@ class _GridEvaluator:
         a = (model.S + x) * hp
         b = (model.S - x) * hm
         eta = model.eta
-        # extreme inputs can overflow to inf here; the checks on the
-        # exponent in log_mass_moments, objective and build_policy handle that
+        # extreme inputs can overflow to inf here; gibbs checks the exponent
         with np.errstate(over="ignore", invalid="ignore"):
             c = model.Q + fp[:, None] - fm[None, :]
             K = np.empty((5,) + c.shape)
@@ -186,53 +175,51 @@ class _GridEvaluator:
     def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
         return self._affine(np.array([ap, am, bp, bm, ap * am]))
 
-    def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """log Z at the moment terms x with its gradient and Hessian in x:
-        the Gibbs-weighted mean and covariance of the rows of K."""
+    def gibbs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """log Z and the normalized Gibbs weights exp(exponent) * w / Z per
+        row of moment terms x (one row of five, or k x 5). A row that is
+        -inf at every node has log Z = -inf and zero weights."""
         e = self._affine(x)
         if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
             raise ValueError("integrand overflow")
         e += self.logw
-        m = float(np.max(e))
-        if m == -math.inf:
-            return -math.inf, np.zeros(5), np.zeros((5, 5))
-        e -= m
+        m = np.max(e, axis=-1, keepdims=True)
+        e -= np.where(m == -math.inf, 0.0, m)
         p = np.exp(e, out=e)
-        total = float(np.sum(p))
+        # the largest shifted term is exp(0) = 1, so only a row that is -inf
+        # everywhere sums to 0; dividing it by 1 keeps its weights and log Z
+        total = np.sum(p, axis=-1, keepdims=True)
+        total[total == 0.0] = 1.0
         p /= total
+        return (m + np.log(total))[..., 0], p
+
+    def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """log Z at the moment terms x with its gradient and Hessian in x:
+        the Gibbs-weighted mean and covariance of the rows of K."""
+        lz, p = self.gibbs(x)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self.K @ p
             cov = (self.K * p) @ self.K.T - np.outer(mean, mean)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("integrand overflow")
-        return m + math.log(total), mean, cov
+        return float(lz), mean, cov
 
     def objective(self, ap, am, bp, bm):
         """-gamma * integral of M over the spread square at paired moments:
         a float for scalar moments, else an array of their broadcast shape.
 
         +inf or nan exponents mean the integrand itself overflowed; -inf
-        is a vanishing integrand and gives -0.0. The last log and exp run
-        per row through math, so every row rounds like a scalar call.
+        is a vanishing integrand and gives -0.0.
         """
         ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ap, am, bp, bm)))
         rows = np.stack([ap, am, bp, bm, ap * am], axis=-1).reshape(-1, 5)
-        lz = []
         chunk = max(1, 8_000_000 // len(self.base))
-        for s in range(0, len(rows), chunk):
-            e = self._affine(rows[s : s + chunk])
-            if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
-                raise ValueError("integrand overflow")
-            e += self.logw
-            m = np.max(e, axis=1)
-            e -= np.where(np.isneginf(m), 0.0, m)[:, None]
-            total = np.sum(np.exp(e, out=e), axis=1)
-            lz += [mk + math.log(tk) if mk > -math.inf else -math.inf
-                   for mk, tk in zip(m.tolist(), total.tolist())]
-        if max(lz, default=-math.inf) > 700.0:
+        lz = np.concatenate([np.empty(0)] + [self.gibbs(rows[s : s + chunk])[0]
+                                             for s in range(0, len(rows), chunk)])
+        if np.any(lz > 700.0):
             # finite exponent, unrepresentable mass
             raise ValueError("integrand overflow")
-        out = np.array([-self.model.gamma * math.exp(v) for v in lz]).reshape(ap.shape)
+        out = (-self.model.gamma * np.exp(lz)).reshape(ap.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -261,12 +248,8 @@ def concavity_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta:
 
 
 def worst_case_objective(
-    model: SpreadModel,
-    domain: SpreadDomain,
-    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-    delta: float,
-    alpha_plus,
-    alpha_minus,
+    model: SpreadModel, domain: SpreadDomain, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float,
+    alpha_plus, alpha_minus,
 ):
     """Objective -gamma * integral(M) with second moments pinned at their
     adversarial envelopes for the given means: scalar means give a float,
@@ -278,10 +261,7 @@ def worst_case_objective(
 
 
 def _log_mass_in_t(
-    ev: _GridEvaluator,
-    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-    delta: float,
-    t: np.ndarray,
+    ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float, t: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z on the pinned envelope at alpha = alpha_n + sqrt(delta) sin t,
     with its exact gradient and Hessian in t: one grid pass, then the
@@ -310,10 +290,7 @@ def _log_mass_in_t(
 
 
 def solve_inner(
-    model: SpreadModel,
-    domain: SpreadDomain,
-    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-    delta: float,
+    model: SpreadModel, domain: SpreadDomain, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float
 ) -> RobustSolution:
     """Maximize the worst-case objective over the box of feasible means.
 
@@ -338,15 +315,8 @@ def solve_inner(
 
     if delta == 0.0:
         obj = ev.objective(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        return RobustSolution(
-            alpha_star_plus=sp.alpha_n,
-            alpha_star_minus=sm.alpha_n,
-            beta_star_plus=sp.beta_n,
-            beta_star_minus=sm.beta_n,
-            objective=obj,
-            concave_certificate=cert,
-            iterations=0,
-        )
+        return RobustSolution(alpha_star_plus=sp.alpha_n, alpha_star_minus=sm.alpha_n, beta_star_plus=sp.beta_n,
+                              beta_star_minus=sm.beta_n, objective=obj, concave_certificate=cert, iterations=0)
 
     half = math.pi / 2.0
 
@@ -442,59 +412,38 @@ class PolicyGrid:
 def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolution) -> PolicyGrid:
     """Gibbs density M / integral(M) at the adversarial moments."""
     ev = _GridEvaluator(model, domain)
-    expo = ev.exponent(
-        solution.alpha_star_plus,
-        solution.alpha_star_minus,
-        solution.beta_star_plus,
-        solution.beta_star_minus,
-    )
-    if np.any(np.isnan(expo)) or np.any(np.isposinf(expo)):
-        raise DegeneratePolicyError("non-finite Gibbs exponent (nan or +inf)")
-    m = float(np.max(expo))
-    if not math.isfinite(m):
+    ap, am = solution.alpha_star_plus, solution.alpha_star_minus
+    try:
+        log_z, p = ev.gibbs(np.array([ap, am, solution.beta_star_plus, solution.beta_star_minus, ap * am]))
+    except ValueError as exc:
+        raise DegeneratePolicyError("non-finite Gibbs exponent (nan or +inf)") from exc
+    if log_z == -math.inf:
         raise DegeneratePolicyError("zero mass: the Gibbs exponent is -inf at every node")
-    t = np.exp(expo - m)
-    mass_shifted = float(np.sum(t * ev.wprod))
-    if mass_shifted <= 0 or not math.isfinite(mass_shifted):
-        raise DegeneratePolicyError(f"zero or non-finite Gibbs mass ({mass_shifted!r} after shift)")
-    log_z = m + math.log(mass_shifted)
     if log_z > _LOG_MAX_FLOAT:
         raise DegeneratePolicyError(f"normalizer overflow: log Z = {log_z:.6g}")
     if math.exp(log_z) == 0.0:
         raise DegeneratePolicyError(f"normalizer underflow: log Z = {log_z:.6g}")
-    density = (t / mass_shifted).reshape(domain.grid_n, domain.grid_n)
-    return PolicyGrid(domain=domain, density=density)
+    return PolicyGrid(domain=domain, density=(p / ev.wprod).reshape(domain.grid_n, domain.grid_n))
 
 
-def sample_policy(grid: PolicyGrid, rng, size: int | None = None):
-    """Draw spread pairs: inverse-CDF over cell masses, then uniform
-    placement within the chosen cell. rng is a seed or a Generator."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValueError("size must be positive")
+def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
+    """Draw size spread pairs: inverse-CDF over cell masses, then uniform
+    placement within the chosen cell."""
     cdf = grid._cell_cdf
-    u = gen.random(n)
-    ux = gen.random(n)
-    uy = gen.random(n)
+    u = rng.random(size)
+    ux = rng.random(size)
+    uy = rng.random(size)
     idx = np.searchsorted(cdf, u, side="left")
     idx = np.minimum(idx, len(cdf) - 1)
     i, j = np.divmod(idx, grid.domain.grid_n)
     lo, hi = grid.domain.cell_edges
     eps_plus = lo[i] + ux * (hi[i] - lo[i])
     eps_minus = lo[j] + uy * (hi[j] - lo[j])
-    if size is None:
-        return float(eps_plus[0]), float(eps_minus[0])
     return eps_plus, eps_minus
 
 
 def expected_reward(
-    model: SpreadModel,
-    grid: PolicyGrid,
-    alpha_plus: float,
-    alpha_minus: float,
-    beta_plus: float,
-    beta_minus: float,
+    model: SpreadModel, grid: PolicyGrid, alpha_plus: float, alpha_minus: float, beta_plus: float, beta_minus: float
 ) -> float:
     """Quadrature of the per-spread expected reward against the policy.
 

@@ -137,6 +137,21 @@ def check_resamples(resamples: int) -> None:
         raise ValueError(f"resamples must be between 100 and {_RESAMPLES_MAX}, got {resamples}")
 
 
+def check_radius_samples(
+    samples_plus: SampleSet, samples_minus: SampleSet
+) -> tuple[EmpiricalSummary, EmpiricalSummary]:
+    """The radius rule needs equal sample sizes, at least two a side, and a
+    nonsingular empirical second-moment matrix; returns the summaries."""
+    if samples_plus.n != samples_minus.n:
+        raise ValueError(f"sample sizes must match across sides, got {samples_plus.n} buy "
+                         f"and {samples_minus.n} sell")
+    if samples_plus.n < 2:
+        raise ValueError("need at least two samples per side")
+    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
+    gram_bound_check(summaries)  # raises on a degenerate empirical covariance
+    return summaries
+
+
 def select_radius(
     samples_plus: SampleSet,
     samples_minus: SampleSet,
@@ -155,14 +170,8 @@ def select_radius(
     """
     check_chi(chi)
     check_resamples(resamples)
-    if samples_plus.n != samples_minus.n:
-        raise ValueError("sample sizes must match across sides")
+    summaries = check_radius_samples(samples_plus, samples_minus)
     n = samples_plus.n
-    if n < 2:
-        raise ValueError("need at least two samples per side")
-    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    # surfaces the degenerate-covariance error before any resampling
-    gram_bound_check(summaries)
 
     rng = np.random.default_rng(rng_seed)
     xp = samples_plus.as_array()

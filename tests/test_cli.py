@@ -139,12 +139,60 @@ def test_duplicate_key_rejected(tmp_path):
     assert run("solve", cfg, tmp_path / "out") == 2
 
 
-def test_unequal_sides_fail_radius(tmp_path):
+def test_unequal_sides_fail_radius(tmp_path, capsys):
     (tmp_path / "buy.csv").write_text("0.5\n0.7\n0.9\n")
     (tmp_path / "sell.csv").write_text("0.4\n0.8\n")
     cfg = tmp_path / "r.cfg"
     cfg.write_text("samples.buy = buy.csv\nsamples.sell = sell.csv\nradius.chi = 0.1\n")
-    assert run("radius", cfg, tmp_path / "out") == 3
+    assert run("radius", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "samples.buy" in err and "sample sizes must match" in err
+
+
+@pytest.mark.parametrize("command, buy, sell, text", [
+    ("radius", "0.5\n", "0.4\n", "at least two samples"),
+    ("radius", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
+    ("solve", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
+    ("validate", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
+], ids=["radius-single", "radius-constant", "solve-chi-constant", "validate-constant"])
+def test_sample_rules_name_their_keys(tmp_path, capsys, command, buy, sell, text):
+    (tmp_path / "buy.csv").write_text(buy)
+    (tmp_path / "sell.csv").write_text(sell)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(MODEL_BLOCK + "samples.buy = buy.csv\nsamples.sell = sell.csv\n"
+                   "radius.chi = 0.1\nradius.resamples = 100\n")
+    assert run(command, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "samples.buy" in err and "samples.sell" in err and text in err
+
+
+def test_unwritable_output_dir_names_its_key(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    assert run("solve", FIXTURES / "solve.cfg", blocker) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out" in err and str(blocker) in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output.dir = taken/sub\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "output.dir" in err and str(blocker / "sub") in err
+
+
+def test_non_utf8_config_names_its_path(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe = 1\n")
+    assert run("solve", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err and "UTF-8" in err
+
+
+def test_removed_quadrature_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "quad.cfg"
+    cfg.write_text(MODEL_BLOCK + "domain.quadrature = trapezoid\n")
+    assert run("solve", cfg, tmp_path / "out") == 2
+    line = MODEL_BLOCK.count("\n") + 1
+    assert f"{cfg}:{line}: unknown config key 'domain.quadrature'" in capsys.readouterr().err
 
 
 def test_degenerate_policy_exit_code(tmp_path):

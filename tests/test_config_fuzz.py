@@ -90,7 +90,6 @@ VALUES = {
     "model.h_minus": _CURVES,
     "domain.eps_max": _floats(0.2, 1.0),
     "domain.grid_n": _ints(16, 64, ["0", "15", "-3", "4097", "1000000000000"]),
-    "domain.quadrature": (st.sampled_from(["trapezoid", "midpoint"]), st.sampled_from(["simpson", ""])),
     "radius.delta": _floats(0.0, 1.0),
     "radius.chi": _floats(0.05, 0.5),
     "radius.resamples": _ints(100, 300, ["99", "-1", "100000000"]),

@@ -117,8 +117,6 @@ def test_domain_validation():
         SpreadDomain(eps_max=0.0, grid_n=33)
     with pytest.raises(ValueError):
         SpreadDomain(eps_max=1.0, grid_n=8)
-    with pytest.raises(ValueError):
-        SpreadDomain(eps_max=1.0, grid_n=33, quadrature="simpson")
 
 
 def test_negative_demand_intensity_rejected():
@@ -130,30 +128,26 @@ def test_negative_demand_intensity_rejected():
 
 
 def test_quadrature_weights_integrate_constants():
-    for quad in ("trapezoid", "midpoint"):
-        dom = SpreadDomain(eps_max=0.7, grid_n=33, quadrature=quad)
-        assert float(np.sum(dom.axis_weights)) == pytest.approx(0.7, rel=1e-12)
+    dom = SpreadDomain(eps_max=0.7, grid_n=33)
+    assert float(np.sum(dom.axis_weights)) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_cell_lengths_equal_weights():
-    for quad in ("trapezoid", "midpoint"):
-        dom = SpreadDomain(eps_max=0.7, grid_n=17, quadrature=quad)
-        lo, hi = dom.cell_edges
-        assert lo[0] == 0.0 and hi[-1] == 0.7
-        assert np.array_equal(lo[1:], hi[:-1])
-        np.testing.assert_allclose(hi - lo, dom.axis_weights, rtol=1e-12)
+    dom = SpreadDomain(eps_max=0.7, grid_n=17)
+    lo, hi = dom.cell_edges
+    assert lo[0] == 0.0 and hi[-1] == 0.7
+    assert np.array_equal(lo[1:], hi[:-1])
+    np.testing.assert_allclose(hi - lo, dom.axis_weights, rtol=1e-12)
 
 
 def test_quadrature_second_order():
     # halving h should cut the cosine integration error about fourfold
-    def err(grid_n, quad):
-        dom = SpreadDomain(eps_max=1.0, grid_n=grid_n, quadrature=quad)
+    def err(grid_n):
+        dom = SpreadDomain(eps_max=1.0, grid_n=grid_n)
         approx = float(np.sum(np.cos(dom.axis_nodes) * dom.axis_weights))
         return abs(approx - math.sin(1.0))
 
-    for quad in ("trapezoid", "midpoint"):
-        ratio = err(17, quad) / err(33, quad)
-        assert 3.0 <= ratio <= 5.5, (quad, ratio)
+    assert 3.0 <= err(17) / err(33) <= 5.5
 
 
 def test_concavity_check_boundary_and_interior():
@@ -260,6 +254,13 @@ def test_policy_density_integrates_to_one():
         sol = solve_inner(model, dom, summaries, delta)
         pol = build_policy(model, dom, sol)
         assert abs(float(np.sum(pol.cell_masses())) - 1.0) <= 1e-6
+        # the density is the Gibbs weight normalized with the node weights
+        ev = _GridEvaluator(model, dom)
+        e = ev.exponent(sol.alpha_star_plus, sol.alpha_star_minus,
+                        sol.beta_star_plus, sol.beta_star_minus)
+        t = np.exp(e - np.max(e))
+        expected = (t / np.sum(t * ev.wprod)).reshape(pol.density.shape)
+        np.testing.assert_allclose(pol.density, expected, rtol=1e-13, atol=0.0)
 
 
 def test_policy_uniform_when_exponent_constant():
@@ -294,6 +295,9 @@ def test_vanishing_integrand_gives_degenerate_policy():
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
     sol = solve_inner(model, dom, (sp, sm), 0.02)
     assert sol.objective == 0.0
+    log_z, weights = _GridEvaluator(model, dom).gibbs(np.array([sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n,
+                                                                 sp.alpha_n * sm.alpha_n]))
+    assert log_z == -math.inf and not np.any(weights)
     with pytest.raises(DegeneratePolicyError, match="zero mass"):
         build_policy(model, dom, sol)
 
@@ -347,16 +351,11 @@ def test_sampling_deterministic_and_in_range():
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
     sol = solve_inner(model, dom, (sp, sm), 0.02)
     pol = build_policy(model, dom, sol)
-    a = sample_policy(pol, 42, size=500)
-    b = sample_policy(pol, 42, size=500)
+    a = sample_policy(pol, np.random.default_rng(42), 500)
+    b = sample_policy(pol, np.random.default_rng(42), 500)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    gen = np.random.default_rng(42)
-    c = sample_policy(pol, gen, size=500)
-    assert np.array_equal(a[0], c[0])
-    assert a[0].min() >= 0.0 and a[0].max() <= 0.8
-    one = sample_policy(pol, 7)
-    assert isinstance(one, tuple) and len(one) == 2
-    assert 0.0 <= one[0] <= 0.8 and 0.0 <= one[1] <= 0.8
+    for eps in a:
+        assert eps.shape == (500,) and eps.min() >= 0.0 and eps.max() <= 0.8
 
 
 def test_sampling_matches_cell_masses():
@@ -366,7 +365,7 @@ def test_sampling_matches_cell_masses():
     sol = solve_inner(model, dom, (sp, sm), 0.02)
     pol = build_policy(model, dom, sol)
     n = 40000
-    ep, em = sample_policy(pol, 99, size=n)
+    ep, em = sample_policy(pol, np.random.default_rng(99), n)
     masses = pol.cell_masses()
     # quadrant blocks keep expected counts large enough for a z-test
     half = dom.grid_n // 2
@@ -391,7 +390,7 @@ def test_sampling_marginal_ks():
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
     sol = solve_inner(model, dom, (sp, sm), 0.02)
     pol = build_policy(model, dom, sol)
-    ep, _ = sample_policy(pol, 123, size=5000)
+    ep, _ = sample_policy(pol, np.random.default_rng(123), 5000)
     lo_e, hi_e = dom.cell_edges
     marg = pol.cell_masses().sum(axis=1)
     xs = np.concatenate(([lo_e[0]], hi_e))
