@@ -107,14 +107,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     policy = build_policy(model, domain, solution)
 
     # Python floats repr as plain round-trip numbers; numpy scalars would
-    # write np.float64(...). The file is written one grid row at a time, so
-    # no copy of the whole text (several MB at the default grid) is built.
+    # write np.float64(...). Each node is formatted once, so per line only
+    # the density goes through repr. The file is written one grid row at a
+    # time: no copy of the whole text (several MB at the default grid) is built.
     nodes = domain.axis_nodes.tolist()
+    columns = [f",{y!r}," for y in nodes]
 
     def policy_rows():
         yield "eps_plus,eps_minus,density\n"
-        for x, row in zip(nodes, policy.density):
-            yield "".join(f"{x!r},{y!r},{v!r}\n" for y, v in zip(nodes, row.tolist()))
+        for x, row in zip(map(repr, nodes), policy.density):
+            yield "".join([f"{x}{y}{v!r}\n" for y, v in zip(columns, row.tolist())])
 
     _atomic_write(cfg.out_dir / "policy.csv", policy_rows())
 

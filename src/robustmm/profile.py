@@ -31,6 +31,21 @@ DEFAULT_RESAMPLES = 500
 _RESAMPLES_MAX = 20_000
 
 
+def _check_targets(alpha: np.ndarray, sigma: np.ndarray) -> None:
+    """Rules for a stack of targets, means (k, 2) and second-moment matrices
+    (k, 2, 2): finite, symmetric, each diagonal entry at least the squared
+    mean, both up to 1e-12 times the row's scale 1 + max |sigma|."""
+    if alpha.ndim != 2 or alpha.shape[1] != 2 or not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be two finite numbers")
+    if sigma.shape != (len(alpha), 2, 2) or not np.all(np.isfinite(sigma)):
+        raise ValueError("sigma must be a finite 2x2 matrix")
+    slack = 1e-12 * (1.0 + np.max(np.abs(sigma), axis=(1, 2)))
+    if np.any(np.abs(sigma[:, 0, 1] - sigma[:, 1, 0]) > slack):
+        raise ValueError("sigma must be symmetric")
+    if np.any(np.diagonal(sigma, axis1=1, axis2=2) < alpha * alpha - slack[:, None]):
+        raise ValueError("diagonal of sigma must dominate squared means")
+
+
 @dataclass(frozen=True)
 class MomentTarget:
     """Candidate mean vector (buy, sell) and 2x2 second-moment matrix."""
@@ -39,21 +54,11 @@ class MomentTarget:
     sigma: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self) -> None:
-        alpha = tuple(float(a) for a in self.alpha)
-        if len(alpha) != 2 or not all(math.isfinite(a) for a in alpha):
-            raise ValueError("alpha must be two finite numbers")
+        alpha = np.asarray(self.alpha, dtype=float)
         sig = np.asarray(self.sigma, dtype=float)
-        if sig.shape != (2, 2) or not np.all(np.isfinite(sig)):
-            raise ValueError("sigma must be a finite 2x2 matrix")
-        scale = 1.0 + float(np.max(np.abs(sig)))
-        if abs(sig[0, 1] - sig[1, 0]) > 1e-12 * scale:
-            raise ValueError("sigma must be symmetric")
-        for k in range(2):
-            if sig[k, k] < alpha[k] * alpha[k] - 1e-12 * scale:
-                raise ValueError("diagonal of sigma must dominate squared means")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "sigma", ((float(sig[0, 0]), float(sig[0, 1])),
-                                           (float(sig[1, 0]), float(sig[1, 1]))))
+        _check_targets(alpha[None], sig[None])
+        object.__setattr__(self, "alpha", tuple(alpha.tolist()))
+        object.__setattr__(self, "sigma", tuple(map(tuple, sig.tolist())))
 
     @classmethod
     def from_moments(cls, alpha_plus: float, alpha_minus: float,
@@ -83,38 +88,47 @@ def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:
     return np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
 
 
-def gram_bound_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> float:
-    """g = alpha_n' Sigma_n^{-1} alpha_n; strictly below one whenever both
-    sides carry positive variance."""
+def _gram(summaries: tuple[EmpiricalSummary, EmpiricalSummary]):
+    """(alpha_n, Sigma_n, P, g); raises unless Sigma_n is nonsingular and g < 1.
+    A constant side makes g exactly 1, which rounding can put just below it."""
     alpha, sigma = moment_matrices(summaries)
     p = _sigma_inverse(sigma)
-    return float(alpha @ p @ alpha)
+    g = float(alpha @ p @ alpha)
+    if g >= 1.0 - _DET_TOL:
+        raise ValueError(f"gram bound violated: alpha_n' P alpha_n = {g!r} >= 1 (one side is constant)")
+    return alpha, sigma, p, g
 
 
-def robust_profile(
-    target: MomentTarget,
-    summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-    n: int,
-) -> float:
-    """Profile value R(alpha*, Sigma*) against the empirical summaries."""
+def gram_bound_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> float:
+    """g = alpha_n' Sigma_n^{-1} alpha_n; strictly below one whenever both
+    sides carry positive variance, and a ValueError otherwise."""
+    return _gram(summaries)[3]
+
+
+def profile_batch(alpha: np.ndarray, sigma: np.ndarray,
+                  summaries: tuple[EmpiricalSummary, EmpiricalSummary], n: int) -> np.ndarray:
+    """Profile values R for a stack of targets: means alpha (k, 2) and
+    second-moment matrices sigma (k, 2, 2), each row under MomentTarget's rules."""
     if n < 1:
         raise ValueError("n must be at least one")
-    alpha_n, sigma_n = moment_matrices(summaries)
-    p = _sigma_inverse(sigma_n)
-    g = float(alpha_n @ p @ alpha_n)
-    if g >= 1.0:
-        raise ValueError("gram bound violated: alpha_n' Sigma_n^{-1} alpha_n >= 1")
-    d = sigma_n - np.asarray(target.sigma)
-    da = np.asarray(target.alpha) - alpha_n
-    pa = p @ alpha_n
-    dpa = d @ pa
+    _check_targets(alpha, sigma)
+    alpha_n, sigma_n, p, g = _gram(summaries)
+    d = sigma_n - sigma
+    da = alpha - alpha_n
+    dpa = d @ (p @ alpha_n)
     denom4 = 4.0 * n * (1.0 - g)
-    t1 = float(da @ da) / denom4
-    t2 = float(dpa @ dpa) / denom4
-    t3 = float(dpa @ da) / (2.0 * n * (1.0 - g))
-    t4 = float(np.trace(d @ p @ d)) / (2.0 * n)
-    t5 = float(np.trace(p @ d @ d @ p @ sigma_n)) / (4.0 * n)
+    t1 = np.einsum("ki,ki->k", da, da) / denom4
+    t2 = np.einsum("ki,ki->k", dpa, dpa) / denom4
+    t3 = np.einsum("ki,ki->k", dpa, da) / (2.0 * n * (1.0 - g))
+    t4 = np.trace(d @ p @ d, axis1=1, axis2=2) / (2.0 * n)
+    t5 = np.trace(p @ d @ d @ p @ sigma_n, axis1=1, axis2=2) / (4.0 * n)
     return t1 + t2 + t3 + t4 + t5
+
+
+def robust_profile(target: MomentTarget,
+                   summaries: tuple[EmpiricalSummary, EmpiricalSummary], n: int) -> float:
+    """Profile value R(alpha*, Sigma*) against the empirical summaries."""
+    return float(profile_batch(np.array([target.alpha]), np.array([target.sigma]), summaries, n)[0])
 
 
 @dataclass(frozen=True)
@@ -140,15 +154,15 @@ def check_resamples(resamples: int) -> None:
 def check_radius_samples(
     samples_plus: SampleSet, samples_minus: SampleSet
 ) -> tuple[EmpiricalSummary, EmpiricalSummary]:
-    """The radius rule needs equal sample sizes, at least two a side, and a
-    nonsingular empirical second-moment matrix; returns the summaries."""
+    """The radius rule needs equal sample sizes, at least two a side, a
+    nonsingular empirical second-moment matrix and g < 1; returns the summaries."""
     if samples_plus.n != samples_minus.n:
         raise ValueError(f"sample sizes must match across sides, got {samples_plus.n} buy "
                          f"and {samples_minus.n} sell")
     if samples_plus.n < 2:
         raise ValueError("need at least two samples per side")
     summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    gram_bound_check(summaries)  # raises on a degenerate empirical covariance
+    gram_bound_check(summaries)  # raises on a degenerate covariance or g >= 1
     return summaries
 
 
@@ -185,10 +199,10 @@ def select_radius(
     bp = (vp * vp).mean(axis=1)
     bm = (vm * vm).mean(axis=1)
 
-    values = np.empty(resamples)
-    for r in range(resamples):
-        target = MomentTarget.from_moments(ap[r], am[r], bp[r], bm[r])
-        values[r] = robust_profile(target, summaries, n)
+    # one product-measure target per round, as in MomentTarget.from_moments
+    cross = ap * am
+    sigma = np.stack([bp, cross, cross, bm], axis=1).reshape(-1, 2, 2)
+    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries, n)
     q = float(np.quantile(values, 1.0 - chi, method="higher"))
     q = max(q, 0.0)
     return RadiusSelection(

@@ -149,6 +149,25 @@ def product_w2_squared(
     return w2_squared(p1, q1) + w2_squared(p2, q2)
 
 
+def robust_profile_scalar(target: MomentTarget, summaries, n: int) -> float:
+    """The profile formula for one target, term by term with 2x2 matrix
+    products and the adjugate inverse: the oracle for the batched kernel."""
+    alpha_n, sigma_n = moment_matrices(summaries)
+    (s00, s01), (s10, s11) = sigma_n
+    p = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
+    g = float(alpha_n @ p @ alpha_n)
+    d = sigma_n - np.asarray(target.sigma)
+    da = np.asarray(target.alpha) - alpha_n
+    dpa = d @ (p @ alpha_n)
+    denom4 = 4.0 * n * (1.0 - g)
+    t1 = float(da @ da) / denom4
+    t2 = float(dpa @ dpa) / denom4
+    t3 = float(dpa @ da) / (2.0 * n * (1.0 - g))
+    t4 = float(np.trace(d @ p @ d)) / (2.0 * n)
+    t5 = float(np.trace(p @ d @ d @ p @ sigma_n)) / (4.0 * n)
+    return t1 + t2 + t3 + t4 + t5
+
+
 def pair_average_quadratic(target: MomentTarget,
                            samples_plus: SampleSet,
                            samples_minus: SampleSet) -> float:

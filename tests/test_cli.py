@@ -59,6 +59,30 @@ def test_solve_rerun_byte_identical(tmp_path):
     assert read_all(out1) == read_all(out2)
 
 
+def test_default_grid_policy_bytes(tmp_path):
+    # at the default grid_n = 257, policy.csv is exactly repr of each field
+    # of each node pair and its density, written from the solve's own table
+    text = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text().splitlines()
+                   if not line.startswith("domain."))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    assert run("solve", cfg_path, tmp_path / "out") == 0
+    cfg = parse_config(cfg_path)
+    model, domain = cfg.require_model(), cfg.require_domain()
+    assert domain.grid_n == 257
+    buy, sell = cfg.require_samples()
+    summaries = (empirical_moments(read_sample_csv(buy, "buy")),
+                 empirical_moments(read_sample_csv(sell, "sell")))
+    policy = build_policy(model, domain, solve_inner(model, domain, summaries, cfg.delta))
+    nodes = domain.axis_nodes.tolist()
+    want = "eps_plus,eps_minus,density\n" + "".join(
+        f"{x!r},{y!r},{v!r}\n"
+        for x, row in zip(nodes, policy.density.tolist()) for y, v in zip(nodes, row))
+    assert (tmp_path / "out" / "policy.csv").read_bytes() == want.encode()
+
+
 def test_radius_output(tmp_path):
     out = tmp_path / "out"
     assert run("radius", FIXTURES / "radius.cfg", out) == 0
@@ -154,7 +178,15 @@ def test_unequal_sides_fail_radius(tmp_path, capsys):
     ("radius", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
     ("solve", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
     ("validate", "0.5\n0.5\n0.5\n", "0.4\n0.4\n0.4\n", "degenerate empirical covariance"),
-], ids=["radius-single", "radius-constant", "solve-chi-constant", "validate-constant"])
+    # one constant side leaves Sigma_n nonsingular but puts the gram statistic at 1
+    ("radius", "0.7\n0.7\n0.7\n", "0.4\n0.9\n1.1\n", "gram bound violated"),
+    ("validate", "0.7\n0.7\n0.7\n", "0.4\n0.9\n1.1\n", "gram bound violated"),
+    # here rounding puts the gram statistic 2e-16 below 1
+    ("radius", "0.09\n0.09\n0.09\n", "0.4\n0.9\n1.1\n", "gram bound violated"),
+    ("validate", "0.09\n0.09\n0.09\n", "0.4\n0.9\n1.1\n", "gram bound violated"),
+], ids=["radius-single", "radius-constant", "solve-chi-constant", "validate-constant",
+        "radius-one-constant-side", "validate-one-constant-side",
+        "radius-one-constant-side-rounded", "validate-one-constant-side-rounded"])
 def test_sample_rules_name_their_keys(tmp_path, capsys, command, buy, sell, text):
     (tmp_path / "buy.csv").write_text(buy)
     (tmp_path / "sell.csv").write_text(sell)

@@ -13,8 +13,9 @@ from robustmm import (
     robust_profile,
     select_radius,
 )
+from robustmm.profile import profile_batch
 
-from helpers import pair_average_quadratic
+from helpers import pair_average_quadratic, robust_profile_scalar
 
 
 def summaries_from(rng, n=12):
@@ -100,6 +101,46 @@ def test_moment_target_validation():
         MomentTarget(alpha=(2.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         MomentTarget(alpha=(0.0,), sigma=((1.0, 0.0), (0.0, 1.0)))
+
+
+def random_targets(rng, summaries, k, general):
+    """k targets around the empirical moments: product-measure ones, or
+    general symmetric ones with a free off-diagonal."""
+    alpha_n, sigma_n = moment_matrices(summaries)
+    alpha = alpha_n + rng.normal(0, 0.2, size=(k, 2))
+    sigma = sigma_n * rng.uniform(0.7, 1.4, size=(k, 2, 2))
+    if general:
+        sigma[:, 1, 0] = sigma[:, 0, 1]
+    else:
+        sigma[:, 0, 1] = sigma[:, 1, 0] = alpha[:, 0] * alpha[:, 1]
+    for j in range(2):
+        sigma[:, j, j] = np.maximum(sigma[:, j, j], alpha[:, j] ** 2 + 1e-6)
+    return alpha, sigma
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["product", "general"])
+def test_profile_batch_matches_scalar_oracle(general):
+    rng = np.random.default_rng(30 + general)
+    for _ in range(20):
+        _, _, summaries = summaries_from(rng, n=int(rng.integers(2, 40)))
+        n = summaries[0].n
+        alpha, sigma = random_targets(rng, summaries, 25, general)
+        values = profile_batch(alpha, sigma, summaries, n)
+        for a, s, value in zip(alpha, sigma, values):
+            target = MomentTarget(alpha=tuple(a), sigma=tuple(map(tuple, s)))
+            assert value == pytest.approx(robust_profile_scalar(target, summaries, n), rel=1e-13)
+            assert robust_profile(target, summaries, n) == value
+
+
+def test_profile_batch_applies_target_rules_to_every_row():
+    rng = np.random.default_rng(32)
+    _, _, summaries = summaries_from(rng)
+    alpha, sigma = random_targets(rng, summaries, 10, general=True)
+    sigma[6, 1, 1] = alpha[6, 1] ** 2 - 1e-3
+    with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
+        profile_batch(alpha, sigma, summaries, summaries[0].n)
+    with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
+        MomentTarget(alpha=tuple(alpha[6]), sigma=tuple(map(tuple, sigma[6])))
 
 
 def test_degenerate_covariance_rejected():
