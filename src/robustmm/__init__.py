@@ -22,8 +22,6 @@ from .moments import (
 )
 from .oracle import (
     DiscreteMeasure,
-    SupportSpec,
-    default_support,
     min_cost_given_moments,
     moment_range_search,
     w2_squared,
@@ -67,8 +65,7 @@ __all__ = [
     "EmpiricalSummary", "SampleSet", "alpha_range", "beta_bounds", "beta_lower_raw",
     "empirical_moments", "read_sample_csv", "theorem_beta_envelope",
     # oracle
-    "DiscreteMeasure", "SupportSpec", "default_support", "min_cost_given_moments",
-    "moment_range_search", "w2_squared",
+    "DiscreteMeasure", "min_cost_given_moments", "moment_range_search", "w2_squared",
     # policy
     "DegeneratePolicyError", "PolicyGrid", "RobustSolution", "SolverError", "SpreadDomain",
     "SpreadModel", "build_policy", "concavity_check", "expected_reward", "sample_policy",

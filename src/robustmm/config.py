@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .functions import parse_function_spec
+from .moments import check_radius
 from .policy import SpreadDomain, SpreadModel, validate_model_on_domain
 from .profile import DEFAULT_RESAMPLES, check_chi, check_resamples
 from .simulator import ShiftSpec, check_episodes
@@ -127,19 +128,17 @@ def _parse_int(raw: dict[str, str], key: str, default: int | None = None) -> int
 
 
 def _parse_radii(raw: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    """A nonempty comma list of finite, nonnegative transport budgets."""
+    """A nonempty comma list of transport budgets."""
     if key not in raw:
         return default
     try:
         vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as a number list") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{key}: values must be finite")
     if len(vals) == 0:
         raise ConfigError(f"{key} must list at least one radius")
-    if any(d < 0 for d in vals):
-        raise ConfigError(f"{key}: negative radius")
+    for delta in vals:
+        _keyed(f"{key}: ", check_radius, delta)
     return vals
 
 
@@ -202,8 +201,8 @@ def parse_config(path: str | Path) -> RunConfig:
     chi = _parse_float(raw, "radius.chi")
     if delta is not None and chi is not None:
         raise ConfigError("give exactly one of radius.delta and radius.chi, not both")
-    if delta is not None and delta < 0:
-        raise ConfigError("radius.delta: negative radius")
+    if delta is not None:
+        _keyed("radius.delta: ", check_radius, delta)
     if chi is not None:
         _keyed("radius.", check_chi, chi)
     resamples = _parse_int(raw, "radius.resamples", DEFAULT_RESAMPLES)

@@ -15,8 +15,11 @@ with
     ell(alpha) = 2 (alpha - alpha_n) alpha_n + delta
                - 2 sqrt(beta_n - alpha_n^2) sqrt(delta - (alpha - alpha_n)^2)
 
-The upper envelope is attained by an affine push of the sample; the raw
-lower expression can dip below the hard floor alpha^2 and is clamped.
+The upper envelope is attained by an affine push of the sample. The
+printed lower expression is not attained: the exact lower end, from the
+same push (Gelbrich 1990), is alpha^2 + max(sd_n - r, 0)^2 with
+r = sqrt(delta - (alpha - alpha_n)^2), which is beta_n + ell(alpha)
+when sd_n >= r.
 """
 from __future__ import annotations
 
@@ -100,10 +103,17 @@ def empirical_moments(samples: SampleSet) -> EmpiricalSummary:
     return EmpiricalSummary(alpha_n=alpha, beta_n=beta, variance=max(var, 0.0), n=samples.n)
 
 
-def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:
-    """Attainable mean interval inside the radius-squared-delta ball."""
+def check_radius(delta: float) -> None:
+    """A transport budget (radius squared) is finite and nonnegative."""
+    if not math.isfinite(delta):
+        raise ValueError(f"radius must be finite, got {delta!r}")
     if delta < 0:
         raise ValueError("negative radius")
+
+
+def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:
+    """Attainable mean interval inside the radius-squared-delta ball."""
+    check_radius(delta)
     r = math.sqrt(delta)
     return (summary.alpha_n - r, summary.alpha_n + r)
 
@@ -111,8 +121,7 @@ def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:
 def _deviation_root(summary: EmpiricalSummary, delta: float, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Return (dev, sqrt(delta - dev^2)) with the feasibility clamp applied,
     elementwise over a scalar or an array alpha."""
-    if delta < 0:
-        raise ValueError("negative radius")
+    check_radius(delta)
     dev = np.asarray(alpha, dtype=float) - summary.alpha_n
     rem = delta - dev * dev
     if np.any(rem < -_FEAS_SLACK * (1.0 + delta)):
@@ -123,24 +132,25 @@ def _deviation_root(summary: EmpiricalSummary, delta: float, alpha) -> tuple[np.
 def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[float, float]:
     """Second-moment range [lower, upper] attainable at a given mean alpha.
 
-    lower is the raw envelope ell(alpha) clamped below by the hard floor
-    alpha^2 (a distribution with mean alpha cannot have a smaller second
-    moment).
+    Reaching mean alpha and standard deviation s costs exactly
+    (alpha - alpha_n)^2 + (s - sd_n)^2, so the budget leaves
+    |s - sd_n| <= r with r = sqrt(delta - (alpha - alpha_n)^2), and
+    lower = alpha^2 + max(sd_n - r, 0)^2.
     """
     dev, root = _deviation_root(summary, delta, alpha)
     sd = math.sqrt(summary.variance)
     upper = summary.beta_n + 2.0 * dev * summary.alpha_n + delta + 2.0 * sd * root
-    raw_lower = 2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root
-    return (max(float(raw_lower), alpha * alpha), float(upper))
+    low_sd = max(sd - float(root), 0.0)
+    return (alpha * alpha + low_sd * low_sd, float(upper))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
-    """Unclamped lower envelope ell(alpha); diagnostic only.
+    """The printed lower envelope ell(alpha); diagnostic only.
 
-    The printed expression can fall below alpha^2 (even below zero), in
-    which case it is not attained by any distribution. beta_bounds clamps
-    it; this accessor exposes the raw value so validation reports can
-    show the discrepancy.
+    When sd_n >= r it equals the exact lower end of beta_bounds minus
+    beta_n, and otherwise it is not attained by any distribution (it can
+    fall below alpha^2, even below zero). Validation reports show it
+    beside the oracle's minimum.
     """
     dev, root = _deviation_root(summary, delta, alpha)
     sd = math.sqrt(summary.variance)

@@ -3,13 +3,14 @@
 These routines deliberately avoid the closed-form moment envelopes. On
 the line the quadratic transport cost is attained by the monotone
 coupling of quantile functions. w2_squared integrates the squared
-quantile gap over the merged cumulative-weight partition; the searches
-price whole batches of candidates against one empirical measure through
+quantile gap over the merged cumulative-weight partition; the search
+prices whole batches of candidates against one empirical measure through
 its integrated quantiles (see _BallSearch), which is the same coupling
 integrated exactly per cell. Extremal moments inside a transport ball
 are found by direct search over small atomic measures, taking at each
 step the best move of a batch that fits the budget. Agreement between
-the two routes is what the validation suite certifies.
+the two routes is what the validation suite certifies. The cheapest
+move onto given moments is exact (min_cost_given_moments).
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .moments import SampleSet
+from .moments import SampleSet, check_radius
 
 _WEIGHT_TOL = 1e-12
-# positions per axis of the searches' uniform-weight candidate grid
+# positions per axis of the search's uniform-weight candidate grid
 _GRID_POINTS = 9
 # the descent halves its step down to this size
 _STEP_TOL = 1e-8
@@ -59,7 +60,7 @@ class DiscreteMeasure:
         """Uniform weights on the given points."""
         values = tuple(float(v) for v in values)
         n = len(values)
-        return cls(atoms=values, weights=(1.0 / n,) * n)
+        return cls(atoms=values, weights=(1.0 / max(n, 1),) * n)
 
     @classmethod
     def from_samples(cls, samples: SampleSet) -> "DiscreteMeasure":
@@ -98,45 +99,6 @@ def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     xp, wp = p._sorted()
     xq, wq = q._sorted()
     return _w2sq_sorted(xp, np.cumsum(wp), xq, np.cumsum(wq))
-
-
-@dataclass(frozen=True)
-class SupportSpec:
-    """Search space for atomic candidate measures: m atoms inside [lo, hi]."""
-
-    lo: float
-    hi: float
-    m: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError("support interval must be finite with lo < hi")
-        if not (1 <= self.m <= 6):
-            raise ValueError("atom count m must be between 1 and 6")
-
-    @property
-    def step(self) -> float:
-        """Spacing of the candidate grid, and the descent's first step."""
-        return (self.hi - self.lo) / (_GRID_POINTS - 1)
-
-    def grid_rows(self) -> np.ndarray:
-        """Every sorted m-atom candidate on the uniform grid over [lo, hi]."""
-        return np.linspace(self.lo, self.hi, _GRID_POINTS)[_combinations(_GRID_POINTS, self.m)]
-
-
-def default_support(empirical: DiscreteMeasure, delta: float) -> SupportSpec:
-    """Wide enough to contain any measure within budget delta, with as
-    many atoms as the empirical measure, at most six.
-
-    Moving a single atom of weight w by more than sqrt(delta / w) already
-    exceeds the budget, so padding by the worst case over atoms suffices.
-    """
-    x = np.asarray(empirical.atoms)
-    w = np.asarray(empirical.weights)
-    wmin = float(np.min(w[w > 0])) if np.any(w > 0) else 1.0
-    pad = math.sqrt(max(delta, 0.0) / wmin) + 1e-6
-    m = min(len(empirical.atoms), 6)
-    return SupportSpec(lo=float(np.min(x)) - pad, hi=float(np.max(x)) + pad, m=m)
 
 
 class _BallSearch:
@@ -230,8 +192,7 @@ def moment_range_search(
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    if delta < 0:
-        raise ValueError("negative radius")
+    check_radius(delta)
     second = objective in ("max_second_moment", "min_second_moment")
     if second and alpha is None:
         raise ValueError(f"{objective} requires a mean constraint alpha")
@@ -239,12 +200,18 @@ def moment_range_search(
     search = _BallSearch(empirical, delta)
     emp_mean = empirical.mean()
 
-    if second:
-        if abs(alpha - emp_mean) > math.sqrt(delta) + 1e-9:
-            raise ValueError("no feasible measure")
+    if second and abs(alpha - emp_mean) > math.sqrt(delta) + 1e-9:
+        raise ValueError("no feasible measure")
 
-    support = default_support(empirical, delta)
-    m = support.m
+    # Candidates: m atoms, at most six, inside [lo, hi]. Moving an atom of
+    # weight w by more than sqrt(delta / w) already exceeds the budget, so
+    # padding by the worst case over atoms contains every measure in the ball.
+    pad = math.sqrt(delta / float(np.min(search.we[search.we > 0]))) + 1e-6
+    lo, hi = float(search.xe[0]) - pad, float(search.xe[-1]) + pad
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("support interval must be finite with lo < hi")
+    m = min(len(empirical.atoms), 6)
+    first_step = (hi - lo) / (_GRID_POINTS - 1)
 
     def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         # mean constraint is restored exactly by a common translation
@@ -264,7 +231,7 @@ def moment_range_search(
 
     # Pass 1: uniform weights, atom positions on a common grid.
     wu = np.full(m, 1.0 / m)
-    rows = repair(support.grid_rows(), wu)
+    rows = repair(np.linspace(lo, hi, _GRID_POINTS)[_combinations(_GRID_POINTS, m)], wu)
     vals = _objective(rows, wu, second)
     k = _best_feasible(search, rows, wu, sign * vals, sign * best_val)
     if k is not None:
@@ -303,7 +270,7 @@ def moment_range_search(
         for _ in range(50):
             improved_round = False
             for moves in phases:
-                step = support.step
+                step = first_step
                 while step >= _STEP_TOL:
                     cands = repair(moves(x, step), w)
                     vals = _objective(cands, w, second)
@@ -349,61 +316,22 @@ def min_cost_given_moments(
     alpha: float,
     beta: float,
 ) -> float:
-    """Smallest squared W2 to any m-atom measure with mean alpha and
-    second moment beta; diagnostic companion to the profile formula.
+    """Smallest squared W2 from the empirical measure to any measure with
+    mean alpha and second moment beta; diagnostic companion to the
+    profile formula.
 
-    Candidates are repaired onto the moment pair by the affine map
-    x -> a x + b (a from the variance ratio, b from the mean), and
-    priced with the integrated-quantile cost of _BallSearch. The grid
-    and the empirical anchor are priced in one batch each; the descent
-    then builds all 2m single-atom moves from the current atoms, prices
-    them in one batch and takes the cheapest when it lowers the cost,
-    halving the step otherwise, down to 1e-8 or 200 000 priced moves.
+    On the line this is (alpha - alpha_n)^2 + (sigma - sigma_n)^2, with
+    sigma^2 = beta - alpha^2 (Gelbrich 1990, Math. Nachr. 147): any
+    coupling has E(X - Y)^2 = (alpha - alpha_n)^2 + sigma^2 + sigma_n^2
+    - 2 cov(X, Y) and cov(X, Y) <= sigma sigma_n, and the monotone affine
+    push x -> alpha + (sigma / sigma_n)(x - alpha_n) attains the bound.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("target moments must be finite")
     if beta < alpha * alpha - 1e-12:
         raise ValueError("no feasible measure")
-    span = max(abs(alpha), math.sqrt(max(beta, 0.0)), 1.0)
-    support = SupportSpec(lo=-4.0 * span, hi=4.0 * span, m=min(len(empirical.atoms), 6))
-    target_var = max(beta - alpha * alpha, 0.0)
-
-    def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # rows with no spread cannot be scaled to a positive variance
-        dev = rows - (w * rows).sum(axis=1)[:, None]
-        var = (w * dev * dev).sum(axis=1)
-        spread = var > 0
-        scale = np.sqrt(target_var / np.where(spread, var, 1.0)) * spread
-        fixed = alpha + scale[:, None] * dev
-        return fixed[spread] if target_var > 1e-15 else fixed
-
-    search = _BallSearch(empirical, 0.0)
-
-    best_cost = math.inf
-    x = w = None
-    wu = np.full(support.m, 1.0 / support.m)
-    for rows, weights in (
-        (support.grid_rows(), wu),
-        (search.xe[None, :], search.we),
-    ):
-        rows = repair(rows, weights)
-        if len(rows):
-            costs = search.cost_batch(rows, weights)
-            k = int(np.argmin(costs))
-            if costs[k] < best_cost:
-                best_cost, x, w = float(costs[k]), rows[k], weights
-    if x is None:
-        raise ValueError("no feasible measure")
-
-    singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
-    step = support.step
-    evals = 0
-    while step >= _STEP_TOL and evals < 200_000:
-        cands = repair(x + step * singles, w)
-        evals += len(cands)
-        if len(cands):
-            costs = search.cost_batch(cands, w)
-            k = int(np.argmin(costs))
-            if costs[k] < best_cost - 1e-18:
-                best_cost, x = float(costs[k]), cands[k]
-                continue
-        step *= 0.5
-    return best_cost
+    mean = empirical.mean()
+    dev = np.asarray(empirical.atoms) - mean
+    sd_n = math.sqrt(float(np.dot(empirical.weights, dev * dev)))
+    sd = math.sqrt(max(beta - alpha * alpha, 0.0))
+    return (alpha - mean) ** 2 + (sd - sd_n) ** 2

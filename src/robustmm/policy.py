@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import FunctionSpec
-from .moments import EmpiricalSummary, theorem_beta_envelope
+from .moments import EmpiricalSummary, check_radius, theorem_beta_envelope
 
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
@@ -306,8 +306,7 @@ def solve_inner(
     answer is the empirical means. delta = 0 short-circuits to the
     empirical moments.
     """
-    if delta < 0:
-        raise ValueError("negative radius")
+    check_radius(delta)
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
     sp, sm = summaries

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import SampleSet, empirical_moments
+from .moments import SampleSet, check_radius, empirical_moments
 from .policy import (
     PolicyGrid,
     SpreadDomain,
@@ -189,8 +189,8 @@ def shift_experiment(
     shifted meta-distributions. Episode streams are independent across
     radii via spawned child seeds, all descending from rng_seed.
     """
-    if any(d < 0 for d in deltas):
-        raise ValueError("negative radius")
+    for delta in deltas:
+        check_radius(delta)
     check_episodes(episodes)
     samples_plus, samples_minus = samples
     summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))

@@ -89,7 +89,7 @@ def envelope_check_rows(
     root = math.sqrt(delta)
     for frac in _INTERIOR_FRACTIONS:
         alpha = summary.alpha_n + frac * root
-        lower, upper = beta_bounds(summary, delta, alpha)
+        upper = beta_bounds(summary, delta, alpha)[1]
         rows.append(
             _row(
                 f"beta_upper[{label},delta={delta:g},t={frac:g}]",
@@ -98,7 +98,7 @@ def envelope_check_rows(
                 tol,
             )
         )
-    # raw lower envelope: clamped in beta_bounds, shown here unclamped
+    # the printed lower envelope, which misses beta_n; beta_bounds gives the exact end
     alpha = summary.alpha_n
     raw = beta_lower_raw(summary, delta, alpha)
     oracle_min = moment_range_search(measure, delta, "min_second_moment", alpha=alpha)

@@ -57,6 +57,15 @@ def test_alpha_range_rejects_negative_radius():
         alpha_range(s, -0.01)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_envelopes_reject_non_finite_radius(delta):
+    s = empirical_moments(SampleSet("buy", (0.5, 1.5)))
+    for envelope in (lambda: alpha_range(s, delta), lambda: beta_bounds(s, delta, s.alpha_n),
+                     lambda: theorem_beta_envelope(s, delta, s.alpha_n)):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            envelope()
+
+
 def test_envelope_centered_unit_variance():
     # var = 1, delta = 0.25, alpha at the center: (1 + 0.5)^2 + 0
     s = EmpiricalSummary(alpha_n=0.0, beta_n=1.0, variance=1.0, n=3)

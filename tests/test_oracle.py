@@ -9,8 +9,8 @@ from scipy.optimize import linprog
 from robustmm import (
     DiscreteMeasure,
     SampleSet,
-    SupportSpec,
     alpha_range,
+    beta_bounds,
     empirical_moments,
     min_cost_given_moments,
     moment_range_search,
@@ -281,8 +281,87 @@ def test_min_cost_within_budget_for_feasible_targets():
         assert cost <= delta * (1.0 + 1e-3) + 1e-9
 
 
-def test_support_spec_validation():
-    with pytest.raises(ValueError):
-        SupportSpec(lo=1.0, hi=0.0, m=3)
-    with pytest.raises(ValueError):
-        SupportSpec(lo=0.0, hi=1.0, m=9)
+def test_min_cost_at_a_narrower_target():
+    # sigma = sigma_n / 2 at mean 1.0: exactly 0.5^2 + sigma_n^2 / 4, where
+    # sigma_n^2 = 0.32 / 3; a search whose grid rows of equal atoms were
+    # scaled onto the target returned a point mass costing 0.22003
+    emp = DiscreteMeasure.from_points([0.1, 0.5, 0.9])
+    cost = min_cost_given_moments(emp, 1.0, 1.0266666666666666)
+    assert cost == pytest.approx(0.25 + 0.08 / 3.0, rel=1e-12)
+
+
+def test_min_cost_equals_affine_push_cost():
+    # the monotone affine push onto the target moments attains the minimum
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        x = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 41)))
+        emp = DiscreteMeasure.from_points(x)
+        mean = emp.mean()
+        sd_n = math.sqrt(float(np.mean((x - mean) ** 2)))
+        alpha = mean + float(rng.normal(scale=0.5))
+        sd = sd_n * float(rng.uniform(0.1, 2.0))
+        push = DiscreteMeasure.from_points(alpha + (sd / sd_n) * (x - mean))
+        cost = min_cost_given_moments(emp, alpha, alpha * alpha + sd * sd)
+        assert cost == pytest.approx(w2_squared(emp, push), rel=1e-12)
+
+
+def test_min_cost_is_a_lower_bound():
+    # no measure with the target moments is closer than the closed form
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        emp = rand_measure(rng, max_atoms=8)
+        target = rand_measure(rng, max_atoms=8)
+        cost = min_cost_given_moments(emp, target.mean(), target.second_moment())
+        assert cost <= w2_squared(emp, target) * (1.0 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf),
+], ids=["alpha-nan", "alpha-inf", "beta-nan", "beta-inf"])
+def test_min_cost_rejects_non_finite_targets(alpha, beta):
+    emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
+    with pytest.raises(ValueError, match="finite"):
+        min_cost_given_moments(emp, alpha, beta)
+
+
+def test_min_cost_rejects_second_moment_below_squared_mean():
+    emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
+    with pytest.raises(ValueError, match="no feasible measure"):
+        min_cost_given_moments(emp, 1.0, 0.9)
+
+
+def test_from_points_rejects_empty():
+    with pytest.raises(ValueError, match="at least one atom"):
+        DiscreteMeasure.from_points([])
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_search_rejects_non_finite_radius(delta):
+    emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
+    with pytest.raises(ValueError, match="radius must be finite"):
+        moment_range_search(emp, delta, "max_mean")
+
+
+def test_search_rejects_overflowing_support():
+    # a finite budget can still pad the candidate interval past the float range
+    emp = DiscreteMeasure.from_points([0.0, 1.0])
+    with pytest.raises(ValueError, match="support interval must be finite"):
+        moment_range_search(emp, 1e308, "max_mean")
+
+
+def test_beta_lower_end_matches_oracle():
+    # a point mass at 0 costs 0.05^2 * 2 / 3 of the budget 0.25, so the
+    # smallest second moment at mean 0 is 0
+    s = empirical_moments(SampleSet("buy", (-0.05, 0.0, 0.05)))
+    assert beta_bounds(s, 0.25, 0.0)[0] == 0.0
+    # the printed lower envelope plus beta_n where the sample is wider than
+    # the budget allows to shrink, alpha^2 where it is not
+    rng = np.random.default_rng(15)
+    for _ in range(12):
+        vals = tuple(rng.uniform(0.1, 2.0, size=int(rng.integers(2, 6))))
+        emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
+        s = empirical_moments(SampleSet("buy", vals))
+        delta = float(rng.uniform(0.02, 0.5))
+        alpha = s.alpha_n + float(rng.uniform(-0.8, 0.8)) * math.sqrt(delta)
+        got = moment_range_search(emp, delta, "min_second_moment", alpha=alpha)
+        assert beta_bounds(s, delta, alpha)[0] == pytest.approx(got, rel=1e-8, abs=1e-10)

@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import robustmm
 
@@ -7,3 +10,14 @@ def test_public_names_resolve_and_none_is_a_module():
     assert len(set(robustmm.__all__)) == len(robustmm.__all__)
     for name in robustmm.__all__:
         assert not isinstance(getattr(robustmm, name), types.ModuleType), name
+
+
+def test_benchmark_doors_resolve():
+    # the benchmark's trace mode wraps each (module, attribute) it lists
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module, attr in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

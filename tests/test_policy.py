@@ -193,6 +193,13 @@ def test_solve_rejects_negative_radius():
         solve_inner(plain_model(), SpreadDomain(eps_max=0.8, grid_n=33), (sp, sm), -0.1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+def test_solve_rejects_non_finite_radius(delta):
+    sp, sm = small_summaries()
+    with pytest.raises(ValueError, match="radius must be finite"):
+        solve_inner(plain_model(), SpreadDomain(eps_max=0.8, grid_n=33), (sp, sm), delta)
+
+
 def test_solution_betas_sit_on_envelope():
     sp, sm = small_summaries()
     model = plain_model()

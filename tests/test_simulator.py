@@ -179,6 +179,10 @@ def test_shift_experiment_validation():
     with pytest.raises(ValueError, match="negative"):
         shift_experiment((buy, sell), model, dom, deltas=(-0.01,),
                          shift=ShiftSpec(), episodes=2000, rng_seed=0)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            shift_experiment((buy, sell), model, dom, deltas=(0.0, delta),
+                             shift=ShiftSpec(), episodes=2000, rng_seed=0)
 
 
 def test_robustness_pays_under_adverse_shift():
