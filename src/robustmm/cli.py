@@ -21,7 +21,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, _keyed, parse_config
 from .moments import SampleSet, empirical_moments, read_sample_csv
 from .policy import DegeneratePolicyError, SolverError, build_policy, solve_inner
-from .profile import check_radius_samples, gram_bound_check, select_radius
+from .profile import gram_bound_check, select_radius
 from .simulator import shift_experiment
 from .validation import format_table, run_validation
 
@@ -83,8 +83,8 @@ _SAMPLES = "samples.buy, samples.sell: "
 
 
 def _select_radius(cfg: RunConfig, samples):
-    _keyed(_SAMPLES, check_radius_samples, *samples)
-    return select_radius(samples[0], samples[1], cfg.chi, resamples=cfg.resamples, rng_seed=cfg.seed)
+    # chi and resamples were checked under their own keys when the config was parsed
+    return _keyed(_SAMPLES, select_radius, *samples, cfg.chi, resamples=cfg.resamples, rng_seed=cfg.seed)
 
 
 def _resolve_budget(cfg: RunConfig, samples) -> float:

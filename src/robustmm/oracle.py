@@ -194,8 +194,8 @@ def moment_range_search(
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     check_radius(delta)
     second = objective in ("max_second_moment", "min_second_moment")
-    if second and alpha is None:
-        raise ValueError(f"{objective} requires a mean constraint alpha")
+    if second and (alpha is None or not math.isfinite(alpha)):
+        raise ValueError(f"{objective} requires a finite mean constraint alpha, got {alpha!r}")
     sign = -1.0 if objective.startswith("min") else 1.0
     search = _BallSearch(empirical, delta)
     emp_mean = empirical.mean()

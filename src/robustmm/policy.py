@@ -260,32 +260,40 @@ def worst_case_objective(
     return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
 
 
-def _log_mass_in_t(
-    ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float, t: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """log Z on the pinned envelope at alpha = alpha_n + sqrt(delta) sin t,
-    with its exact gradient and Hessian in t: one grid pass, then the
-    chain rule through x(t) = (a+, a-, b+, b-, a+ a-)."""
+def _envelope_map(summaries: tuple[EmpiricalSummary, EmpiricalSummary],
+                  delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pinned envelope in solve_inner's coordinates t as an affine map x(t) = c + L phi(t)
+    of phi = (sin t+, cos t+, sin t-, cos t-, sin t+ sin t-): with r = sqrt(delta),
+    a = alpha_n + r sin t and b = (sd + r cos t)^2 + a^2 = beta_n + delta + 2 r (sd cos t + alpha_n sin t)."""
     sp, sm = summaries
-    root = math.sqrt(delta)
-    sd = np.sqrt([sp.variance, sm.variance])
+    r = math.sqrt(delta)
+    c = np.array([sp.alpha_n, sm.alpha_n, sp.beta_n + delta, sm.beta_n + delta, sp.alpha_n * sm.alpha_n])
+    L = np.zeros((5, 5))
+    L[0, 0] = L[1, 2] = r
+    L[2, :2] = 2.0 * r * sp.alpha_n, 2.0 * r * math.sqrt(sp.variance)
+    L[3, 2:4] = 2.0 * r * sm.alpha_n, 2.0 * r * math.sqrt(sm.variance)
+    L[4] = r * sm.alpha_n, 0.0, r * sp.alpha_n, 0.0, delta
+    return c, L
+
+
+def _log_mass_in_t(ev: _GridEvaluator, c: np.ndarray, L: np.ndarray,
+                   t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z on the pinned envelope x(t) = c + L phi(t), with its exact
+    gradient and Hessian in t: one grid pass, the moment derivatives
+    mapped into phi by L, then phi's own trig derivatives."""
     sin, cos = np.sin(t), np.cos(t)
-    a = np.array([sp.alpha_n, sm.alpha_n]) + root * sin
-    spread = sd + root * cos
-    b = spread * spread + a * a
-    lz, g, h = ev.log_mass_moments(np.array([a[0], a[1], b[0], b[1], a[0] * a[1]]))
+    phi = np.array([sin[0], cos[0], sin[1], cos[1], sin[0] * sin[1]])
+    lz, g, h = ev.log_mass_moments(c + L @ phi)
     # extreme radii overflow these products; the descent takes the inf or nan as it comes
     with np.errstate(over="ignore", invalid="ignore"):
-        da = root * cos
-        db = 2.0 * root * (a * cos - spread * sin)
-        d2a = -root * sin
-        d2b = 2.0 * root * (root * sin * sin - sd * cos - a * sin)
-        jac = np.array([[da[0], 0.0], [0.0, da[1]], [db[0], 0.0], [0.0, db[1]],
-                        [a[1] * da[0], a[0] * da[1]]])
-        hess = jac.T @ h @ jac
-        hess += np.diag(g[:2] * d2a + g[2:4] * d2b + g[4] * a[::-1] * d2a)
-        hess[0, 1] += g[4] * da[0] * da[1]
-        hess[1, 0] = hess[0, 1]
+        g = L.T @ g
+        jac = np.array([[cos[0], 0.0], [-sin[0], 0.0], [0.0, cos[1]], [0.0, -sin[1]],
+                        [cos[0] * sin[1], sin[0] * cos[1]]])
+        hess = jac.T @ (L.T @ h @ L) @ jac
+        # phi's second derivatives: -phi_k along its own angles, plus cos t+ cos t- across them for phi_4
+        hess[0, 0] -= g[0] * phi[0] + g[1] * phi[1] + g[4] * phi[4]
+        hess[1, 1] -= g[2] * phi[2] + g[3] * phi[3] + g[4] * phi[4]
+        hess[0, 1] = hess[1, 0] = hess[0, 1] + g[4] * cos[0] * cos[1]
         return lz, jac.T @ g, hess
 
 
@@ -303,24 +311,17 @@ def solve_inner(
     certificate holds, else from the nine points of {-pi/2, 0, pi/2}^2,
     the center first. Ties keep the earlier start, so when h = 0 (the
     moments never enter the integrand, and every start stops at once) the
-    answer is the empirical means. delta = 0 short-circuits to the
-    empirical moments.
+    answer is the empirical means.
     """
     check_radius(delta)
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
-    sp, sm = summaries
     cert = concavity_check(summaries, delta)
-
-    if delta == 0.0:
-        obj = ev.objective(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        return RobustSolution(alpha_star_plus=sp.alpha_n, alpha_star_minus=sm.alpha_n, beta_star_plus=sp.beta_n,
-                              beta_star_minus=sm.beta_n, objective=obj, concave_certificate=cert, iterations=0)
-
+    c, L = _envelope_map(summaries, delta)
     half = math.pi / 2.0
 
     def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        lz, g, hess = _log_mass_in_t(ev, summaries, delta, t)
+        lz, g, hess = _log_mass_in_t(ev, c, L, t)
         for it in range(1, _NEWTON_MAX_ITER + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
@@ -337,7 +338,7 @@ def solve_inner(
             step = 1.0
             for _ in range(60):
                 trial = np.clip(t + step * d, -half, half)
-                lz_new, g_new, hess_new = _log_mass_in_t(ev, summaries, delta, trial)
+                lz_new, g_new, hess_new = _log_mass_in_t(ev, c, L, trial)
                 if lz_new < lz + 1e-4 * float(g @ (trial - t)):
                     break
                 step *= 0.5
@@ -360,10 +361,8 @@ def solve_inner(
             best_t, best_lz = t, lz
 
     # |sin| <= 1 and monotone rounding keep these means inside the box
-    root = math.sqrt(delta)
-    ap, am = (np.array([sp.alpha_n, sm.alpha_n]) + root * np.sin(best_t)).tolist()
-    bp = theorem_beta_envelope(sp, delta, ap)
-    bm = theorem_beta_envelope(sm, delta, am)
+    ap, am = (c[:2] + math.sqrt(delta) * np.sin(best_t)).tolist()
+    bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
     solution = RobustSolution(
         alpha_star_plus=ap,
         alpha_star_minus=am,

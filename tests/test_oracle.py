@@ -210,6 +210,14 @@ def test_search_rejects_unreachable_alpha():
         moment_range_search(emp, 0.01, "max_second_moment", alpha=2.0)
 
 
+@pytest.mark.parametrize("objective", ["max_second_moment", "min_second_moment"])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+def test_search_rejects_non_finite_alpha(objective, alpha):
+    emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
+    with pytest.raises(ValueError, match="finite mean constraint"):
+        moment_range_search(emp, 0.1, objective, alpha=alpha)
+
+
 def test_search_rejects_unknown_objective():
     emp = DiscreteMeasure((0.5, 1.0), (0.5, 0.5))
     with pytest.raises(ValueError):

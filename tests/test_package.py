@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -21,3 +23,13 @@ def test_benchmark_doors_resolve():
     assert spans.WRAPPED
     for module, attr in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_reads_solve_inner_by_position_and_field():
+    # the benchmark passes summaries and delta by position, reads back the
+    # moments, objective and iterations, and notes the path from args[2:4]
+    params = list(inspect.signature(robustmm.solve_inner).parameters)
+    assert params[:4] == ["model", "domain", "summaries", "delta"]
+    fields = {f.name for f in dataclasses.fields(robustmm.RobustSolution)}
+    assert {"alpha_star_plus", "alpha_star_minus", "beta_star_plus", "beta_star_minus",
+            "objective", "iterations"} <= fields

@@ -28,7 +28,7 @@ from robustmm import (
 
 from helpers import fd_hessian, rand_instance, refined_grid_max
 from robustmm import policy
-from robustmm.policy import _GridEvaluator, _log_mass_in_t
+from robustmm.policy import _envelope_map, _GridEvaluator, _log_mass_in_t
 
 
 def small_summaries():
@@ -184,7 +184,9 @@ def test_solve_zero_radius_exact():
     assert sol.alpha_star_minus == sm.alpha_n
     assert sol.beta_star_plus == sp.beta_n
     assert sol.beta_star_minus == sm.beta_n
-    assert sol.iterations == 0
+    # delta = 0 flattens the envelope map, so the center start stops at its first check
+    assert sol.iterations == 1
+    assert sol.objective == worst_case_objective(model, dom, (sp, sm), 0.0, sp.alpha_n, sm.alpha_n)
 
 
 def test_solve_rejects_negative_radius():
@@ -436,6 +438,26 @@ def test_hessian_negative_under_certificate():
         assert float(np.linalg.eigvalsh(h)[-1]) <= 1e-6 * scale
 
 
+def test_envelope_map_matches_theorem_envelope():
+    rng = np.random.default_rng(36)
+    flat = empirical_moments(SampleSet("sell", (0.5, 0.5, 0.5)))
+    assert flat.variance == 0.0
+    cases = [(rand_instance(rng, cert=cert)[2:], rng.uniform(-1.4, 1.4, size=2))
+             for cert in (True, False) for _ in range(4)]
+    cases += [((small_summaries(), 0.0), rng.uniform(-1.4, 1.4, size=2)),
+              (((small_summaries()[0], flat), 0.05), np.array([0.3, -1.2])),
+              (((flat, small_summaries()[1]), 0.0), np.array([1.1, 0.0]))]
+    for (summaries, delta), t in cases:
+        sp, sm = summaries
+        c, L = _envelope_map(summaries, delta)
+        phi = np.array([math.sin(t[0]), math.cos(t[0]), math.sin(t[1]), math.cos(t[1]),
+                        math.sin(t[0]) * math.sin(t[1])])
+        ap = sp.alpha_n + math.sqrt(delta) * math.sin(t[0])
+        am = sm.alpha_n + math.sqrt(delta) * math.sin(t[1])
+        want = [ap, am, theorem_beta_envelope(sp, delta, ap), theorem_beta_envelope(sm, delta, am), ap * am]
+        np.testing.assert_allclose(c + L @ phi, want, rtol=1e-13, atol=0.0)
+
+
 def test_one_pass_derivatives_match_central_differences():
     rng = np.random.default_rng(37)
     h = 1e-6
@@ -443,15 +465,16 @@ def test_one_pass_derivatives_match_central_differences():
         for _ in range(3):
             model, dom, summaries, delta = rand_instance(rng, cert=cert)
             ev = _GridEvaluator(model, dom)
+            c, L = _envelope_map(summaries, delta)
             t = rng.uniform(-1.4, 1.4, size=2)
-            _, grad, hess = _log_mass_in_t(ev, summaries, delta, t)
+            _, grad, hess = _log_mass_in_t(ev, c, L, t)
             fd_grad = np.zeros(2)
             fd_hess = np.zeros((2, 2))
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                up = _log_mass_in_t(ev, summaries, delta, t + e)
-                down = _log_mass_in_t(ev, summaries, delta, t - e)
+                up = _log_mass_in_t(ev, c, L, t + e)
+                down = _log_mass_in_t(ev, c, L, t - e)
                 fd_grad[i] = (up[0] - down[0]) / (2.0 * h)
                 fd_hess[:, i] = (up[1] - down[1]) / (2.0 * h)
             np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
