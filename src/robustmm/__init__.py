@@ -4,7 +4,7 @@ Empirical order-flow moments feed a transport-ball adversary; the inner
 problem pins worst-case moments, and an entropy-regularized Gibbs policy
 quotes stochastic spreads against them. Companion modules select the
 ball radius from data, simulate episodes under distorted laws, and
-validate every closed form against brute-force transport oracles.
+validate every closed form against independent transport oracles.
 """
 
 __version__ = "0.1.0"

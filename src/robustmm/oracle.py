@@ -1,35 +1,38 @@
-"""Exact transport distances and brute-force moment searches on the line.
+"""Exact transport distances and extremal moments over transport balls on the line.
 
 These routines deliberately avoid the closed-form moment envelopes. On
 the line the quadratic transport cost is attained by the monotone
-coupling of quantile functions. w2_squared integrates the squared
-quantile gap over the merged cumulative-weight partition; the search
-prices whole batches of candidates against one empirical measure through
-its integrated quantiles (see _BallSearch), which is the same coupling
-integrated exactly per cell. Extremal moments inside a transport ball
-are found by direct search over small atomic measures, taking at each
-step the best move of a batch that fits the budget. Agreement between
-the two routes is what the validation suite certifies. The cheapest
-move onto given moments is exact (min_cost_given_moments).
+coupling of quantile functions, and w2_squared integrates the squared
+quantile gap over the merged cumulative-weight partition. Extremal
+moments inside a transport ball are bracketed by weak duality over
+couplings (moment_range_search): any multipliers give a bound on the
+extremum, and the per-atom maximizers at those multipliers form a
+measure whose w2_squared price puts it inside the ball, so its moment is
+attained. A closed form outside the bracket is a proven error; that is
+what the validation suite certifies. The cheapest move onto given
+moments is exact (min_cost_given_moments).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .moments import SampleSet, check_radius
 
 _WEIGHT_TOL = 1e-12
-# positions per axis of the search's uniform-weight candidate grid
-_GRID_POINTS = 9
-# the descent halves its step down to this size
-_STEP_TOL = 1e-8
 
-_OBJECTIVES = ("max_mean", "min_mean", "max_second_moment", "min_second_moment")
+# objective: (p, b), the witness maximizing E[p U^2 + b U] over laws U of
+# the centered coordinate; the min objectives maximize the negated moment
+_OBJECTIVES = {"max_mean": (0.0, 1.0), "min_mean": (0.0, -1.0),
+               "max_second_moment": (1.0, 0.0), "min_second_moment": (-1.0, 0.0)}
+
+# fractions of the way back to the anchor that the witness pull tries in
+# turn: none, then doubling from one unit in the last place to the anchor
+_PULL = np.concatenate(([0.0], 2.0 ** np.arange(-52, 1)))
+
+_OVERFLOW = "moment bracket leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,16 @@ class DiscreteMeasure:
         return x[order], w[order]
 
 
-def _w2sq_sorted(xp: np.ndarray, cwp: np.ndarray, xq: np.ndarray, cwq: np.ndarray) -> float:
-    """Exact squared W2 from sorted atoms and cumulative weights.
+def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """Exact squared W2 between two finitely supported measures.
 
     Both quantile functions are constant between consecutive entries of
     the merged cumulative-weight grid, so the integral of the squared
     quantile gap is a finite sum over merged segments.
     """
+    xp, wp = p._sorted()
+    xq, wq = q._sorted()
+    cwp, cwq = np.cumsum(wp), np.cumsum(wq)
     ts = np.sort(np.concatenate([cwp, cwq]), kind="stable")
     ip = np.minimum(np.searchsorted(cwp, ts, side="left"), len(xp) - 1)
     iq = np.minimum(np.searchsorted(cwq, ts, side="left"), len(xq) - 1)
@@ -95,220 +101,112 @@ def _w2sq_sorted(xp: np.ndarray, cwp: np.ndarray, xq: np.ndarray, cwq: np.ndarra
     return float(np.sum(seg * d * d))
 
 
-def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    xp, wp = p._sorted()
-    xq, wq = q._sorted()
-    return _w2sq_sorted(xp, np.cumsum(wp), xq, np.cumsum(wq))
-
-
-class _BallSearch:
-    """Transport costs from candidate measures to one empirical measure.
-
-    The empirical quantile Qe is a step function, so G(t) = int_0^t Qe and
-    H(t) = int_0^t Qe^2 are piecewise linear with knots at the cumulative
-    weights. Under the monotone coupling a candidate atom x_j of weight
-    w_j meets the cell (c_{j-1}, c_j] of Qe and costs
-    w_j x_j^2 - 2 x_j dG_j + dH_j there, exactly. Atoms are measured from
-    the empirical mean: the cost is invariant under a common shift, and
-    the shift keeps the terms that cancel small.
-    """
-
-    def __init__(self, empirical: DiscreteMeasure, delta: float):
-        xe, we = empirical._sorted()
-        self.xe = xe
-        self.we = we
-        self.center = float(np.dot(we, xe))
-        d = xe - self.center
-        self.knots = np.concatenate(([0.0], np.cumsum(we)))
-        self.g = np.concatenate(([0.0], np.cumsum(we * d)))
-        self.h = np.concatenate(([0.0], np.cumsum(we * d * d)))
-        self.budget = float(delta) * (1.0 + 1e-9) + 1e-15
-
-    def cost_batch(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Squared W2 to the empirical measure for each row of atoms.
-
-        rows is k x m, each row in any order; weights is one m-vector
-        shared by every row or a k x m array of per-row weights.
-        """
-        x = rows - self.center
-        order = x.argsort(axis=1)
-        sel = (np.arange(len(x))[:, None], order)
-        x = x[sel]
-        w = weights[order] if weights.ndim == 1 else weights[sel]
-        # cumulative weights with a leading zero, so that the cell
-        # increments are differences of adjacent columns
-        cw = np.zeros((len(x), x.shape[1] + 1))
-        np.cumsum(w, axis=1, out=cw[:, 1:])
-        g = np.interp(cw, self.knots, self.g)
-        h = np.interp(cw, self.knots, self.h)
-        # atoms far out overflow to an inf cost, which no budget admits
-        with np.errstate(over="ignore"):
-            return (x * (w * x - 2.0 * (g[:, 1:] - g[:, :-1])) + (h[:, 1:] - h[:, :-1])).sum(axis=1)
-
-
-def _objective(rows: np.ndarray, weights: np.ndarray, second: bool) -> np.ndarray:
-    """Mean, or second moment when second is set, of each row's measure.
-    Atoms far out overflow to inf or nan; their inf cost rules them out."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (weights * (rows * rows if second else rows)).sum(axis=-1)
-
-
-def _best_feasible(
-    search: _BallSearch, rows: np.ndarray, weights: np.ndarray, scores: np.ndarray, floor: float
-) -> int | None:
-    """Index of the highest-scoring row inside the budget among the rows
-    scoring above floor; only those rows are priced."""
-    idx = (scores > floor).nonzero()[0]
-    if idx.size == 0:
-        return None
-    w = weights if weights.ndim == 1 else weights[idx]
-    idx = idx[search.cost_batch(rows[idx], w) <= search.budget]
-    if idx.size == 0:
-        return None
-    return int(idx[np.argmax(scores[idx])])
-
-
 def moment_range_search(
     empirical: DiscreteMeasure,
     delta: float,
     objective: str,
     alpha: float | None = None,
-) -> float:
-    """Extremal moment over m-atom measures within squared-W2 budget delta.
+) -> tuple[float, float]:
+    """Bracket an extremal moment over the ball of squared W2 radius delta.
 
-    objective is one of max_mean, min_mean, max_second_moment,
-    min_second_moment; the second-moment objectives constrain the mean to
-    the given alpha. The search runs a grid pass with uniform weights, a
-    simplex-grid weight pass (step 0.05) at the best positions, and a
-    local descent on atom positions in phases of common translation,
-    common dilation and single-atom moves. Each descent step builds all
-    of its phase's moves from the current atoms, prices those that
-    improve the objective in one batch with the integrated-quantile cost
-    of _BallSearch, and takes the best one inside the budget; when none
-    fits, the step halves, down to 1e-8.
+    objective is max_mean, min_mean, max_second_moment or
+    min_second_moment; the second-moment objectives fix the mean at alpha.
+    Returns (value, bound) with the extremum between them. value is the
+    moment of a witness measure that w2_squared prices within delta.
+    bound is the weak-duality value over couplings
 
+        lam delta + mu a + sum_i w_i sup_u [phi(u) - mu u - lam (u - d_i)^2]
+
+    with phi = +-u or +-u^2, atoms d_i = x_i - c centered at the sample
+    mean c and a = alpha - c (a = mu = 0 for the mean objectives). Each sup
+    is a concave quadratic, so it is closed-form, and the bound holds for
+    any mu and any lam >= 0 past the curvature of phi. The multipliers here
+    solve the stationarity conditions, where strong duality (Gao &
+    Kleywegt 2016, arXiv:1604.02199) closes the bracket up to rounding.
+
+    The witness is made of the per-atom maximizers: the sample moved by
+    +-sqrt(delta) for the mean, a + (1 + r / s) d for the largest second
+    moment and a + max(1 - r / s, 0) d for the smallest, with s the sample
+    standard deviation and r^2 = delta - a^2; a point mass (s = 0) splits
+    into halves at a +- r. It is translated to mean a, then pulled toward
+    the sample translated to a until w2_squared prices it within delta.
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
     """
+    _, value, bound = _bracket(empirical, delta, objective, alpha)
+    return value, bound
+
+
+def _bracket(
+    empirical: DiscreteMeasure, delta: float, objective: str, alpha: float | None
+) -> tuple[DiscreteMeasure, float, float]:
+    """The witness measure of moment_range_search with its (value, bound)."""
     if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
+        raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}, got {objective!r}")
     check_radius(delta)
-    second = objective in ("max_second_moment", "min_second_moment")
+    second = objective.endswith("second_moment")
     if second and (alpha is None or not math.isfinite(alpha)):
         raise ValueError(f"{objective} requires a finite mean constraint alpha, got {alpha!r}")
-    sign = -1.0 if objective.startswith("min") else 1.0
-    search = _BallSearch(empirical, delta)
-    emp_mean = empirical.mean()
-
-    if second and abs(alpha - emp_mean) > math.sqrt(delta) + 1e-9:
+    x, w = empirical._sorted()
+    x, w = x[w > 0], w[w > 0]
+    # an atom of weight w moves up to sqrt(delta / w) inside the ball, and
+    # w2_squared squares each gap before weighting it
+    reach = float(x[-1]) - float(x[0]) + 2.0 * math.sqrt(delta / float(np.min(w)))
+    if not math.isfinite(reach * reach):
+        raise ValueError(_OVERFLOW)
+    # center twice, so that equal atoms get deviations of exactly zero
+    center = float(np.dot(w, x))
+    center += float(np.dot(w, x - center))
+    d = x - center
+    a = alpha - center if second else 0.0
+    if abs(a) > math.sqrt(delta) + 1e-9:
         raise ValueError("no feasible measure")
-
-    # Candidates: m atoms, at most six, inside [lo, hi]. Moving an atom of
-    # weight w by more than sqrt(delta / w) already exceeds the budget, so
-    # padding by the worst case over atoms contains every measure in the ball.
-    pad = math.sqrt(delta / float(np.min(search.we[search.we > 0]))) + 1e-6
-    lo, hi = float(search.xe[0]) - pad, float(search.xe[-1]) + pad
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("support interval must be finite with lo < hi")
-    m = min(len(empirical.atoms), 6)
-    first_step = (hi - lo) / (_GRID_POINTS - 1)
-
-    def repair(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # mean constraint is restored exactly by a common translation
-        if second:
-            return rows + (alpha - (w * rows).sum(axis=1))[:, None]
-        return rows
-
-    # Always-feasible anchor: the empirical measure itself, translated to
-    # meet the mean constraint when one is imposed (cost (alpha-mean)^2).
-    anchor_w = search.we
-    anchor_x = repair(search.xe[None, :], anchor_w)[0]
-    anchor_val = float(_objective(anchor_x, anchor_w, second))
-    best_x, best_w, best_val = anchor_x, anchor_w, anchor_val
-
-    if delta == 0.0:
-        return best_val
-
-    # Pass 1: uniform weights, atom positions on a common grid.
-    wu = np.full(m, 1.0 / m)
-    rows = repair(np.linspace(lo, hi, _GRID_POINTS)[_combinations(_GRID_POINTS, m)], wu)
-    vals = _objective(rows, wu, second)
-    k = _best_feasible(search, rows, wu, sign * vals, sign * best_val)
-    if k is not None:
-        best_x, best_w, best_val = rows[k], wu, float(vals[k])
-
-    # Pass 2: weight simplex grid (step 0.05) at the best atom positions.
-    # Skipped when pass 1 improved nothing: best_x is then the n-atom
-    # anchor, not an m-atom candidate, and n can exceed the simplex cap.
-    if m > 1 and len(best_x) == m:
-        weights = _simplex_grid(m, 20)
-        pos = repair(np.broadcast_to(np.sort(best_x), weights.shape), weights)
-        vals = _objective(pos, weights, second)
-        k = _best_feasible(search, pos, weights, sign * vals, sign * best_val)
-        if k is not None:
-            best_x, best_w, best_val = pos[k], weights[k], float(vals[k])
-
-    # Pass 3: local descent on positions, run from the best grid candidate
-    # and from the anchor. Single-atom moves alone cannot slide along the
-    # budget sphere (freeing budget temporarily lowers the objective), so
-    # the descent alternates pure phases: common translation to the budget
-    # boundary, common dilation about the mean, then single-atom moves.
-    def descend(x: np.ndarray, w: np.ndarray, best: float) -> float:
-        singles = np.concatenate([np.eye(len(x)), -np.eye(len(x))])
-
-        def translations(x: np.ndarray, step: float) -> np.ndarray:
-            return x + np.array([[step], [-step]])
-
-        def dilations(x: np.ndarray, step: float) -> np.ndarray:
-            center = alpha if second else float(np.dot(w, x))
-            return center + np.array([[1.0 + step], [max(1.0 - step, 0.0)]]) * (x - center)
-
-        def single_moves(x: np.ndarray, step: float) -> np.ndarray:
-            return x + step * singles
-
-        phases = (dilations, single_moves) if second else (translations, dilations, single_moves)
-        for _ in range(50):
-            improved_round = False
-            for moves in phases:
-                step = first_step
-                while step >= _STEP_TOL:
-                    cands = repair(moves(x, step), w)
-                    vals = _objective(cands, w, second)
-                    k = _best_feasible(search, cands, w, sign * vals, sign * best + 1e-15)
-                    if k is None:
-                        step *= 0.5
-                    else:
-                        x, best = cands[k], float(vals[k])
-                        improved_round = True
-            if not improved_round:
+    p, b = _OBJECTIVES[objective]
+    const = p * (alpha * alpha - a * a) if second else b * center
+    anchor = d + a
+    rr = delta - a * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        # delta = 0, or alpha on the ball's edge: only the sample translated
+        # to alpha is left, and that is the witness
+        u = anchor
+        if rr > 0.0:
+            r = math.sqrt(rr)
+            s = math.sqrt(float(np.dot(w, d * d)))
+            # k = lam - p > 0 is the curvature of each per-atom sup, and
+            # mu = -2 a k centers its maximizers u on a
+            if p == 0.0:
+                k = lam = 0.5 / r
+            elif p > 0.0:
+                k = max(s / r, math.ulp(0.0))
+                lam = k + 1.0
+            else:
+                k = max(s / r, 1.0)
+                lam = k - 1.0
+            u = a + (0.5 * b + lam * d) / k
+            # each sup, k u^2 - lam d^2, factored as k (u - d)(u + d) - p d^2
+            # so that no two terms of size lam d^2 cancel
+            sups = (k * a + 0.5 * b + p * d) * (u + d) - p * d * d
+            bound = const + lam * delta - 2.0 * k * a * a + float(np.dot(w, sups))
+            if p > 0.0 and s == 0.0:
+                # a point mass ties every position at lam = 1: split each
+                # atom into halves at a +- r
+                x, d, w = np.repeat(x, 2), np.repeat(d, 2), np.repeat(0.5 * w, 2)
+                anchor = d + a
+                u = anchor + r * np.resize((1.0, -1.0), len(d))
+            if second:
+                u = u + (a - float(np.dot(w, u)))
+        for back in _PULL if rr > 0.0 else (0.0,):
+            atoms = u + back * (anchor - u)
+            # priced as moves of the sample's own atoms, so a zero move costs 0
+            witness = DiscreteMeasure(tuple(x + (atoms - d)), tuple(w))
+            if w2_squared(witness, empirical) <= delta:
                 break
-        return best
-
-    out = descend(anchor_x, anchor_w, anchor_val)
-    if not np.array_equal(best_x, anchor_x) or not np.array_equal(best_w, anchor_w):
-        out2 = descend(best_x, best_w, best_val)
-        if sign * out2 > sign * out:
-            out = out2
-    return out
-
-
-@functools.cache
-def _combinations(points: int, m: int) -> np.ndarray:
-    """Index rows of every m-element multiset of range(points), sorted."""
-    idx = np.array(list(combinations_with_replacement(range(points), m)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.cache
-def _simplex_grid(m: int, parts: int) -> np.ndarray:
-    """All weight vectors with entries k/parts summing to one."""
-    rows = np.array([
-        np.bincount(combo, minlength=m) / parts
-        for combo in combinations_with_replacement(range(m), parts)
-    ])
-    rows.setflags(write=False)
-    return rows
+        value = const + float(np.dot(w, (p * atoms + b) * atoms))
+    bound = value if rr <= 0.0 else bound
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError(_OVERFLOW)
+    sign = -1.0 if objective.startswith("min") else 1.0
+    return witness, sign * value, sign * bound
 
 
 def min_cost_given_moments(

@@ -1,9 +1,12 @@
-"""Dual-route validation: closed forms against brute-force transport search.
+"""Dual-route validation: closed forms against transport-duality brackets.
 
 Every row pits an analytic quantity (mean endpoints, second-moment
 envelope, profile identities) against an independent oracle computation.
-Rows marked diagnostic report known-lossy expressions (the raw lower
-envelope, the profile-versus-primal scaling) and carry no pass verdict.
+The moment rows compare with moment_range_search's bracket: the closed
+form must match the witness value within tol and lie inside the bracket
+[value, bound] up to rounding. Rows marked diagnostic report known-lossy
+expressions (the raw lower envelope, the profile-versus-primal scaling)
+and carry no pass verdict.
 """
 from __future__ import annotations
 
@@ -30,6 +33,9 @@ from .profile import MomentTarget, gram_bound_check, moment_matrices, profile_ba
 
 DEFAULT_TOL = 1e-4
 DEFAULT_DELTAS = (0.01, 0.04, 0.25)
+# rounding room, relative to 1 + |analytic|, when a closed form is held
+# inside an oracle bracket
+BRACKET_SLACK = 1e-9
 
 _INTERIOR_FRACTIONS = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
@@ -39,6 +45,7 @@ class CheckRow:
     check: str
     analytic: float
     oracle: float
+    oracle_bound: float | None  # None on rows that are not brackets
     abs_err: float
     rel_err: float
     passed: bool | None  # None marks a diagnostic row
@@ -48,17 +55,23 @@ class CheckRow:
             "check": self.check,
             "analytic": self.analytic,
             "oracle": self.oracle,
+            "oracle_bound": self.oracle_bound,
             "abs_err": self.abs_err,
             "rel_err": self.rel_err,
             "pass": self.passed,
         }
 
 
-def _row(check: str, analytic: float, oracle: float, tol: float | None) -> CheckRow:
+def _row(check: str, analytic: float, oracle: float, bound: float | None, tol: float | None) -> CheckRow:
+    """A bracket row (bound given) passes only with the analytic value
+    inside [oracle, bound], up to BRACKET_SLACK."""
     abs_err = abs(analytic - oracle)
     rel_err = abs_err / (1.0 + abs(analytic))
     passed = None if tol is None else bool(rel_err <= tol)
-    return CheckRow(check, analytic, oracle, abs_err, rel_err, passed)
+    if passed and bound is not None:
+        slack = BRACKET_SLACK * (1.0 + abs(analytic))
+        passed = bool(min(oracle, bound) - slack <= analytic <= max(oracle, bound) + slack)
+    return CheckRow(check, analytic, oracle, bound, abs_err, rel_err, passed)
 
 
 def envelope_check_rows(
@@ -73,36 +86,22 @@ def envelope_check_rows(
     measure = DiscreteMeasure.from_samples(samples)
     lo, hi = alpha_range(summary, delta)
     rows = [
-        _row(
-            f"mean_max[{label},delta={delta:g}]",
-            hi,
-            moment_range_search(measure, delta, "max_mean"),
-            tol,
-        ),
-        _row(
-            f"mean_min[{label},delta={delta:g}]",
-            lo,
-            moment_range_search(measure, delta, "min_mean"),
-            tol,
-        ),
+        _row(f"mean_max[{label},delta={delta:g}]", hi,
+             *moment_range_search(measure, delta, "max_mean"), tol),
+        _row(f"mean_min[{label},delta={delta:g}]", lo,
+             *moment_range_search(measure, delta, "min_mean"), tol),
     ]
     root = math.sqrt(delta)
     for frac in _INTERIOR_FRACTIONS:
         alpha = summary.alpha_n + frac * root
         upper = beta_bounds(summary, delta, alpha)[1]
-        rows.append(
-            _row(
-                f"beta_upper[{label},delta={delta:g},t={frac:g}]",
-                upper,
-                moment_range_search(measure, delta, "max_second_moment", alpha=alpha),
-                tol,
-            )
-        )
+        rows.append(_row(f"beta_upper[{label},delta={delta:g},t={frac:g}]", upper,
+                         *moment_range_search(measure, delta, "max_second_moment", alpha), tol))
     # the printed lower envelope, which misses beta_n; beta_bounds gives the exact end
     alpha = summary.alpha_n
     raw = beta_lower_raw(summary, delta, alpha)
-    oracle_min = moment_range_search(measure, delta, "min_second_moment", alpha=alpha)
-    rows.append(_row(f"beta_lower_raw[{label},delta={delta:g}]", raw, oracle_min, None))
+    rows.append(_row(f"beta_lower_raw[{label},delta={delta:g}]", raw,
+                     *moment_range_search(measure, delta, "min_second_moment", alpha), None))
     return rows
 
 
@@ -119,7 +118,7 @@ def profile_check_rows(
     rows = []
 
     center = MomentTarget(alpha=tuple(alpha_n), sigma=tuple(map(tuple, sigma_n)))
-    rows.append(_row("profile_at_empirical", 0.0, robust_profile(center, summaries, n), tol))
+    rows.append(_row("profile_at_empirical", 0.0, robust_profile(center, summaries, n), None, tol))
 
     g = gram_bound_check(summaries)
     rows.append(
@@ -127,6 +126,7 @@ def profile_check_rows(
             check="gram_bound_below_one",
             analytic=1.0,
             oracle=g,
+            oracle_bound=None,
             abs_err=abs(1.0 - g),
             rel_err=abs(1.0 - g) / 2.0,
             passed=bool(g < 1.0),
@@ -141,7 +141,7 @@ def profile_check_rows(
     for k in range(2):
         sigma[:, k, k] = np.maximum(sigma[:, k, k], alpha[:, k] ** 2 + 0.05)
     worst = float(np.min(profile_batch(alpha, sigma, summaries, n)))
-    rows.append(_row("profile_nonnegative_min", 0.0, min(worst, 0.0), tol))
+    rows.append(_row("profile_nonnegative_min", 0.0, min(worst, 0.0), None, tol))
 
     # scaled-variant diagnostic: formula value vs the primal transport cost
     # of hitting the same per-side moments; bump mean and variance
@@ -161,7 +161,7 @@ def profile_check_rows(
         target.alpha[1],
         target.sigma[1][1],
     )
-    rows.append(_row("profile_vs_primal_cost", formula, primal, None))
+    rows.append(_row("profile_vs_primal_cost", formula, primal, None, None))
     return rows
 
 
@@ -169,11 +169,11 @@ def metric_check_rows(tol: float = DEFAULT_TOL) -> list[CheckRow]:
     """Closed-form transport distances the quantile coupling must hit."""
     a = DiscreteMeasure.from_points([0.0])
     b = DiscreteMeasure.from_points([3.0])
-    rows = [_row("w2_point_masses", 9.0, w2_squared(a, b), tol)]
+    rows = [_row("w2_point_masses", 9.0, w2_squared(a, b), None, tol)]
     p = DiscreteMeasure.from_points([0.0, 2.0])
     q = DiscreteMeasure.from_points([1.0, 3.0])
-    rows.append(_row("w2_shifted_pair", 1.0, w2_squared(p, q), tol))
-    rows.append(_row("w2_self", 0.0, w2_squared(p, p), tol))
+    rows.append(_row("w2_shifted_pair", 1.0, w2_squared(p, q), None, tol))
+    rows.append(_row("w2_self", 0.0, w2_squared(p, p), None, tol))
     return rows
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import robustmm.validation as validation
 from robustmm import SpreadDomain, build_policy, empirical_moments, read_sample_csv, solve_inner
 from robustmm.cli import _atomic_write, main
 from robustmm.config import ConfigError, parse_config
@@ -135,6 +136,10 @@ def test_validate_passes_and_prints_table(tmp_path, capsys):
     assert rows
     verdicts = [r["pass"] for r in rows if r["pass"] is not None]
     assert verdicts and all(verdicts)
+    # the moment rows carry their oracle bracket's bound, the others null
+    for r in rows:
+        bracket = r["check"].startswith(("mean_", "beta_"))
+        assert (r["oracle_bound"] is not None) == bracket, r["check"]
 
 
 def test_validate_failure_exit_code(tmp_path):
@@ -144,6 +149,25 @@ def test_validate_failure_exit_code(tmp_path):
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     assert run("validate", cfg, tmp_path / "out") == 5
+
+
+def test_validate_catches_an_error_inside_tol(tmp_path, monkeypatch):
+    # an upper envelope 1e-6 relative too high is inside validate.tol = 1e-4
+    # but outside the oracle bracket, so the gate fails
+    exact = validation.beta_bounds
+
+    def planted(summary, delta, alpha):
+        lower, upper = exact(summary, delta, alpha)
+        return lower, upper * (1.0 + 1e-6)
+
+    monkeypatch.setattr(validation, "beta_bounds", planted)
+    out = tmp_path / "out"
+    assert run("validate", FIXTURES / "validate.cfg", out) == 5
+    rows = {r["check"]: r for r in json.loads((out / "validation.json").read_text())}
+    row = rows["beta_upper[buy,delta=0.01,t=0]"]
+    assert row["rel_err"] <= 1e-4 and row["pass"] is False
+    assert row["analytic"] > row["oracle_bound"]
+    assert all(r["pass"] for name, r in rows.items() if name.startswith("mean_"))
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):

@@ -17,7 +17,8 @@ from robustmm import (
     theorem_beta_envelope,
     w2_squared,
 )
-from robustmm.oracle import _BallSearch, _simplex_grid
+from robustmm.oracle import _bracket
+from robustmm.validation import BRACKET_SLACK
 
 from helpers import product_w2_squared, w2_distance
 
@@ -92,11 +93,6 @@ def test_w2_triangle_inequality():
         assert w2_distance(p, r) <= w2_distance(p, q) + w2_distance(q, r) + 1e-12
 
 
-def kernel_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Squared W2 through the search kernel: p as one row, priced against q."""
-    return float(_BallSearch(q, 0.0).cost_batch(np.array([p.atoms]), np.array(p.weights))[0])
-
-
 def test_w2_matches_transport_lp():
     # rand_measure atoms are unsorted and carry unequal weights
     rng = np.random.default_rng(7)
@@ -105,9 +101,6 @@ def test_w2_matches_transport_lp():
         ours = w2_squared(p, q)
         lp = lp_w2_squared(p, q)
         assert ours == pytest.approx(lp, rel=1e-8, abs=1e-10)
-        kernel = kernel_w2_squared(p, q)
-        assert abs(kernel - ours) <= 1e-12
-        assert kernel == pytest.approx(lp, rel=1e-8, abs=1e-10)
 
 
 def test_w2_unequal_weight_partition():
@@ -115,50 +108,16 @@ def test_w2_unequal_weight_partition():
     p = DiscreteMeasure((0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0))
     q = DiscreteMeasure((0.0, 1.0), (0.5, 0.5))
     assert w2_squared(p, q) == pytest.approx(lp_w2_squared(p, q), rel=1e-10)
-    for a, b in ((p, q), (q, p)):
-        assert abs(kernel_w2_squared(a, b) - w2_squared(a, b)) <= 1e-12
-
-
-def test_cost_batch_rows_match_w2():
-    # several rows per call: unsorted rows under one shared weight vector,
-    # and per-row simplex weights that include zeros
-    rng = np.random.default_rng(11)
-    emp = rand_measure(rng, max_atoms=6)
-    search = _BallSearch(emp, 0.0)
-    shared = np.array([0.1, 0.4, 0.2, 0.3])
-    rows = rng.uniform(-2.0, 2.0, size=(7, 4))
-    weights = _simplex_grid(4, 4)
-    per_row = rng.uniform(-2.0, 2.0, size=(len(weights), 4))
-    for rs, ws in ((rows, shared), (per_row, weights)):
-        costs = search.cost_batch(rs, ws)
-        assert costs.shape == (len(rs),)
-        for k, (r, c) in enumerate(zip(rs, costs)):
-            cand = DiscreteMeasure(tuple(r), tuple(np.broadcast_to(ws, rs.shape)[k]))
-            assert abs(c - w2_squared(cand, emp)) <= 1e-12
-            if k % 7 == 0:
-                assert c == pytest.approx(lp_w2_squared(cand, emp), rel=1e-8, abs=1e-10)
 
 
 def atomic_measures():
-    """1 to 6 atoms in [-3, 3], weights from small counts (zeros and ties included)."""
+    """1 to 8 atoms in [-3, 3], weights from small counts (zeros and ties included)."""
     def build(k):
         return st.tuples(
             st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k),
             st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(lambda c: sum(c) > 0),
         ).map(lambda aw: DiscreteMeasure(tuple(aw[0]), tuple(c / sum(aw[1]) for c in aw[1])))
-    return st.integers(1, 6).flatmap(build)
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=atomic_measures(), q=atomic_measures(), data=st.data())
-def test_cost_batch_properties(p, q, data):
-    perm = data.draw(st.permutations(range(len(p.atoms))))
-    x = np.array(p.atoms)
-    w = np.array(p.weights)
-    cost, permuted = _BallSearch(q, 0.0).cost_batch(np.stack([x, x[perm]]), np.stack([w, w[perm]]))
-    assert cost >= -1e-14
-    assert permuted == pytest.approx(cost, abs=1e-14)
-    assert abs(cost - w2_squared(p, q)) <= 1e-12
+    return st.integers(1, 8).flatmap(build)
 
 
 def test_product_w2_is_sum_of_marginals():
@@ -182,9 +141,9 @@ def test_max_mean_two_symmetric_atoms():
     # budget 0.25 lets both atoms translate by 0.5 exactly
     emp = DiscreteMeasure((-1.0, 1.0), (0.5, 0.5))
     best = moment_range_search(emp, 0.25, "max_mean")
-    assert best == pytest.approx(0.5, rel=1e-6, abs=1e-7)
+    assert best == pytest.approx((0.5, 0.5), rel=1e-6, abs=1e-7)
     worst = moment_range_search(emp, 0.25, "min_mean")
-    assert worst == pytest.approx(-0.5, rel=1e-6, abs=1e-7)
+    assert worst == pytest.approx((-0.5, -0.5), rel=1e-6, abs=1e-7)
 
 
 def test_max_second_moment_matches_envelope_at_center():
@@ -193,15 +152,19 @@ def test_max_second_moment_matches_envelope_at_center():
     got = moment_range_search(emp, 0.25, "max_second_moment", alpha=0.0)
     want = theorem_beta_envelope(s, 0.25, 0.0)
     assert want == pytest.approx(2.25, rel=1e-15)
-    assert got == pytest.approx(want, rel=1e-4)
+    assert got == pytest.approx((want, want), rel=1e-4)
 
 
 def test_search_at_zero_radius_returns_empirical():
+    # both ends of every bracket are the sample moment
     emp = DiscreteMeasure((0.3, 0.9, 1.2), (0.25, 0.5, 0.25))
-    assert moment_range_search(emp, 0.0, "max_mean") == pytest.approx(emp.mean(), abs=1e-15)
-    assert moment_range_search(emp, 0.0, "min_second_moment",
-                               alpha=emp.mean()) == pytest.approx(
-        emp.second_moment(), abs=1e-15)
+    for objective in ("max_mean", "min_mean"):
+        mean = emp.mean()
+        assert moment_range_search(emp, 0.0, objective) == pytest.approx((mean, mean), abs=1e-15)
+    for objective in ("max_second_moment", "min_second_moment"):
+        second = emp.second_moment()
+        assert moment_range_search(emp, 0.0, objective, alpha=emp.mean()) == pytest.approx(
+            (second, second), abs=1e-15)
 
 
 def test_search_rejects_unreachable_alpha():
@@ -231,8 +194,8 @@ def test_mean_endpoints_against_closed_form():
         emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.01, 0.3))
-        hi = moment_range_search(emp, delta, "max_mean")
-        lo = moment_range_search(emp, delta, "min_mean")
+        hi, _ = moment_range_search(emp, delta, "max_mean")
+        lo, _ = moment_range_search(emp, delta, "min_mean")
         root = np.sqrt(delta)
         assert hi == pytest.approx(s.alpha_n + root, rel=1e-5)
         assert lo == pytest.approx(s.alpha_n - root, rel=1e-5)
@@ -247,24 +210,25 @@ def test_envelope_against_oracle_random():
         delta = float(rng.uniform(0.02, 0.3))
         frac = float(rng.uniform(-0.8, 0.8))
         alpha = s.alpha_n + frac * np.sqrt(delta)
-        got = moment_range_search(emp, delta, "max_second_moment", alpha=float(alpha))
+        got, _ = moment_range_search(emp, delta, "max_second_moment", alpha=float(alpha))
         want = theorem_beta_envelope(s, delta, float(alpha))
         assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_searches_at_the_six_atom_cap():
-    # six samples give six-atom candidates, the largest the searches take
+    # six samples, the most a brute-force search here could afford; the
+    # bracket has no cap (test_bracket_has_no_atom_cap)
     vals = (0.31, 0.55, 0.62, 0.9, 1.17, 1.4)
     emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
     s = empirical_moments(SampleSet("buy", vals))
     delta = 0.04
     lo, hi = alpha_range(s, delta)
-    assert moment_range_search(emp, delta, "max_mean") == pytest.approx(hi, rel=1e-6)
-    assert moment_range_search(emp, delta, "min_mean") == pytest.approx(lo, rel=1e-6)
+    assert moment_range_search(emp, delta, "max_mean") == pytest.approx((hi, hi), rel=1e-6)
+    assert moment_range_search(emp, delta, "min_mean") == pytest.approx((lo, lo), rel=1e-6)
     alpha = s.alpha_n + 0.4 * math.sqrt(delta)
     beta = theorem_beta_envelope(s, delta, alpha)
     got = moment_range_search(emp, delta, "max_second_moment", alpha=alpha)
-    assert got == pytest.approx(beta, rel=1e-6)
+    assert got == pytest.approx((beta, beta), rel=1e-6)
     # the envelope is the budget boundary, so reaching it costs delta
     assert min_cost_given_moments(emp, alpha, beta) == pytest.approx(delta, rel=1e-6)
 
@@ -351,9 +315,9 @@ def test_search_rejects_non_finite_radius(delta):
 
 
 def test_search_rejects_overflowing_support():
-    # a finite budget can still pad the candidate interval past the float range
+    # a finite budget can still move an atom past where its squared gap is finite
     emp = DiscreteMeasure.from_points([0.0, 1.0])
-    with pytest.raises(ValueError, match="support interval must be finite"):
+    with pytest.raises(ValueError, match="leaves the float range"):
         moment_range_search(emp, 1e308, "max_mean")
 
 
@@ -371,5 +335,116 @@ def test_beta_lower_end_matches_oracle():
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.02, 0.5))
         alpha = s.alpha_n + float(rng.uniform(-0.8, 0.8)) * math.sqrt(delta)
-        got = moment_range_search(emp, delta, "min_second_moment", alpha=alpha)
+        got, _ = moment_range_search(emp, delta, "min_second_moment", alpha=alpha)
         assert beta_bounds(s, delta, alpha)[0] == pytest.approx(got, rel=1e-8, abs=1e-10)
+
+
+OBJECTIVES = ("max_mean", "min_mean", "max_second_moment", "min_second_moment")
+
+
+def moment_of(measure: DiscreteMeasure, objective: str) -> float:
+    return measure.second_moment() if objective.endswith("second_moment") else measure.mean()
+
+
+def pulled_into_ball(sample: DiscreteMeasure, far: DiscreteMeasure, delta: float, alpha):
+    """far translated to mean alpha (when given), then mixed with the sample
+    translated the same way, its mixture weight bisected until w2_squared
+    prices the mixture within delta. The cost is convex in the weight and
+    the translated sample costs (alpha - mean)^2 <= delta."""
+    def at_alpha(m):
+        shift = 0.0 if alpha is None else alpha - m.mean()
+        return DiscreteMeasure(tuple(np.asarray(m.atoms) + shift), m.weights)
+
+    near, far = at_alpha(sample), at_alpha(far)
+
+    def mix(t):
+        return DiscreteMeasure(near.atoms + far.atoms,
+                               tuple((1.0 - t) * np.asarray(near.weights)) + tuple(t * np.asarray(far.weights)))
+
+    lo, hi = 0.0, 1.0
+    if w2_squared(mix(hi), sample) <= delta:
+        return mix(hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if w2_squared(mix(mid), sample) <= delta:
+            lo = mid
+        else:
+            hi = mid
+    return mix(lo)
+
+
+def assert_beyond(objective: str, inner: float, outer: float) -> None:
+    """inner is not past outer in the objective's direction, up to the bracket slack."""
+    slack = BRACKET_SLACK * (1.0 + abs(outer))
+    if objective.startswith("max"):
+        assert inner <= outer + slack
+    else:
+        assert inner >= outer - slack
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@settings(max_examples=75, deadline=None)
+@given(sample=atomic_measures(), far=atomic_measures(), delta=st.floats(1e-3, 1.0),
+       frac=st.floats(-0.9, 0.9))
+def test_no_measure_in_the_ball_beats_the_bound(objective, sample, far, delta, frac):
+    # the third route: random 1-8 atom measures pulled into the ball never
+    # pass the dual bound, and the witness is itself inside the ball
+    alpha = sample.mean() + frac * math.sqrt(delta) if objective.endswith("second_moment") else None
+    witness, value, bound = _bracket(sample, delta, objective, alpha)
+    assert w2_squared(witness, sample) <= delta
+    assert moment_of(witness, objective) == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert_beyond(objective, value, bound)
+    inside = pulled_into_ball(sample, far, delta, alpha)
+    assert w2_squared(inside, sample) <= delta
+    assert_beyond(objective, moment_of(inside, objective), bound)
+
+
+@pytest.mark.parametrize("points", [[0.7], [0.7, 0.7, 0.7]], ids=["one-atom", "all-equal"])
+def test_point_mass_meets_its_bound(points):
+    # sd 0: the largest second moment splits the atom into halves at
+    # alpha +- r, r^2 = delta - (alpha - 0.7)^2, and reaches the bound
+    emp = DiscreteMeasure.from_points(points)
+    delta, alpha = 0.04, 0.75
+    want = {"max_mean": 0.9, "min_mean": 0.5,
+            "max_second_moment": alpha**2 + delta - 0.05**2, "min_second_moment": alpha**2}
+    for objective, moment in want.items():
+        a = alpha if objective.endswith("second_moment") else None
+        witness, value, bound = _bracket(emp, delta, objective, a)
+        assert w2_squared(witness, emp) <= delta
+        assert (value, bound) == pytest.approx((moment, moment), rel=1e-12)
+    witness, _, _ = _bracket(emp, delta, "max_second_moment", alpha)
+    assert len(witness.atoms) == 2 * len(points)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-20, 1e-6, 1e6, 1e100])
+def test_bracket_at_extreme_radii(delta):
+    # tiny and huge finite radii give finite, ordered brackets; a numpy
+    # warning on the way would fail the test
+    emp = DiscreteMeasure.from_points([0.3, 0.9, 1.2])
+    s = empirical_moments(SampleSet("buy", (0.3, 0.9, 1.2)))
+    alpha = s.alpha_n + 0.5 * math.sqrt(delta)
+    for objective in OBJECTIVES:
+        a = alpha if objective.endswith("second_moment") else None
+        witness, value, bound = _bracket(emp, delta, objective, a)
+        assert math.isfinite(value) and math.isfinite(bound)
+        assert_beyond(objective, value, bound)
+        # at 1e-300 alpha rounds to an ulp off the sample mean, outside the
+        # ball; that close it counts as on the edge, where the witness is
+        # the translated sample
+        assert w2_squared(witness, emp) <= max(delta, 1e-30)
+
+
+def test_bracket_has_no_atom_cap():
+    # 40 samples: every closed form inside a bracket of width at rounding level
+    vals = tuple(np.random.default_rng(17).uniform(0.1, 2.0, size=40))
+    emp = DiscreteMeasure.from_samples(SampleSet("sell", vals))
+    s = empirical_moments(SampleSet("sell", vals))
+    delta = 0.09
+    alpha = s.alpha_n - 0.5 * math.sqrt(delta)
+    lo, hi = beta_bounds(s, delta, alpha)
+    want = {"max_mean": s.alpha_n + 0.3, "min_mean": s.alpha_n - 0.3,
+            "max_second_moment": hi, "min_second_moment": lo}
+    for objective, moment in want.items():
+        a = alpha if objective.endswith("second_moment") else None
+        assert moment_range_search(emp, delta, objective, a) == pytest.approx(
+            (moment, moment), rel=1e-14)

@@ -6,6 +6,8 @@ import types
 from pathlib import Path
 
 import robustmm
+import robustmm.oracle
+import robustmm.validation
 
 
 def test_public_names_resolve_and_none_is_a_module():
@@ -23,6 +25,11 @@ def test_benchmark_doors_resolve():
     assert spans.WRAPPED
     for module, attr in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_door_to_the_oracle_is_the_oracle():
+    # the benchmark counts oracle searches at robustmm.validation's door
+    assert robustmm.validation.moment_range_search is robustmm.oracle.moment_range_search
 
 
 def test_benchmark_reads_solve_inner_by_position_and_field():
