@@ -50,7 +50,6 @@ _KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | {
 
 @dataclass(frozen=True)
 class RunConfig:
-    source: Path
     raw: dict[str, str]
     samples_buy: Path | None
     samples_sell: Path | None
@@ -226,7 +225,6 @@ def parse_config(path: str | Path) -> RunConfig:
         out_dir = base / out_dir
 
     return RunConfig(
-        source=path,
         raw=dict(raw),
         samples_buy=samples_buy,
         samples_sell=samples_sell,

@@ -13,8 +13,16 @@ D = Sigma_n - Sigma*, the profile value is
 
 where g = alpha_n' P alpha_n < 1 and the expectation is over independent
 pairs drawn from the empirical product measure, which reduces to
-tr(P D^2 P Sigma_n) = tr(D^2 P). The radius rule inverts the confidence
-condition R <= 2 delta^2 at a bootstrap quantile of the profile.
+tr(P D^2 P Sigma_n) = tr(D^2 P). The five terms are two squares:
+
+    R = (|v|^2 / (1 - g) + 3 tr(D^2 P)) / (4 n),  v = alpha* - alpha_n + D P alpha_n.
+
+D and P are symmetric, so alpha_n' P D^2 P alpha_n = |D P alpha_n|^2 and the
+first three terms expand |v|^2; tr(D P D) = tr(D^2 P) by the cyclic rule and
+P Sigma_n = I, so the last two are 2 + 1 copies of tr(D^2 P) / (4 n).
+
+The radius rule inverts the confidence condition R <= 2 delta^2 at a
+bootstrap quantile of the profile.
 """
 from __future__ import annotations
 
@@ -27,8 +35,9 @@ from .moments import EmpiricalSummary, SampleSet, empirical_moments
 
 _DET_TOL = 1e-12
 DEFAULT_RESAMPLES = 500
-# each round holds about five n-long float arrays: 240 MB at the cap for n = 300
 _RESAMPLES_MAX = 20_000
+# bootstrap values drawn per block: about 24 MB live, whatever the rounds or n
+_CHUNK = 1 << 20
 
 
 def _check_targets(alpha: np.ndarray, sigma: np.ndarray) -> None:
@@ -114,15 +123,9 @@ def profile_batch(alpha: np.ndarray, sigma: np.ndarray,
     _check_targets(alpha, sigma)
     alpha_n, sigma_n, p, g = _gram(summaries)
     d = sigma_n - sigma
-    da = alpha - alpha_n
-    dpa = d @ (p @ alpha_n)
-    denom4 = 4.0 * n * (1.0 - g)
-    t1 = np.einsum("ki,ki->k", da, da) / denom4
-    t2 = np.einsum("ki,ki->k", dpa, dpa) / denom4
-    t3 = np.einsum("ki,ki->k", dpa, da) / (2.0 * n * (1.0 - g))
-    t4 = np.trace(d @ p @ d, axis1=1, axis2=2) / (2.0 * n)
-    t5 = np.trace(p @ d @ d @ p @ sigma_n, axis1=1, axis2=2) / (4.0 * n)
-    return t1 + t2 + t3 + t4 + t5
+    v = alpha - alpha_n + d @ (p @ alpha_n)
+    trace = np.einsum("kij,ji->k", d @ d, p)
+    return (np.einsum("ki,ki->k", v, v) / (1.0 - g) + 3.0 * trace) / (4.0 * n)
 
 
 def robust_profile(target: MomentTarget,
@@ -151,21 +154,6 @@ def check_resamples(resamples: int) -> None:
         raise ValueError(f"resamples must be between 100 and {_RESAMPLES_MAX}, got {resamples}")
 
 
-def check_radius_samples(
-    samples_plus: SampleSet, samples_minus: SampleSet
-) -> tuple[EmpiricalSummary, EmpiricalSummary]:
-    """The radius rule needs equal sample sizes, at least two a side, a
-    nonsingular empirical second-moment matrix and g < 1; returns the summaries."""
-    if samples_plus.n != samples_minus.n:
-        raise ValueError(f"sample sizes must match across sides, got {samples_plus.n} buy "
-                         f"and {samples_minus.n} sell")
-    if samples_plus.n < 2:
-        raise ValueError("need at least two samples per side")
-    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    gram_bound_check(summaries)  # raises on a degenerate covariance or g >= 1
-    return summaries
-
-
 def select_radius(
     samples_plus: SampleSet,
     samples_minus: SampleSet,
@@ -176,35 +164,42 @@ def select_radius(
     """Pick the smallest radius whose confidence condition R <= 2 delta^2
     holds at bootstrap level 1 - chi.
 
-    Each round resamples n points per side with replacement, forms that
-    round's moment target, and evaluates the profile against the original
-    summaries; delta_hat inverts the (1 - chi) empirical quantile. The
-    quantile uses the "higher" order statistic: deterministic and
-    conservative for coverage.
+    Needs equal sample sizes, at least two a side, a nonsingular empirical
+    second-moment matrix and g < 1. Each round resamples n points per side
+    with replacement, forms that round's moment target, and evaluates the
+    profile against the original summaries; delta_hat inverts the (1 - chi)
+    empirical quantile. The quantile uses the "higher" order statistic:
+    deterministic and conservative for coverage. The buy side's rounds are
+    drawn first, then the sell side's, a block of rows at a time; the
+    generator yields the same stream as one (resamples, n) draw per side.
     """
     check_chi(chi)
     check_resamples(resamples)
-    summaries = check_radius_samples(samples_plus, samples_minus)
     n = samples_plus.n
+    if n != samples_minus.n:
+        raise ValueError(f"sample sizes must match across sides, got {n} buy "
+                         f"and {samples_minus.n} sell")
+    if n < 2:
+        raise ValueError("need at least two samples per side")
+    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
+    gram_bound_check(summaries)  # raises on a degenerate covariance or g >= 1
 
     rng = np.random.default_rng(rng_seed)
-    xp = samples_plus.as_array()
-    xm = samples_minus.as_array()
-    idx_p = rng.integers(0, n, size=(resamples, n))
-    idx_m = rng.integers(0, n, size=(resamples, n))
-    vp = xp[idx_p]
-    vm = xm[idx_m]
-    ap = vp.mean(axis=1)
-    am = vm.mean(axis=1)
-    bp = (vp * vp).mean(axis=1)
-    bm = (vm * vm).mean(axis=1)
+    rows = max(1, _CHUNK // n)
+    means, seconds = np.empty((2, resamples)), np.empty((2, resamples))
+    for side, samples in enumerate((samples_plus, samples_minus)):
+        x = samples.as_array()
+        for start in range(0, resamples, rows):
+            block = x[rng.integers(0, n, size=(min(rows, resamples - start), n))]
+            means[side, start:start + len(block)] = block.mean(axis=1)
+            seconds[side, start:start + len(block)] = (block * block).mean(axis=1)
 
     # one product-measure target per round, as in MomentTarget.from_moments
-    cross = ap * am
-    sigma = np.stack([bp, cross, cross, bm], axis=1).reshape(-1, 2, 2)
-    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries, n)
+    cross = means[0] * means[1]
+    sigma = np.stack([seconds[0], cross, cross, seconds[1]], axis=1).reshape(-1, 2, 2)
+    values = profile_batch(means.T, sigma, summaries, n)
     q = float(np.quantile(values, 1.0 - chi, method="higher"))
-    q = max(q, 0.0)
+    q = max(q, 0.0)  # the trace term can round below zero
     return RadiusSelection(
         chi=chi,
         delta_hat=math.sqrt(q / 2.0),

@@ -164,8 +164,6 @@ class ShiftRow:
 class ShiftReport:
     rows: tuple[ShiftRow, ...]
     episodes: int
-    seed: int
-    shift: ShiftSpec
 
 
 def check_episodes(episodes: int) -> None:
@@ -220,4 +218,4 @@ def shift_experiment(
                 concave_certificate=solution.concave_certificate,
             )
         )
-    return ShiftReport(rows=tuple(rows), episodes=episodes, seed=rng_seed, shift=shift)
+    return ShiftReport(rows=tuple(rows), episodes=episodes)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from robustmm import (
     robust_profile,
     select_radius,
 )
-from robustmm.profile import profile_batch
+import robustmm.profile
+from robustmm.moments import read_sample_csv
+from robustmm.profile import RadiusSelection, profile_batch
 
 from helpers import pair_average_quadratic, robust_profile_scalar
 
@@ -191,3 +195,38 @@ def test_select_radius_input_validation():
     short = SampleSet("sell", tuple(np.asarray(sell.values)[:-1]))
     with pytest.raises(ValueError):
         select_radius(buy, short, chi=0.1)
+
+
+def test_bootstrap_chunks_keep_the_stream(monkeypatch):
+    fixtures = Path(__file__).parent / "fixtures"
+    buy = read_sample_csv(fixtures / "buy.csv", "buy")
+    sell = read_sample_csv(fixtures / "sell.csv", "sell")
+    n, resamples, seed = buy.n, 200, 7
+    whole = select_radius(buy, sell, chi=0.1, resamples=resamples, rng_seed=seed)
+    # 7 rounds a block: 29 blocks per side, the last one short
+    monkeypatch.setattr(robustmm.profile, "_CHUNK", 7 * n + 3)
+    assert select_radius(buy, sell, chi=0.1, resamples=resamples, rng_seed=seed) == whole
+
+    rng = np.random.default_rng(seed)
+    draws = [s.as_array()[rng.integers(0, n, size=(resamples, n))] for s in (buy, sell)]
+    (ap, bp), (am, bm) = [(v.mean(axis=1), (v * v).mean(axis=1)) for v in draws]
+    sigma = np.stack([bp, ap * am, ap * am, bm], axis=1).reshape(-1, 2, 2)
+    summaries = (empirical_moments(buy), empirical_moments(sell))
+    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries, n)
+    q = max(float(np.quantile(values, 0.9, method="higher")), 0.0)
+    assert whole == RadiusSelection(chi=0.1, delta_hat=math.sqrt(q / 2.0),
+                                    resamples=resamples, profile_quantile=q)
+
+
+def test_bootstrap_memory_is_bounded():
+    # one draw of every round at once would hold about 400 MB here
+    rng = np.random.default_rng(30)
+    buy = SampleSet("buy", tuple(rng.uniform(0.2, 1.8, size=20_000)))
+    sell = SampleSet("sell", tuple(rng.uniform(0.2, 1.8, size=20_000)))
+    tracemalloc.start()
+    try:
+        select_radius(buy, sell, chi=0.1, resamples=500, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
