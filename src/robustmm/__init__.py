@@ -51,7 +51,6 @@ from .profile import (
 )
 from .simulator import (
     MetaDistribution,
-    ShiftReport,
     ShiftRow,
     ShiftSpec,
     shift_experiment,
@@ -74,6 +73,6 @@ __all__ = [
     "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices", "robust_profile",
     "select_radius",
     # simulator
-    "MetaDistribution", "ShiftReport", "ShiftRow", "ShiftSpec", "shift_experiment",
+    "MetaDistribution", "ShiftRow", "ShiftSpec", "shift_experiment",
     "simulate_batch",
 ]

@@ -160,7 +160,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     samples = _load_samples(cfg)
     model = cfg.require_model()
     domain = cfg.require_domain()
-    report = shift_experiment(
+    rows = shift_experiment(
         samples,
         model,
         domain,
@@ -170,14 +170,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
         rng_seed=cfg.seed,
     )
     lines = ["delta,mean_objective,std_err,p10_objective,concave_certificate"]
-    for row in report.rows:
+    for row in rows:
         cert = "true" if row.concave_certificate else "false"
         lines.append(
             f"{row.delta!r},{row.mean_objective!r},{row.std_err!r},{row.p10_objective!r},{cert}"
         )
     _atomic_write(cfg.out_dir / "shift.csv", "\n".join(lines) + "\n")
     _write_manifest(cfg, "simulate")
-    print(f"simulate: {len(report.rows)} radii x {report.episodes} episodes -> {cfg.out_dir}")
+    print(f"simulate: {len(rows)} radii x {cfg.episodes} episodes -> {cfg.out_dir}")
     return 0
 
 

@@ -211,8 +211,8 @@ def parse_config(path: str | Path) -> RunConfig:
     _keyed("simulate.", check_episodes, episodes)
     sim_deltas = _parse_radii(raw, "simulate.deltas", (0.0, 0.01, 0.04))
     # keys left out take ShiftSpec's defaults
-    shift = ShiftSpec(**{field: _parse_float(raw, key) for field, key in _SHIFT_KEYS.items()
-                         if key in raw})
+    shift = _keyed("simulate.shift_", ShiftSpec, **{
+        field: _parse_float(raw, key) for field, key in _SHIFT_KEYS.items() if key in raw})
 
     validate_deltas = _parse_radii(raw, "validate.deltas", DEFAULT_DELTAS)
     validate_tol = _parse_float(raw, "validate.tol", DEFAULT_TOL)

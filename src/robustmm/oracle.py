@@ -159,8 +159,12 @@ def _bracket(
     center += float(np.dot(w, x - center))
     d = x - center
     a = alpha - center if second else 0.0
-    if abs(a) > math.sqrt(delta) + 1e-9:
+    # alpha and center carry rounding relative to the mean: within that
+    # slack alpha counts as on the ball's edge
+    edge = math.sqrt(delta)
+    if abs(a) > edge + 1e-12 * (1.0 + abs(center)):
         raise ValueError("no feasible measure")
+    a = min(max(a, -edge), edge)
     p, b = _OBJECTIVES[objective]
     const = p * (alpha * alpha - a * a) if second else b * center
     anchor = d + a

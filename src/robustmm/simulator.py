@@ -1,10 +1,11 @@
-"""Single-period episode simulation under sampled spreads and order flow.
+"""Single-period episode simulation on each side's own sample, shifted.
 
-An episode draws a spread pair from the policy, then innovations from
-the meta-distributions; fills are dN = h(eps) * innovation + f(eps).
-Cash collects (S + eps+) dN+ - (S - eps-) dN-, inventory moves to
-Q + dN+ - dN-, and the realized objective is cash minus eta times the
-squared terminal inventory, computed exactly from the episode fields.
+An episode draws a spread pair from the policy, then one innovation per
+side from the uniform law on that side's shifted sample; fills are
+dN = h(eps) * innovation + f(eps). Cash collects (S + eps+) dN+ -
+(S - eps-) dN-, inventory moves to Q + dN+ - dN-, and the realized
+objective is cash minus eta times the squared terminal inventory,
+computed exactly from the episode fields.
 """
 from __future__ import annotations
 
@@ -23,79 +24,24 @@ from .policy import (
     solve_inner,
 )
 
-_KINDS = ("gaussian", "two_point", "empirical")
 # a batch holds about ten episode-long arrays of 8-byte values: 240 MB at the cap
 _EPISODES_MAX = 3_000_000
 
 
 @dataclass(frozen=True)
 class MetaDistribution:
-    """Law of one side's innovation; the simulator's ground truth."""
+    """Law of one side's innovation, the simulator's ground truth: the
+    uniform law on atoms."""
 
-    kind: str
-    params: tuple[float, ...] = ()
-    atoms: tuple[float, ...] | None = None
+    atoms: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        params = tuple(float(p) for p in self.params)
-        if self.kind == "gaussian":
-            if len(params) != 2 or params[1] < 0:
-                raise ValueError("gaussian takes (mean, sd) with sd >= 0")
-        elif self.kind == "two_point":
-            if len(params) != 3 or not (0.0 <= params[2] <= 1.0):
-                raise ValueError("two_point takes (x1, x2, p) with p in [0, 1]")
-        else:
-            if self.atoms is None or len(self.atoms) == 0:
-                raise ValueError("empirical law needs atoms")
-            object.__setattr__(self, "atoms", tuple(float(a) for a in self.atoms))
-        if not all(math.isfinite(p) for p in params):
-            raise ValueError("parameters must be finite")
-        object.__setattr__(self, "params", params)
-
-    @classmethod
-    def gaussian(cls, mean: float, sd: float) -> "MetaDistribution":
-        return cls(kind="gaussian", params=(mean, sd))
-
-    @classmethod
-    def two_point(cls, x1: float, x2: float, p: float) -> "MetaDistribution":
-        return cls(kind="two_point", params=(x1, x2, p))
-
-    @classmethod
-    def empirical(cls, samples: SampleSet) -> "MetaDistribution":
-        return cls(kind="empirical", atoms=samples.values)
+        if len(self.atoms) == 0:
+            raise ValueError("empirical law needs atoms")
+        object.__setattr__(self, "atoms", tuple(float(a) for a in self.atoms))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            mean, sd = self.params
-            return rng.normal(mean, sd, size=size)
-        if self.kind == "two_point":
-            x1, x2, p = self.params
-            return np.where(rng.random(size) < p, x1, x2)
         return rng.choice(np.asarray(self.atoms), size=size, replace=True)
-
-    def moments(self) -> tuple[float, float]:
-        """Exact (mean, second moment) of the law."""
-        if self.kind == "gaussian":
-            mean, sd = self.params
-            return mean, mean * mean + sd * sd
-        if self.kind == "two_point":
-            x1, x2, p = self.params
-            return p * x1 + (1 - p) * x2, p * x1 * x1 + (1 - p) * x2 * x2
-        x = np.asarray(self.atoms)
-        return float(np.mean(x)), float(np.mean(x * x))
-
-    def affine(self, shift: float, scale: float) -> "MetaDistribution":
-        """Pushforward under x -> shift + scale * x."""
-        if self.kind == "gaussian":
-            mean, sd = self.params
-            return MetaDistribution.gaussian(shift + scale * mean, abs(scale) * sd)
-        if self.kind == "two_point":
-            x1, x2, p = self.params
-            return MetaDistribution.two_point(shift + scale * x1, shift + scale * x2, p)
-        atoms = tuple(shift + scale * a for a in self.atoms)
-        return MetaDistribution(kind="empirical", atoms=atoms)
 
 
 @dataclass(frozen=True)
@@ -108,19 +54,23 @@ class ShiftSpec:
     mean_shift_minus: float = 0.0
     sd_scale_minus: float = 1.0
 
-    @staticmethod
-    def _distort(meta: MetaDistribution, mean_shift: float, sd_scale: float) -> MetaDistribution:
-        # scale about the current mean so the two knobs stay independent
-        mean, _ = meta.moments()
-        shift = mean_shift + mean * (1.0 - sd_scale)
-        return meta.affine(shift, sd_scale)
+    def __post_init__(self) -> None:
+        # a negative scale would mirror the law about its mean
+        for name in ("sd_scale_plus", "sd_scale_minus"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
-    def apply(self, metas: tuple[MetaDistribution, MetaDistribution]) -> tuple[MetaDistribution, MetaDistribution]:
-        mp, mm = metas
-        return (
-            self._distort(mp, self.mean_shift_plus, self.sd_scale_plus),
-            self._distort(mm, self.mean_shift_minus, self.sd_scale_minus),
-        )
+    def apply(self, samples: tuple[SampleSet, SampleSet]) -> tuple[MetaDistribution, MetaDistribution]:
+        """Each side's empirical law pushed by x -> shift + sd_scale * x."""
+        knobs = ((self.mean_shift_plus, self.sd_scale_plus),
+                 (self.mean_shift_minus, self.sd_scale_minus))
+        laws = []
+        for sample, (mean_shift, sd_scale) in zip(samples, knobs):
+            x = sample.as_array()
+            # scale about the sample mean so the two knobs stay independent
+            shift = mean_shift + float(np.mean(x)) * (1.0 - sd_scale)
+            laws.append(MetaDistribution(tuple(shift + sd_scale * x)))
+        return laws[0], laws[1]
 
 
 def simulate_batch(
@@ -160,12 +110,6 @@ class ShiftRow:
     concave_certificate: bool
 
 
-@dataclass(frozen=True)
-class ShiftReport:
-    rows: tuple[ShiftRow, ...]
-    episodes: int
-
-
 def check_episodes(episodes: int) -> None:
     if not 1000 <= episodes <= _EPISODES_MAX:
         raise ValueError(f"episodes must be between 1000 and {_EPISODES_MAX}, got {episodes}")
@@ -179,21 +123,19 @@ def shift_experiment(
     shift: ShiftSpec,
     episodes: int,
     rng_seed: int,
-) -> ShiftReport:
+) -> tuple[ShiftRow, ...]:
     """Robust policies of increasing radius evaluated under distorted laws.
 
     Per radius: solve the inner problem on the sampled moments, build the
-    policy, then score it on episodes whose innovations come from the
-    shifted meta-distributions. Episode streams are independent across
+    policy, then score it on episodes whose innovations come from each
+    side's sample, shifted. Episode streams are independent across
     radii via spawned child seeds, all descending from rng_seed.
     """
     for delta in deltas:
         check_radius(delta)
     check_episodes(episodes)
-    samples_plus, samples_minus = samples
-    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    base = (MetaDistribution.empirical(samples_plus), MetaDistribution.empirical(samples_minus))
-    true_metas = shift.apply(base)
+    summaries = (empirical_moments(samples[0]), empirical_moments(samples[1]))
+    true_metas = shift.apply(samples)
 
     children = np.random.SeedSequence(rng_seed).spawn(len(deltas))
     rows = []
@@ -218,4 +160,4 @@ def shift_experiment(
                 concave_certificate=solution.concave_certificate,
             )
         )
-    return ShiftReport(rows=tuple(rows), episodes=episodes)
+    return tuple(rows)

@@ -8,6 +8,7 @@ well conditioned.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,18 @@ from robustmm import (
     w2_squared,
     worst_case_objective,
 )
+
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """Normal innovation law: a ground truth that simulate_batch draws from
+    in place of a MetaDistribution, for Monte Carlo checks against quadrature."""
+
+    mean: float
+    sd: float
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.normal(self.mean, self.sd, size=size)
 
 
 def rand_samples(rng: np.random.Generator, side: str, n: int | None = None) -> SampleSet:

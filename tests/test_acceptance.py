@@ -14,7 +14,6 @@ import numpy as np
 from robustmm import (
     DiscreteMeasure,
     EmpiricalSummary,
-    MetaDistribution,
     MomentTarget,
     RobustSolution,
     SampleSet,
@@ -36,7 +35,7 @@ from robustmm.cli import main
 from robustmm.policy import _GridEvaluator
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import fd_hessian, mean_box, rand_instance, rand_samples, refined_grid_max
+from helpers import GaussianLaw, fd_hessian, mean_box, rand_instance, rand_samples, refined_grid_max
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -293,8 +292,8 @@ def test_09_simulator_matches_quadrature():
         pol = build_policy(model, dom, sol)
         ap, am = sol.alpha_star_plus, sol.alpha_star_minus
         bp, bm = sol.beta_star_plus, sol.beta_star_minus
-        metas = (MetaDistribution.gaussian(ap, math.sqrt(bp - ap * ap)),
-                 MetaDistribution.gaussian(am, math.sqrt(bm - am * am)))
+        metas = (GaussianLaw(ap, math.sqrt(bp - ap * ap)),
+                 GaussianLaw(am, math.sqrt(bm - am * am)))
         batch = simulate_batch(pol, model, metas, 100_000,
                                np.random.default_rng(900 + k))
         cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]

@@ -381,9 +381,10 @@ MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text
     (MODEL_BLOCK.replace("gamma = 2.0", "gamma = 0"), "model.gamma"),
     ("radius.resamples = 100000000\n", "radius.resamples"),
     ("simulate.episodes = 1000000000\n", "simulate.episodes"),
+    ("simulate.shift_sd_scale_plus = -1.0\n", "simulate.shift_sd_scale_plus must be nonnegative"),
 ], ids=["radius.delta", "domain.grid_n", "domain.grid_n-cap", "simulate.deltas", "validate.deltas",
         "model.h_plus-negative", "model.f_plus-overflow", "model.h_minus-kind", "model.gamma",
-        "radius.resamples-cap", "simulate.episodes-cap"])
+        "radius.resamples-cap", "simulate.episodes-cap", "simulate.shift_sd_scale_plus-negative"])
 def test_config_rejects_bad_number(tmp_path, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

@@ -19,6 +19,8 @@ from robustmm import (
     solve_inner,
 )
 
+from helpers import GaussianLaw
+
 
 def fixture_samples():
     buy = SampleSet("buy", (0.4, 1.1, 0.7, 1.6, 0.2, 0.9, 0.6, 1.2))
@@ -41,65 +43,25 @@ def fixture_policy(delta=0.02):
     return model, dom, sol, build_policy(model, dom, sol)
 
 
-def test_gaussian_moments():
-    m = MetaDistribution.gaussian(0.4, 0.3)
-    mean, second = m.moments()
-    assert mean == pytest.approx(0.4, rel=1e-15)
-    assert second == pytest.approx(0.4 ** 2 + 0.3 ** 2, rel=1e-15)
-
-
-def test_two_point_moments():
-    m = MetaDistribution.two_point(0.0, 2.0, 0.25)
-    mean, second = m.moments()
-    # value x1 with probability p, else x2
-    assert mean == pytest.approx(0.25 * 0.0 + 0.75 * 2.0, rel=1e-15)
-    assert second == pytest.approx(0.75 * 4.0, rel=1e-15)
-
-
-def test_empirical_moments_match_sample_set():
-    buy, _ = fixture_samples()
-    m = MetaDistribution.empirical(buy)
-    s = empirical_moments(buy)
-    mean, second = m.moments()
-    assert mean == pytest.approx(s.alpha_n, rel=1e-15)
-    assert second == pytest.approx(s.beta_n, rel=1e-15)
-
-
-def test_affine_pushforward_moments():
-    m = MetaDistribution.gaussian(0.5, 0.2).affine(shift=0.1, scale=1.5)
-    mean, second = m.moments()
-    want_mean = 0.5 * 1.5 + 0.1
-    want_var = (0.2 * 1.5) ** 2
-    assert mean == pytest.approx(want_mean, rel=1e-12)
-    assert second == pytest.approx(want_var + want_mean ** 2, rel=1e-12)
-
-
-def test_draw_matches_moments():
-    rng = np.random.default_rng(41)
-    m = MetaDistribution.two_point(0.2, 1.4, 0.3)
-    xs = m.draw(rng, 200000)
-    mean, second = m.moments()
-    assert float(np.mean(xs)) == pytest.approx(mean, abs=0.01)
-    assert float(np.mean(xs ** 2)) == pytest.approx(second, abs=0.02)
-
-
 def test_shift_spec_apply():
-    base = (MetaDistribution.gaussian(1.0, 0.5), MetaDistribution.gaussian(0.8, 0.4))
-    shifted = ShiftSpec(mean_shift_plus=-0.2, sd_scale_plus=2.0,
-                        mean_shift_minus=0.1, sd_scale_minus=0.5).apply(base)
-    mp, sp = shifted[0].moments()
-    assert mp == pytest.approx(0.8, rel=1e-12)
-    assert sp - mp * mp == pytest.approx(1.0, rel=1e-12)
-    mm, sm = shifted[1].moments()
-    assert mm == pytest.approx(0.9, rel=1e-12)
-    assert sm - mm * mm == pytest.approx(0.04, rel=1e-12)
+    buy, sell = fixture_samples()
+    sp, sm = empirical_moments(buy), empirical_moments(sell)
+    plus, minus = ShiftSpec(mean_shift_plus=-0.2, sd_scale_plus=2.0,
+                            mean_shift_minus=0.1, sd_scale_minus=0.5).apply((buy, sell))
+    xp, xm = np.asarray(plus.atoms), np.asarray(minus.atoms)
+    assert float(np.mean(xp)) == pytest.approx(sp.alpha_n - 0.2, rel=1e-12)
+    assert float(np.var(xp)) == pytest.approx(4.0 * sp.variance, rel=1e-12)
+    assert float(np.mean(xm)) == pytest.approx(sm.alpha_n + 0.1, rel=1e-12)
+    assert float(np.var(xm)) == pytest.approx(0.25 * sm.variance, rel=1e-12)
+    # no shift replays the samples themselves
+    assert ShiftSpec().apply((buy, sell)) == (MetaDistribution(buy.values),
+                                              MetaDistribution(sell.values))
 
 
 def test_order_flow_linear_in_innovation():
-    # point-mass laws fix the innovations at 0.7 and 0.3
+    # single-atom laws fix the innovations at 0.7 and 0.3
     model, dom, sol, pol = fixture_policy()
-    metas = (MetaDistribution.two_point(0.7, 0.7, 1.0),
-             MetaDistribution.two_point(0.3, 0.3, 1.0))
+    metas = (MetaDistribution((0.7,)), MetaDistribution((0.3,)))
     batch = simulate_batch(pol, model, metas, 50, np.random.default_rng(0))
     hp = model.h_plus(batch["eps_plus"])
     hm = model.h_minus(batch["eps_minus"])
@@ -109,7 +71,7 @@ def test_order_flow_linear_in_innovation():
 
 def test_accounting_identity_every_episode():
     model, dom, sol, pol = fixture_policy()
-    metas = (MetaDistribution.gaussian(0.8, 0.4), MetaDistribution.gaussian(0.7, 0.5))
+    metas = (GaussianLaw(0.8, 0.4), GaussianLaw(0.7, 0.5))
     rng = np.random.default_rng(17)
     batch = simulate_batch(pol, model, metas, 20000, rng)
     cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]
@@ -124,8 +86,7 @@ def test_monte_carlo_matches_quadrature():
     model, dom, sol, pol = fixture_policy()
     ap, am = sol.alpha_star_plus, sol.alpha_star_minus
     bp, bm = sol.beta_star_plus, sol.beta_star_minus
-    metas = (MetaDistribution.gaussian(ap, math.sqrt(bp - ap * ap)),
-             MetaDistribution.gaussian(am, math.sqrt(bm - am * am)))
+    metas = (GaussianLaw(ap, math.sqrt(bp - ap * ap)), GaussianLaw(am, math.sqrt(bm - am * am)))
     rng = np.random.default_rng(71)
     batch = simulate_batch(pol, model, metas, 100000, rng)
     mc = float(np.mean(batch["objective"]))
@@ -136,7 +97,7 @@ def test_monte_carlo_matches_quadrature():
 
 def test_standard_error_scales_with_episodes():
     model, dom, sol, pol = fixture_policy()
-    metas = (MetaDistribution.gaussian(0.8, 0.4), MetaDistribution.gaussian(0.7, 0.5))
+    metas = (GaussianLaw(0.8, 0.4), GaussianLaw(0.7, 0.5))
 
     def se(episodes, seed):
         batch = simulate_batch(pol, model, metas, episodes, np.random.default_rng(seed))
@@ -153,7 +114,7 @@ def test_shift_experiment_deterministic():
     kw = dict(deltas=(0.0, 0.02), shift=ShiftSpec(), episodes=2000, rng_seed=9)
     a = shift_experiment((buy, sell), model, dom, **kw)
     b = shift_experiment((buy, sell), model, dom, **kw)
-    assert a.rows == b.rows
+    assert a == b
 
 
 def test_shift_experiment_rows_independent_of_other_deltas():
@@ -166,7 +127,36 @@ def test_shift_experiment_rows_independent_of_other_deltas():
                              shift=shift, episodes=2000, rng_seed=4)
     longer = shift_experiment((buy, sell), model, dom, deltas=(0.0, 0.02, 0.05),
                               shift=shift, episodes=2000, rng_seed=4)
-    assert short.rows == longer.rows[:2]
+    assert short == longer[:2]
+
+
+def test_shift_experiment_replays_shifted_sample():
+    # each row scores its radius's policy on the atoms
+    # mean + mean_shift + sd_scale (x - mean), drawn on the k-th spawned stream
+    buy, sell = fixture_samples()
+    model = fixture_model()
+    dom = SpreadDomain(eps_max=0.8, grid_n=33)
+    knobs = ((-0.2, 1.4), (0.15, 0.6))
+    shift = ShiftSpec(mean_shift_plus=-0.2, sd_scale_plus=1.4,
+                      mean_shift_minus=0.15, sd_scale_minus=0.6)
+    deltas, episodes, seed = (0.0, 0.02), 2000, 5
+    rows = shift_experiment((buy, sell), model, dom, deltas=deltas, shift=shift,
+                            episodes=episodes, rng_seed=seed)
+    summaries = (empirical_moments(buy), empirical_moments(sell))
+    laws = tuple(
+        MetaDistribution(tuple(s.alpha_n + ms + sc * (sample.as_array() - s.alpha_n)))
+        for sample, s, (ms, sc) in zip((buy, sell), summaries, knobs))
+    children = np.random.SeedSequence(seed).spawn(len(deltas))
+    assert len(rows) == len(deltas)
+    for row, delta, child in zip(rows, deltas, children):
+        sol = solve_inner(model, dom, summaries, delta)
+        pol = build_policy(model, dom, sol)
+        obj = simulate_batch(pol, model, laws, episodes, np.random.default_rng(child))["objective"]
+        want = (float(np.mean(obj)), float(np.std(obj, ddof=1) / math.sqrt(episodes)),
+                float(np.percentile(obj, 10.0)))
+        assert row.delta == delta
+        assert (row.mean_objective, row.std_err, row.p10_objective) == pytest.approx(want, rel=1e-12)
+        assert row.concave_certificate == sol.concave_certificate
 
 
 def test_shift_experiment_validation():
@@ -195,14 +185,14 @@ def test_robustness_pays_under_adverse_shift():
                       mean_shift_minus=0.25, sd_scale_minus=1.6)
     rep = shift_experiment((buy, sell), model, dom, deltas=(0.0, 0.02, 0.08),
                            shift=shift, episodes=40000, rng_seed=11)
-    r0, r1, r2 = rep.rows
+    r0, r1, r2 = rep
     assert r2.mean_objective > r0.mean_objective + 2.0 * (r2.std_err + r0.std_err)
     assert r1.mean_objective > r0.mean_objective
     assert r2.p10_objective > r0.p10_objective
 
 
 def test_meta_distribution_validation():
-    with pytest.raises(ValueError):
-        MetaDistribution.gaussian(0.0, -1.0)
-    with pytest.raises(ValueError):
-        MetaDistribution.two_point(0.0, 1.0, 1.5)
+    with pytest.raises(ValueError, match="atoms"):
+        MetaDistribution(())
+    with pytest.raises(ValueError, match="sd_scale_minus must be nonnegative"):
+        ShiftSpec(sd_scale_minus=-0.5)
