@@ -34,6 +34,8 @@ _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 # below _NEWTON_TOL * (1 + |log Z|), and fails after _NEWTON_MAX_ITER steps
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 500
+# buckets of the sampler's guide table; a power of two keeps u * m and k / m exact
+_GUIDE_SIZE = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -402,6 +404,13 @@ class PolicyGrid:
         cdf = np.cumsum(self.cell_masses().ravel())
         return cdf / cdf[-1]
 
+    @cached_property
+    def _cell_guide(self) -> np.ndarray:
+        """Per bucket [k/m, (k+1)/m): the first cell whose CDF reaches k/m,
+        or -1 where the bucket holds two or more CDF steps."""
+        g = np.searchsorted(self._cell_cdf, np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE, side="left")
+        return np.where(np.diff(g) > 1, -1, g[:-1])
+
     def cell_masses(self) -> np.ndarray:
         w = self.domain.axis_weights
         return (w[:, None] * w[None, :]) * self.density
@@ -426,13 +435,18 @@ def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolut
 
 def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
     """Draw size spread pairs: inverse-CDF over cell masses, then uniform
-    placement within the chosen cell."""
+    placement within the chosen cell. The cell search is indexed (Chen & Asau
+    1974) and its cells are bit-identical to a binary search of the cell CDF."""
     cdf = grid._cell_cdf
     u = rng.random(size)
     ux = rng.random(size)
     uy = rng.random(size)
-    idx = np.searchsorted(cdf, u, side="left")
-    idx = np.minimum(idx, len(cdf) - 1)
+    # cdf ends at exactly 1.0 and u < 1, so every search lands on a cell
+    idx = grid._cell_guide[(u * _GUIDE_SIZE).astype(np.intp)]
+    # a narrow bucket's cell is g or g + 1; a wide one takes the binary search
+    wide = np.flatnonzero(idx < 0)
+    idx += cdf[idx] < u
+    idx[wide] = np.searchsorted(cdf, u[wide], side="left")
     i, j = np.divmod(idx, grid.domain.grid_n)
     lo, hi = grid.domain.cell_edges
     eps_plus = lo[i] + ux * (hi[i] - lo[i])

@@ -110,14 +110,12 @@ def test_radius_seed_override_changes_result(tmp_path):
 def test_simulate_output(tmp_path):
     out = tmp_path / "out"
     assert run("simulate", FIXTURES / "simulate.cfg", out) == 0
-    lines = (out / "shift.csv").read_text().splitlines()
-    assert lines[0] == "delta,mean_objective,std_err,p10_objective,concave_certificate"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 5
-        assert cells[4] in ("true", "false")
-        float(cells[1]), float(cells[2]), float(cells[3])
+    # pinned to the digit: any change to the episode draw stream shows here
+    assert (out / "shift.csv").read_text() == (
+        "delta,mean_objective,std_err,p10_objective,concave_certificate\n"
+        "0.0,-0.6231632650322682,0.039179580148568635,-2.9476363988740255,true\n"
+        "0.02,-0.5761065853884975,0.03866576951735772,-2.8440719789295605,true\n"
+    )
 
 
 def test_simulate_rerun_byte_identical(tmp_path):

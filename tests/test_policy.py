@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from robustmm import (
     DegeneratePolicyError,
     EmpiricalSummary,
+    PolicyGrid,
     RobustSolution,
     SampleSet,
     SolverError,
@@ -354,12 +357,122 @@ def test_gibbs_density_maximizes_entropy_regularized_value():
     assert value(warped) < base
 
 
-def test_sampling_deterministic_and_in_range():
+def fixture_policy():
     sp, sm = small_summaries()
     model = plain_model()
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
-    sol = solve_inner(model, dom, (sp, sm), 0.02)
-    pol = build_policy(model, dom, sol)
+    return build_policy(model, dom, solve_inner(model, dom, (sp, sm), 0.02))
+
+
+def binary_search_sample(grid, rng, size):
+    """Reference sampler: sample_policy's uniform stream with each cell
+    found by a plain binary search of the cell CDF."""
+    u, ux, uy = rng.random(size), rng.random(size), rng.random(size)
+    i, j = np.divmod(np.searchsorted(grid._cell_cdf, u, side="left"), grid.domain.grid_n)
+    lo, hi = grid.domain.cell_edges
+    return lo[i] + ux * (hi[i] - lo[i]), lo[j] + uy * (hi[j] - lo[j])
+
+
+def policy_with_masses(masses):
+    """PolicyGrid on [0, 1]^2 whose cell masses are masses / sum(masses);
+    at grid_n = 2^k + 1 every weight is a power of two, so dyadic masses
+    pass through the density exactly."""
+    n = masses.shape[0]
+    dom = SpreadDomain(eps_max=1.0, grid_n=n)
+    w = dom.axis_weights
+    return PolicyGrid(dom, masses / np.sum(masses) / (w[:, None] * w[None, :]))
+
+
+def assert_matches_binary_search(grid, rng_factory, size):
+    got = sample_policy(grid, rng_factory(), size)
+    want = binary_search_sample(grid, rng_factory(), size)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class StubRng:
+    """Returns the same prescribed uniforms on every call."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+# 0, every bucket edge k / 2^16 and its float neighbours, and the largest double below 1
+EDGE = np.arange(1 << 16) / (1 << 16)
+EDGE_UNIFORMS = np.concatenate(([0.0, 1.0 - 2.0 ** -53], EDGE, np.nextafter(EDGE, 0.0)[1:],
+                                np.nextafter(EDGE, 1.0)))
+
+
+def zero_mass_cases():
+    rng = np.random.default_rng(40)
+    base = rng.random((33, 33)) + 0.01
+    leading, trailing, interior, single = (base.copy() for _ in range(4))
+    leading.ravel()[:100] = 0.0
+    trailing.ravel()[-100:] = 0.0
+    for start in (50, 300, 700):
+        interior.ravel()[start:start + 40] = 0.0
+    single[:] = 0.0
+    single[17, 5] = 1.0
+    return {"leading": leading, "trailing": trailing, "interior": interior, "single": single}
+
+
+def dyadic_cases():
+    # integer counts over 2^16 put every CDF value on a bucket edge k / 2^16
+    rng = np.random.default_rng(41)
+    cases = {}
+    for n in (17, 65, 257):
+        p = rng.random(n * n) ** 4
+        cases[f"edges-{n}"] = rng.multinomial(1 << 16, p / np.sum(p)).reshape(n, n) / float(1 << 16)
+    # one cell per bucket edge: 2^-16 each on the first 2^16 cells of 257^2
+    flat = np.zeros(257 * 257)
+    flat[:1 << 16] = 2.0 ** -16
+    cases["one-step-per-bucket"] = flat.reshape(257, 257)
+    return cases
+
+
+def test_sampling_matches_binary_search_on_fixture_policy():
+    pol = fixture_policy()
+    for seed in (0, 1, 42):
+        assert_matches_binary_search(pol, lambda: np.random.default_rng(seed), 200_000)
+    assert_matches_binary_search(pol, lambda: StubRng(EDGE_UNIFORMS), len(EDGE_UNIFORMS))
+
+
+@pytest.mark.parametrize("masses", [pytest.param(m, id=k) for k, m in zero_mass_cases().items()])
+def test_sampling_matches_binary_search_with_zero_mass_cells(masses):
+    pol = policy_with_masses(masses)
+    assert_matches_binary_search(pol, lambda: np.random.default_rng(43), 200_000)
+    assert_matches_binary_search(pol, lambda: StubRng(EDGE_UNIFORMS), len(EDGE_UNIFORMS))
+
+
+@pytest.mark.parametrize("masses", [pytest.param(m, id=k) for k, m in dyadic_cases().items()])
+def test_sampling_matches_binary_search_on_bucket_edges(masses):
+    pol = policy_with_masses(masses)
+    scaled = pol._cell_cdf * (1 << 16)
+    assert np.array_equal(scaled, np.round(scaled)) and pol._cell_cdf[-1] == 1.0
+    assert_matches_binary_search(pol, lambda: np.random.default_rng(44), 200_000)
+    assert_matches_binary_search(pol, lambda: StubRng(EDGE_UNIFORMS), len(EDGE_UNIFORMS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_n=st.integers(16, 257), seed=st.integers(0, 2**32 - 1),
+       peak=st.floats(0.0, 30.0), zero_share=st.floats(0.0, 0.999))
+def test_sampling_matches_binary_search_on_random_masses(grid_n, seed, peak, zero_share):
+    # log-normal masses from flat (peak = 0) to a few cells holding nearly all
+    # the mass, with a random share of zero-mass cells
+    rng = np.random.default_rng(seed)
+    masses = np.exp(peak * rng.standard_normal((grid_n, grid_n)))
+    masses[rng.random((grid_n, grid_n)) < zero_share] = 0.0
+    masses[rng.integers(grid_n), rng.integers(grid_n)] = 1.0
+    pol = policy_with_masses(masses)
+    assert_matches_binary_search(pol, lambda: np.random.default_rng(seed), 20_000)
+
+
+def test_sampling_deterministic_and_in_range():
+    pol = fixture_policy()
+    dom = pol.domain
     a = sample_policy(pol, np.random.default_rng(42), 500)
     b = sample_policy(pol, np.random.default_rng(42), 500)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -368,11 +481,8 @@ def test_sampling_deterministic_and_in_range():
 
 
 def test_sampling_matches_cell_masses():
-    sp, sm = small_summaries()
-    model = plain_model()
-    dom = SpreadDomain(eps_max=0.8, grid_n=33)
-    sol = solve_inner(model, dom, (sp, sm), 0.02)
-    pol = build_policy(model, dom, sol)
+    pol = fixture_policy()
+    dom = pol.domain
     n = 40000
     ep, em = sample_policy(pol, np.random.default_rng(99), n)
     masses = pol.cell_masses()
@@ -394,11 +504,8 @@ def test_sampling_matches_cell_masses():
 
 
 def test_sampling_marginal_ks():
-    sp, sm = small_summaries()
-    model = plain_model()
-    dom = SpreadDomain(eps_max=0.8, grid_n=33)
-    sol = solve_inner(model, dom, (sp, sm), 0.02)
-    pol = build_policy(model, dom, sol)
+    pol = fixture_policy()
+    dom = pol.domain
     ep, _ = sample_policy(pol, np.random.default_rng(123), 5000)
     lo_e, hi_e = dom.cell_edges
     marg = pol.cell_masses().sum(axis=1)
