@@ -140,19 +140,18 @@ def cmd_radius(cfg: RunConfig) -> int:
     if cfg.chi is None:
         raise ConfigError("radius command requires radius.chi")
     selection = _select_radius(cfg, samples)
-    summaries = (empirical_moments(samples[0]), empirical_moments(samples[1]))
     payload = {
-        "chi": selection.chi,
+        "chi": cfg.chi,
         "n": samples[0].n,
-        "resamples": selection.resamples,
+        "resamples": cfg.resamples,
         "profile_quantile": selection.profile_quantile,
         "delta_hat": selection.delta_hat,
-        "gram_bound": gram_bound_check(summaries),
+        "gram_bound": selection.gram_bound,
         "seed": cfg.seed,
     }
     _atomic_write(cfg.out_dir / "radius.json", _json_dumps(payload))
     _write_manifest(cfg, "radius")
-    print(f"radius: delta_hat {selection.delta_hat!r} at chi {selection.chi!r} -> {cfg.out_dir}")
+    print(f"radius: delta_hat {selection.delta_hat!r} at chi {cfg.chi!r} -> {cfg.out_dir}")
     return 0
 
 

@@ -113,10 +113,16 @@ class SpreadDomain:
         seams = (x[:-1] + x[1:]) / 2.0
         return np.concatenate(([0.0], seams)), np.concatenate((seams, [self.eps_max]))
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Node weights of the 2-D rule, the tensor product of axis_weights."""
+        w = self.axis_weights
+        return w[:, None] * w[None, :]
+
 
 def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
     """f and h must be finite on [0, eps_max] and h nonnegative there."""
-    eps = np.linspace(0.0, domain.eps_max, max(1025, 2 * domain.grid_n))
+    eps = np.array([0.0, domain.eps_max])  # every kind is monotone in eps, so the ends decide
     for name in ("f_plus", "f_minus", "h_plus", "h_minus"):
         # a curve that overflows is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
@@ -139,15 +145,15 @@ class _GridEvaluator:
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
         self.model = model
         x = domain.axis_nodes
-        fp = np.asarray(model.f_plus(x), dtype=float)
-        fm = np.asarray(model.f_minus(x), dtype=float)
-        hp = np.asarray(model.h_plus(x), dtype=float)
-        hm = np.asarray(model.h_minus(x), dtype=float)
-        a = (model.S + x) * hp
-        b = (model.S - x) * hm
         eta = model.eta
         # extreme inputs can overflow to inf here; gibbs checks the exponent
         with np.errstate(over="ignore", invalid="ignore"):
+            fp = np.asarray(model.f_plus(x), dtype=float)
+            fm = np.asarray(model.f_minus(x), dtype=float)
+            hp = np.asarray(model.h_plus(x), dtype=float)
+            hm = np.asarray(model.h_minus(x), dtype=float)
+            a = (model.S + x) * hp
+            b = (model.S - x) * hm
             c = model.Q + fp[:, None] - fm[None, :]
             K = np.empty((5,) + c.shape)
             K[0] = a[:, None] - 2.0 * eta * c * hp[:, None]
@@ -163,9 +169,7 @@ class _GridEvaluator:
                 - eta * c * c
             )
             self.base = base.ravel() / model.gamma
-        w = domain.axis_weights
-        self.wprod = (w[:, None] * w[None, :]).ravel()
-        self.logw = np.log(self.wprod)
+        self.logw = np.log(domain.weights).ravel()
 
     def _affine(self, x: np.ndarray) -> np.ndarray:
         """x K + base per row of x; callers check for the inf or nan of overflow."""
@@ -182,10 +186,12 @@ class _GridEvaluator:
         row of moment terms x (one row of five, or k x 5). A row that is
         -inf at every node has log Z = -inf and zero weights."""
         e = self._affine(x)
-        if np.any(np.isnan(e)) or np.any(np.isposinf(e)):
-            raise ValueError("integrand overflow")
-        e += self.logw
+        with np.errstate(over="ignore"):
+            e += self.logw
         m = np.max(e, axis=-1, keepdims=True)
+        # a nan or +inf term, of the exponent or after its log weight, is its row's max
+        if not np.all(m < math.inf):
+            raise ValueError("integrand overflow")
         e -= np.where(m == -math.inf, 0.0, m)
         p = np.exp(e, out=e)
         # the largest shifted term is exp(0) = 1, so only a row that is -inf
@@ -194,17 +200,6 @@ class _GridEvaluator:
         total[total == 0.0] = 1.0
         p /= total
         return (m + np.log(total))[..., 0], p
-
-    def log_mass_moments(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """log Z at the moment terms x with its gradient and Hessian in x:
-        the Gibbs-weighted mean and covariance of the rows of K."""
-        lz, p = self.gibbs(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = self.K @ p
-            cov = (self.K * p) @ self.K.T - np.outer(mean, mean)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("integrand overflow")
-        return float(lz), mean, cov
 
     def objective(self, ap, am, bp, bm):
         """-gamma * integral of M over the spread square at paired moments:
@@ -218,10 +213,11 @@ class _GridEvaluator:
         chunk = max(1, 8_000_000 // len(self.base))
         lz = np.concatenate([np.empty(0)] + [self.gibbs(rows[s : s + chunk])[0]
                                              for s in range(0, len(rows), chunk)])
-        if np.any(lz > 700.0):
-            # finite exponent, unrepresentable mass
+        with np.errstate(over="ignore"):
+            out = (-self.model.gamma * np.exp(lz)).reshape(ap.shape)
+        if not np.all(np.isfinite(out)):
+            # finite exponents, unrepresentable objective
             raise ValueError("integrand overflow")
-        out = (-self.model.gamma * np.exp(lz)).reshape(ap.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -281,22 +277,26 @@ def _envelope_map(summaries: tuple[EmpiricalSummary, EmpiricalSummary],
 def _log_mass_in_t(ev: _GridEvaluator, c: np.ndarray, L: np.ndarray,
                    t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z on the pinned envelope x(t) = c + L phi(t), with its exact
-    gradient and Hessian in t: one grid pass, the moment derivatives
-    mapped into phi by L, then phi's own trig derivatives."""
-    sin, cos = np.sin(t), np.cos(t)
-    phi = np.array([sin[0], cos[0], sin[1], cos[1], sin[0] * sin[1]])
-    lz, g, h = ev.log_mass_moments(c + L @ phi)
-    # extreme radii overflow these products; the descent takes the inf or nan as it comes
+    gradient and Hessian in t: one grid pass, the Gibbs mean and covariance
+    of K's rows (the moment derivatives) mapped into phi by L, then phi's own
+    trig derivatives. Extreme radii overflow the map; the descent takes its inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = L.T @ g
+        sin, cos = np.sin(t), np.cos(t)
+        phi = np.array([sin[0], cos[0], sin[1], cos[1], sin[0] * sin[1]])
+        lz, p = ev.gibbs(c + L @ phi)
+        mean = ev.K @ p
+        cov = (ev.K * p) @ ev.K.T - np.outer(mean, mean)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("integrand overflow")
+        g = L.T @ mean
         jac = np.array([[cos[0], 0.0], [-sin[0], 0.0], [0.0, cos[1]], [0.0, -sin[1]],
                         [cos[0] * sin[1], sin[0] * cos[1]]])
-        hess = jac.T @ (L.T @ h @ L) @ jac
+        hess = jac.T @ (L.T @ cov @ L) @ jac
         # phi's second derivatives: -phi_k along its own angles, plus cos t+ cos t- across them for phi_4
         hess[0, 0] -= g[0] * phi[0] + g[1] * phi[1] + g[4] * phi[4]
         hess[1, 1] -= g[2] * phi[2] + g[3] * phi[3] + g[4] * phi[4]
         hess[0, 1] = hess[1, 0] = hess[0, 1] + g[4] * cos[0] * cos[1]
-        return lz, jac.T @ g, hess
+        return float(lz), jac.T @ g, hess
 
 
 def solve_inner(
@@ -412,8 +412,7 @@ class PolicyGrid:
         return np.where(np.diff(g) > 1, -1, g[:-1])
 
     def cell_masses(self) -> np.ndarray:
-        w = self.domain.axis_weights
-        return (w[:, None] * w[None, :]) * self.density
+        return self.domain.weights * self.density
 
 
 def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolution) -> PolicyGrid:
@@ -430,7 +429,7 @@ def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolut
         raise DegeneratePolicyError(f"normalizer overflow: log Z = {log_z:.6g}")
     if math.exp(log_z) == 0.0:
         raise DegeneratePolicyError(f"normalizer underflow: log Z = {log_z:.6g}")
-    return PolicyGrid(domain=domain, density=(p / ev.wprod).reshape(domain.grid_n, domain.grid_n))
+    return PolicyGrid(domain=domain, density=p.reshape(domain.grid_n, domain.grid_n) / domain.weights)
 
 
 def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
@@ -465,4 +464,4 @@ def expected_reward(
     ev = _GridEvaluator(model, grid.domain)
     expo = ev.exponent(alpha_plus, alpha_minus, beta_plus, beta_minus)
     reward = model.gamma * expo
-    return float(np.sum(grid.density.ravel() * ev.wprod * reward))
+    return float(np.sum(grid.cell_masses().ravel() * reward))

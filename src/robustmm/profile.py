@@ -136,12 +136,12 @@ def robust_profile(target: MomentTarget,
 
 @dataclass(frozen=True)
 class RadiusSelection:
-    """Bootstrap quantile of the profile and the radius it certifies."""
+    """Bootstrap quantile of the profile, the radius it certifies, and the
+    sample's gram statistic g."""
 
-    chi: float
     delta_hat: float
-    resamples: int
     profile_quantile: float
+    gram_bound: float
 
 
 def check_chi(chi: float) -> None:
@@ -182,7 +182,7 @@ def select_radius(
     if n < 2:
         raise ValueError("need at least two samples per side")
     summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    gram_bound_check(summaries)  # raises on a degenerate covariance or g >= 1
+    g = gram_bound_check(summaries)  # raises on a degenerate covariance or g >= 1
 
     rng = np.random.default_rng(rng_seed)
     rows = max(1, _CHUNK // n)
@@ -200,9 +200,4 @@ def select_radius(
     values = profile_batch(means.T, sigma, summaries, n)
     q = float(np.quantile(values, 1.0 - chi, method="higher"))
     q = max(q, 0.0)  # the trace term can round below zero
-    return RadiusSelection(
-        chi=chi,
-        delta_hat=math.sqrt(q / 2.0),
-        resamples=resamples,
-        profile_quantile=q,
-    )
+    return RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q, gram_bound=g)

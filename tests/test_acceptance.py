@@ -157,7 +157,7 @@ def test_04_normalization_and_gibbs_optimality():
         pol = build_policy(model, dom, sol)
 
         ev = _GridEvaluator(model, dom)
-        w = ev.wprod.reshape(pol.density.shape)
+        w = dom.weights
         worst_resid = max(worst_resid, abs(float(np.sum(w * pol.density)) - 1.0))
 
         reward = model.gamma * ev.exponent(

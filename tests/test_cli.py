@@ -402,19 +402,32 @@ def test_non_finite_sample_names_its_key(tmp_path, capsys):
     assert err.count("\n") == 1 and "samples.buy" in err and "finite" in err
 
 
-@pytest.mark.parametrize("old, new, code, text", [
-    ("model.f_plus = constant(0.2)", "model.f_plus = exp_decay(1.0, -2000)", 2, "model.f_plus"),
-    ("radius.delta = 0.02", "radius.delta = 1e300", 3, "integrand overflow"),
-], ids=["curve-overflow", "radius-overflow"])
-def test_overflow_reports_one_line(tmp_path, capsys, old, new, code, text):
+_LEAK_GAMMA = [("model.gamma = 2.0", "model.gamma = 1e308"), ("domain.eps_max = 0.8", "domain.eps_max = 3.0")]
+
+
+@pytest.mark.parametrize("command, edits, code, text", [
+    ("solve", [("model.f_plus = constant(0.2)", "model.f_plus = exp_decay(1.0, -2000)")], 2, "model.f_plus"),
+    ("solve", [("radius.delta = 0.02", "radius.delta = 1e300")], 3, "integrand overflow"),
+    # finite log Z whose objective -gamma * Z overflows
+    ("solve", _LEAK_GAMMA, 3, "integrand overflow"),
+    ("simulate", _LEAK_GAMMA, 3, "integrand overflow"),
+    # an intensity at the float limit overflows the evaluator's set-up
+    ("solve", [("model.h_plus = exp_decay(1.0, 1.2)", "model.h_plus = constant(1e308)")], 3, "integrand overflow"),
+], ids=["curve-overflow", "radius-overflow", "objective-overflow", "objective-overflow-simulate",
+        "intensity-overflow"])
+def test_overflow_reports_one_line(tmp_path, capsys, command, edits, code, text):
     # no numpy overflow warning on the way: the one stderr line is the verdict
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg_text = (FIXTURES / "solve.cfg").read_text()
+    for old, new in edits:
+        assert old in cfg_text
+        cfg_text = cfg_text.replace(old, new)
     cfg = tmp_path / "solve.cfg"
-    cfg.write_text((FIXTURES / "solve.cfg").read_text().replace(old, new))
+    cfg.write_text(cfg_text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("solve", cfg, tmp_path / "out") == code
+        assert run(command, cfg, tmp_path / "out") == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and text in err
 

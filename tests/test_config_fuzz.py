@@ -46,7 +46,7 @@ _NOT_DROPPED = {"domain.grid_n", "radius.resamples", "simulate.episodes", "valid
 
 # each key's values as (valid, bad): malformed, non-finite, negative or out of range
 _BAD_NUMBERS = st.sampled_from(["blue", "", "1.0.0", "nan", "inf", "-inf", "-1.5", "0",
-                                "1e150", "1e300", "-1e300", "1e-300"])
+                                "1e150", "1e300", "-1e300", "1e-300", "1e308"])
 
 
 def _floats(lo, hi):
@@ -74,7 +74,7 @@ _CURVES = (
         st.builds("exp_decay({!r}, {!r})".format, st.floats(0.3, 1.2), st.floats(0.5, 2.0)),
     ),
     st.sampled_from(["foo(1.0)", "constant(", "affine(1.0)", "exp_decay(1.0, nan)", "constant(-1)",
-                     "affine(0.1, -1.0)", "exp_decay(1.0, -2000)", "constant(1e300)", ""]),
+                     "affine(0.1, -1.0)", "exp_decay(1.0, -2000)", "constant(1e300)", "constant(1e308)", ""]),
 )
 
 VALUES = {

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from robustmm import FunctionSpec, affine, constant, exp_decay, parse_function_spec
+from robustmm.functions import _ARITY
 
 
 def test_constant_scalar_and_array():
@@ -62,3 +65,19 @@ def test_spec_rejects_non_finite_params():
         FunctionSpec("constant", (float("nan"),))
     with pytest.raises(ValueError):
         FunctionSpec("affine", (1.0, float("inf")))
+
+
+@st.composite
+def specs(draw):
+    kind = draw(st.sampled_from(sorted(_ARITY)))
+    return FunctionSpec(kind, tuple(draw(st.floats(-50.0, 50.0)) for _ in range(_ARITY[kind])))
+
+
+@given(spec=specs(), end=st.floats(1e-3, 10.0))
+def test_every_kind_is_monotone(spec, end):
+    # validate_model_on_domain checks a curve at the two ends of [0, eps_max] only
+    ends = spec(np.array([0.0, end]))
+    assume(np.all(np.isfinite(ends)))
+    vals = spec(np.linspace(0.0, end, 4097))
+    slack = 4 * np.spacing(np.max(np.abs(ends)))
+    assert np.all(vals >= np.min(ends) - slack) and np.all(vals <= np.max(ends) + slack)

@@ -130,6 +130,17 @@ def test_negative_demand_intensity_rejected():
         validate_model_on_domain(bad, dom)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("h_plus", affine(1.0, -1.000001)),  # negative only past eps = 0.999999
+    ("f_plus", exp_decay(1.0, -709.9)),  # exp(709.9 eps) overflows only past eps = 0.9998
+], ids=["negative-at-end", "overflow-at-end"])
+def test_model_check_reaches_the_far_end(name, bad):
+    vals = bad(np.linspace(0.0, 0.999, 1000))
+    assert np.all(np.isfinite(vals) & (vals >= 0.0))
+    with pytest.raises(ValueError, match=name):
+        validate_model_on_domain(plain_model(**{name: bad}), SpreadDomain(eps_max=1.0, grid_n=33))
+
+
 def test_quadrature_weights_integrate_constants():
     dom = SpreadDomain(eps_max=0.7, grid_n=33)
     assert float(np.sum(dom.axis_weights)) == pytest.approx(0.7, rel=1e-12)
@@ -271,7 +282,7 @@ def test_policy_density_integrates_to_one():
         e = ev.exponent(sol.alpha_star_plus, sol.alpha_star_minus,
                         sol.beta_star_plus, sol.beta_star_minus)
         t = np.exp(e - np.max(e))
-        expected = (t / np.sum(t * ev.wprod)).reshape(pol.density.shape)
+        expected = (t / np.sum(t * dom.weights.ravel())).reshape(pol.density.shape)
         np.testing.assert_allclose(pol.density, expected, rtol=1e-13, atol=0.0)
 
 
@@ -325,6 +336,26 @@ def test_normalizer_overflow_gives_degenerate_policy():
         build_policy(model, dom, sol)
 
 
+@pytest.mark.parametrize("case", ["nan", "inf", "log-weight"])
+def test_gibbs_guards_each_row_max(case):
+    # eps_max 100 on 17 nodes: every node weight exceeds 1
+    dom = SpreadDomain(eps_max=100.0, grid_n=17)
+    ev = _GridEvaluator(plain_model(), dom)
+    assert np.all(ev.logw > 0.0)
+    row = np.array([0.8, 0.9, 1.0, 1.1, 0.72])
+    if case == "log-weight":
+        # a domain's log weights stay below log(float max), far under half an ulp
+        # of the float max, so only raised weights push a finite exponent past it
+        ev.base = np.full_like(ev.base, 1e308)
+        ev.logw = ev.logw + 1e308
+        ev.K = np.zeros_like(ev.K)
+        assert np.all(np.isfinite(ev._affine(row)))
+    else:
+        ev.base[5] = math.nan if case == "nan" else math.inf
+    with pytest.raises(ValueError, match="integrand overflow"):
+        ev.gibbs(np.stack([np.zeros(5), row]))
+
+
 def test_integrand_overflow_raises():
     sp, sm = small_summaries()
     model = plain_model(S=1e6, gamma=1e-6, f_plus=constant(5.0))
@@ -343,7 +374,7 @@ def test_gibbs_density_maximizes_entropy_regularized_value():
     reward = model.gamma * ev.exponent(
         sol.alpha_star_plus, sol.alpha_star_minus,
         sol.beta_star_plus, sol.beta_star_minus).reshape(pol.density.shape)
-    w = ev.wprod.reshape(pol.density.shape)
+    w = dom.weights
 
     def value(dens):
         mass = dens * w

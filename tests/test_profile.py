@@ -214,8 +214,8 @@ def test_bootstrap_chunks_keep_the_stream(monkeypatch):
     summaries = (empirical_moments(buy), empirical_moments(sell))
     values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries, n)
     q = max(float(np.quantile(values, 0.9, method="higher")), 0.0)
-    assert whole == RadiusSelection(chi=0.1, delta_hat=math.sqrt(q / 2.0),
-                                    resamples=resamples, profile_quantile=q)
+    assert whole == RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q,
+                                    gram_bound=gram_bound_check(summaries))
 
 
 def test_bootstrap_memory_is_bounded():
