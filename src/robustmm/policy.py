@@ -2,20 +2,22 @@
 
 The market maker posts half-spreads (eps_plus, eps_minus) drawn from a
 density pi on [0, eps_max]^2. With fill sensitivities h and baseline
-flows f, cash and inventory bookkeeping give the expected reward at a
-spread pair; entropy regularization at temperature gamma makes the
-optimal policy a Gibbs density proportional to
+flows f, a side's mean fill at innovation moments (a, b) is m = f + a h
+with variance v h^2, v = b - a^2. Cash and inventory bookkeeping give
+the expected reward E[cash] - eta E[inventory^2] at a spread pair, and
+entropy regularization at temperature gamma makes the optimal policy a
+Gibbs density proportional to M(eps) = exp(exponent), where
 
-    M(eps) = exp{ [ (A - 2 eta C h+) a+ - (B - 2 eta C h-) a-
-                    - eta (h+^2 b+ - 2 h+ h- a+ a- + h-^2 b-)
-                    + (S + eps+) f+ - (S - eps-) f- - eta C^2 ] / gamma }
+    gamma * exponent = (S + eps+) m+ - (S - eps-) m-
+                       - eta [ (Q + m+ - m-)^2 + v+ h+^2 + v- h-^2 ]
 
-where A = (S + eps+) h+, B = (S - eps-) h-, C = Q + f+ - f-, (a, b) are
-the first and second moments of the innovations, and the cross term uses
-independence of the two sides. The adversary picks the moments inside
-per-side transport balls; the worst case pins each second moment at its
-envelope and leaves a two-dimensional concave (under a certificate)
-maximization of -gamma * integral(M) over a box of means.
+uses independence of the two sides. Expanding the square splits the
+exponent as A(eps+) + B(eps-) + C(eps+) D(eps-) with C = 2 eta (Q + m+)
+/ gamma and D = m-, so every table lives on one spread axis. The
+adversary picks the moments inside per-side transport balls; the worst
+case pins each second moment at its envelope and leaves a
+two-dimensional concave (under a certificate) maximization of
+-gamma * integral(M) over a box of means.
 """
 from __future__ import annotations
 
@@ -36,6 +38,8 @@ _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 500
 # buckets of the sampler's guide table; a power of two keeps u * m and k / m exact
 _GUIDE_SIZE = 1 << 16
+# grid nodes per chunk of objective rows, a cache-sized table
+_CHUNK_NODES = 100_000
 
 
 class SolverError(RuntimeError):
@@ -86,8 +90,8 @@ class SpreadDomain:
         if not (math.isfinite(self.eps_max) and self.eps_max > 0):
             raise ValueError("eps_max must be positive")
         if not 16 <= self.grid_n <= _GRID_N_MAX:
-            # the grid evaluator holds about eight grid_n^2 float arrays,
-            # about 270 MB at the cap
+            # traced at the cap, a solve peaks at one grid_n^2 float table (34 MB)
+            # and build_policy at four (135 MB)
             raise ValueError(f"grid_n must be between 16 and {_GRID_N_MAX}, got {self.grid_n}")
         # node weights are products of two axis weights, each within a factor 2 of the cell
         lo, hi = self.eps_max / (2 * self.grid_n), 2 * self.eps_max / self.grid_n
@@ -133,62 +137,59 @@ def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
             raise ValueError(f"{name} must be nonnegative on [0, eps_max]")
 
 
-class _GridEvaluator:
-    """Precomputed per-node constants for the Gibbs exponent on a domain.
+def _form(A, B, C, D) -> np.ndarray:
+    """The exponent A_i + B_j + C_i D_j on every node (i, j) of each row, built
+    in place; callers check for the inf or nan of overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = C[..., :, None] * D[..., None, :]
+        e += A[..., :, None]
+        e += B[..., None, :]
+    return e
 
-    The exponent is affine in the five moment terms x = (a+, a-, b+, b-,
-    a+ a-): exponent = x K + base with K a 5 x N coefficient matrix. So
-    the gradient and Hessian of log Z in x are the Gibbs-weighted mean and
-    covariance of the rows of K, and one grid pass yields all three.
-    """
+
+class _GridEvaluator:
+    """Per-axis constants of the Gibbs exponent on a domain: each side's signed
+    price (S + eps+, eps- - S), f and h at the axis nodes, and the axis log
+    weights. Only gibbs and exponent form tables over the square, gibbs a row or a chunk at a time."""
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
         self.model = model
         x = domain.axis_nodes
-        eta = model.eta
         # extreme inputs can overflow to inf here; gibbs checks the exponent
         with np.errstate(over="ignore", invalid="ignore"):
-            fp = np.asarray(model.f_plus(x), dtype=float)
-            fm = np.asarray(model.f_minus(x), dtype=float)
-            hp = np.asarray(model.h_plus(x), dtype=float)
-            hm = np.asarray(model.h_minus(x), dtype=float)
-            a = (model.S + x) * hp
-            b = (model.S - x) * hm
-            c = model.Q + fp[:, None] - fm[None, :]
-            K = np.empty((5,) + c.shape)
-            K[0] = a[:, None] - 2.0 * eta * c * hp[:, None]
-            K[1] = 2.0 * eta * c * hm[None, :] - b[None, :]
-            K[2] = -(eta * hp * hp)[:, None]
-            K[3] = -(eta * hm * hm)[None, :]
-            K[4] = 2.0 * eta * hp[:, None] * hm[None, :]
-            K /= model.gamma
-            self.K = K.reshape(5, -1)
-            base = (
-                ((model.S + x) * fp)[:, None]
-                - ((model.S - x) * fm)[None, :]
-                - eta * c * c
-            )
-            self.base = base.ravel() / model.gamma
-        self.logw = np.log(domain.weights).ravel()
+            self.plus, self.minus = ((price, np.asarray(f(x), dtype=float), np.asarray(h(x), dtype=float))
+                                     for price, f, h in ((model.S + x, model.f_plus, model.h_plus),
+                                                         (x - model.S, model.f_minus, model.h_minus)))
+        self.logw = np.log(domain.axis_weights)
 
-    def _affine(self, x: np.ndarray) -> np.ndarray:
-        """x K + base per row of x; callers check for the inf or nan of overflow."""
+    def _side(self, side, offset, a, v):
+        """One side's term (price m - eta (u^2 + v h^2)) / gamma and its
+        inventory u = offset + m, with mean fill m = f + a h."""
+        price, f, h = side
+        m = f + a * h
+        u = offset + m
+        return (price * m - self.model.eta * (u * u + v * (h * h))) / self.model.gamma, u
+
+    def tables(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
+        """(A, B, C, D) at moments (a, b) per side: one row for scalar
+        moments, a row per entry for 1-D arrays of them."""
+        ap, am, bp, bm = (np.asarray(v, dtype=float)[..., None] for v in (ap, am, bp, bm))
         with np.errstate(over="ignore", invalid="ignore"):
-            e = x @ self.K
-            e += self.base
-        return e
+            A, u = self._side(self.plus, self.model.Q, ap, bp - ap * ap)
+            B, D = self._side(self.minus, 0.0, am, bm - am * am)
+            return A, B, 2.0 * self.model.eta / self.model.gamma * u, D
 
     def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
-        return self._affine(np.array([ap, am, bp, bm, ap * am]))
+        return _form(*self.tables(ap, am, bp, bm)).ravel()
 
-    def gibbs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log Z and the normalized Gibbs weights exp(exponent) * w / Z per
-        row of moment terms x (one row of five, or k x 5). A row that is
-        -inf at every node has log Z = -inf and zero weights."""
-        e = self._affine(x)
-        with np.errstate(over="ignore"):
-            e += self.logw
-        m = np.max(e, axis=-1, keepdims=True)
+    def gibbs(self, A, B, C, D) -> tuple[np.ndarray, np.ndarray]:
+        """log Z and the normalized Gibbs weights exp(exponent) * w / Z of the
+        exponent A_i + B_j + C_i D_j per row: A and C run over the eps+ nodes,
+        B and D over the eps- nodes, on the last axis. A row that is -inf at
+        every node has log Z = -inf and zero weights."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = _form(A + self.logw, B + self.logw, C, D)
+        m = np.max(e, axis=(-2, -1), keepdims=True)
         # a nan or +inf term, of the exponent or after its log weight, is its row's max
         if not np.all(m < math.inf):
             raise ValueError("integrand overflow")
@@ -196,10 +197,10 @@ class _GridEvaluator:
         p = np.exp(e, out=e)
         # the largest shifted term is exp(0) = 1, so only a row that is -inf
         # everywhere sums to 0; dividing it by 1 keeps its weights and log Z
-        total = np.sum(p, axis=-1, keepdims=True)
+        total = np.sum(p, axis=(-2, -1), keepdims=True)
         total[total == 0.0] = 1.0
         p /= total
-        return (m + np.log(total))[..., 0], p
+        return (m + np.log(total))[..., 0, 0], p
 
     def objective(self, ap, am, bp, bm):
         """-gamma * integral of M over the spread square at paired moments:
@@ -209,10 +210,10 @@ class _GridEvaluator:
         is a vanishing integrand and gives -0.0.
         """
         ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ap, am, bp, bm)))
-        rows = np.stack([ap, am, bp, bm, ap * am], axis=-1).reshape(-1, 5)
-        chunk = max(1, 8_000_000 // len(self.base))
-        lz = np.concatenate([np.empty(0)] + [self.gibbs(rows[s : s + chunk])[0]
-                                             for s in range(0, len(rows), chunk)])
+        tabs = self.tables(*(v.ravel() for v in (ap, am, bp, bm)))
+        chunk = max(1, _CHUNK_NODES // len(self.logw) ** 2)
+        lz = np.concatenate([np.empty(0)] + [self.gibbs(*(v[s : s + chunk] for v in tabs))[0]
+                                             for s in range(0, ap.size, chunk)])
         with np.errstate(over="ignore"):
             out = (-self.model.gamma * np.exp(lz)).reshape(ap.shape)
         if not np.all(np.isfinite(out)):
@@ -258,45 +259,44 @@ def worst_case_objective(
     return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
 
 
-def _envelope_map(summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-                  delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pinned envelope in solve_inner's coordinates t as an affine map x(t) = c + L phi(t)
-    of phi = (sin t+, cos t+, sin t-, cos t-, sin t+ sin t-): with r = sqrt(delta),
-    a = alpha_n + r sin t and b = (sd + r cos t)^2 + a^2 = beta_n + delta + 2 r (sd cos t + alpha_n sin t)."""
-    sp, sm = summaries
-    r = math.sqrt(delta)
-    c = np.array([sp.alpha_n, sm.alpha_n, sp.beta_n + delta, sm.beta_n + delta, sp.alpha_n * sm.alpha_n])
-    L = np.zeros((5, 5))
-    L[0, 0] = L[1, 2] = r
-    L[2, :2] = 2.0 * r * sp.alpha_n, 2.0 * r * math.sqrt(sp.variance)
-    L[3, 2:4] = 2.0 * r * sm.alpha_n, 2.0 * r * math.sqrt(sm.variance)
-    L[4] = r * sm.alpha_n, 0.0, r * sp.alpha_n, 0.0, delta
-    return c, L
-
-
-def _log_mass_in_t(ev: _GridEvaluator, c: np.ndarray, L: np.ndarray,
-                   t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """log Z on the pinned envelope x(t) = c + L phi(t), with its exact
-    gradient and Hessian in t: one grid pass, the Gibbs mean and covariance
-    of K's rows (the moment derivatives) mapped into phi by L, then phi's own
-    trig derivatives. Extreme radii overflow the map; the descent takes its inf or nan."""
+def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary],
+                   delta: float, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z on the pinned envelope, with its exact gradient and Hessian in t
+    from one grid pass. With r = sqrt(delta) each side has mean a = alpha_n +
+    r sin t and variance sd^2, sd = sd_n + r cos t, so its tables and their
+    first two t-derivatives are closed-form. g = E[de] and H = E[d2e] + Cov(de)
+    under the Gibbs weights p are bilinear forms x p y of per-axis vectors, read
+    off one product of p with stacked eps- vectors. Extreme radii overflow them."""
+    r, gamma, k = math.sqrt(delta), ev.model.gamma, 2.0 * ev.model.eta / ev.model.gamma
+    jets = []
     with np.errstate(over="ignore", invalid="ignore"):
-        sin, cos = np.sin(t), np.cos(t)
-        phi = np.array([sin[0], cos[0], sin[1], cos[1], sin[0] * sin[1]])
-        lz, p = ev.gibbs(c + L @ phi)
-        mean = ev.K @ p
-        cov = (ev.K * p) @ ev.K.T - np.outer(mean, mean)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        for side, offset, s, sin, cos in zip((ev.plus, ev.minus), (ev.model.Q, 0.0), summaries,
+                                             np.sin(t), np.cos(t)):
+            price, _, h = side
+            sd, sd1, sd2 = math.sqrt(s.variance) + r * cos, -r * sin, -r * cos
+            term, u = ev._side(side, offset, s.alpha_n + r * sin, sd * sd)
+            # the side's term and its inventory u = offset + m, each with two t-derivatives
+            m1, m2, hh = r * cos * h, -r * sin * h, h * h
+            jets.append((term, price * m1 / gamma - k * (u * m1 + sd * sd1 * hh),
+                         price * m2 / gamma - k * (m1 * m1 + u * m2 + (sd1 * sd1 + sd * sd2) * hh), u, m1, m2))
+        (A, A1, A2, U, U1, U2), (B, B1, B2, D, D1, D2) = jets
+        C, C1, C2 = k * U, k * U1, k * U2
+        # the exponent is A + B + C D, so de+ = A1 + C1 D, de- = B1 + C D1 and
+        # d2e = (A2 + C2 D, C1 D1, B2 + C D2) on every node
+        lz, p = ev.gibbs(A, B, C, D)
+        y1, yd, ydd, yb, yd1, yd1d1, ybb, ydb, ycross, ydd1 = (p @ np.stack(
+            [np.ones_like(D), D, D * D, B1, D1, D1 * D1, B2 + B1 * B1, D2 + 2.0 * B1 * D1, D1 + D * B1, D * D1],
+            axis=1)).T
+        g = np.array([A1 @ y1 + C1 @ yd, yb.sum() + C @ yd1])
+        # E[d2e + de de'] per entry, then less g g'; each eps+ product takes its
+        # weight first, so terms of vanishing weight cannot overflow
+        hpp = A2 @ y1 + C2 @ yd + A1 @ (A1 * y1 + 2.0 * C1 * yd) + C1 @ (C1 * ydd)
+        hmm = ybb.sum() + C @ (ydb + C * yd1d1)
+        hpm = A1 @ (yb + C * yd1) + C1 @ (ycross + C * ydd1)
+        hess = np.array([[hpp, hpm], [hpm, hmm]]) - np.outer(g, g)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
             raise ValueError("integrand overflow")
-        g = L.T @ mean
-        jac = np.array([[cos[0], 0.0], [-sin[0], 0.0], [0.0, cos[1]], [0.0, -sin[1]],
-                        [cos[0] * sin[1], sin[0] * cos[1]]])
-        hess = jac.T @ (L.T @ cov @ L) @ jac
-        # phi's second derivatives: -phi_k along its own angles, plus cos t+ cos t- across them for phi_4
-        hess[0, 0] -= g[0] * phi[0] + g[1] * phi[1] + g[4] * phi[4]
-        hess[1, 1] -= g[2] * phi[2] + g[3] * phi[3] + g[4] * phi[4]
-        hess[0, 1] = hess[1, 0] = hess[0, 1] + g[4] * cos[0] * cos[1]
-        return float(lz), jac.T @ g, hess
+    return float(lz), g, hess
 
 
 def solve_inner(
@@ -319,11 +319,10 @@ def solve_inner(
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
     cert = concavity_check(summaries, delta)
-    c, L = _envelope_map(summaries, delta)
     half = math.pi / 2.0
 
     def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        lz, g, hess = _log_mass_in_t(ev, c, L, t)
+        lz, g, hess = _log_mass_in_t(ev, summaries, delta, t)
         for it in range(1, _NEWTON_MAX_ITER + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
@@ -340,7 +339,7 @@ def solve_inner(
             step = 1.0
             for _ in range(60):
                 trial = np.clip(t + step * d, -half, half)
-                lz_new, g_new, hess_new = _log_mass_in_t(ev, c, L, trial)
+                lz_new, g_new, hess_new = _log_mass_in_t(ev, summaries, delta, trial)
                 if lz_new < lz + 1e-4 * float(g @ (trial - t)):
                     break
                 step *= 0.5
@@ -363,7 +362,7 @@ def solve_inner(
             best_t, best_lz = t, lz
 
     # |sin| <= 1 and monotone rounding keep these means inside the box
-    ap, am = (c[:2] + math.sqrt(delta) * np.sin(best_t)).tolist()
+    ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(best_t)).tolist()
     bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
     solution = RobustSolution(
         alpha_star_plus=ap,
@@ -418,9 +417,9 @@ class PolicyGrid:
 def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolution) -> PolicyGrid:
     """Gibbs density M / integral(M) at the adversarial moments."""
     ev = _GridEvaluator(model, domain)
-    ap, am = solution.alpha_star_plus, solution.alpha_star_minus
     try:
-        log_z, p = ev.gibbs(np.array([ap, am, solution.beta_star_plus, solution.beta_star_minus, ap * am]))
+        log_z, p = ev.gibbs(*ev.tables(solution.alpha_star_plus, solution.alpha_star_minus,
+                                       solution.beta_star_plus, solution.beta_star_minus))
     except ValueError as exc:
         raise DegeneratePolicyError("non-finite Gibbs exponent (nan or +inf)") from exc
     if log_z == -math.inf:
@@ -429,7 +428,7 @@ def build_policy(model: SpreadModel, domain: SpreadDomain, solution: RobustSolut
         raise DegeneratePolicyError(f"normalizer overflow: log Z = {log_z:.6g}")
     if math.exp(log_z) == 0.0:
         raise DegeneratePolicyError(f"normalizer underflow: log Z = {log_z:.6g}")
-    return PolicyGrid(domain=domain, density=p.reshape(domain.grid_n, domain.grid_n) / domain.weights)
+    return PolicyGrid(domain=domain, density=np.divide(p, domain.weights, out=p))
 
 
 def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
@@ -438,8 +437,6 @@ def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
     1974) and its cells are bit-identical to a binary search of the cell CDF."""
     cdf = grid._cell_cdf
     u = rng.random(size)
-    ux = rng.random(size)
-    uy = rng.random(size)
     # cdf ends at exactly 1.0 and u < 1, so every search lands on a cell
     idx = grid._cell_guide[(u * _GUIDE_SIZE).astype(np.intp)]
     # a narrow bucket's cell is g or g + 1; a wide one takes the binary search
@@ -447,6 +444,10 @@ def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
     idx += cdf[idx] < u
     idx[wide] = np.searchsorted(cdf, u[wide], side="left")
     i, j = np.divmod(idx, grid.domain.grid_n)
+    # free the search's arrays first: held through the placement draws, they fragment the heap
+    del u, idx, wide
+    ux = rng.random(size)
+    uy = rng.random(size)
     lo, hi = grid.domain.cell_edges
     eps_plus = lo[i] + ux * (hi[i] - lo[i])
     eps_minus = lo[j] + uy * (hi[j] - lo[j])

@@ -83,10 +83,9 @@ def simulate_batch(
     """Vectorized episodes: one spread pair and one innovation per side
     each, booked as the module docstring describes."""
     eps_plus, eps_minus = sample_policy(policy, rng, size=episodes)
-    xi_p = metas[0].draw(rng, episodes)
-    xi_m = metas[1].draw(rng, episodes)
-    dn_p = np.asarray(model.h_plus(eps_plus)) * xi_p + np.asarray(model.f_plus(eps_plus))
-    dn_m = np.asarray(model.h_minus(eps_minus)) * xi_m + np.asarray(model.f_minus(eps_minus))
+    # each side's innovations live only inside its fill; the plus side draws first
+    dn_p = np.asarray(model.h_plus(eps_plus)) * metas[0].draw(rng, episodes) + np.asarray(model.f_plus(eps_plus))
+    dn_m = np.asarray(model.h_minus(eps_minus)) * metas[1].draw(rng, episodes) + np.asarray(model.f_minus(eps_minus))
     cash = (model.S + eps_plus) * dn_p - (model.S - eps_minus) * dn_m
     inventory = model.Q + dn_p - dn_m
     objective = cash - model.eta * inventory * inventory

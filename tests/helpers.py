@@ -41,6 +41,18 @@ class GaussianLaw:
         return rng.normal(self.mean, self.sd, size=size)
 
 
+@dataclass(frozen=True)
+class FixedLaw:
+    """Innovation law that returns prescribed draws, in place of a
+    MetaDistribution, for exact checks of the simulator's bookkeeping."""
+
+    values: np.ndarray
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        assert size == len(self.values)
+        return np.asarray(self.values, dtype=float)
+
+
 def rand_samples(rng: np.random.Generator, side: str, n: int | None = None) -> SampleSet:
     if n is None:
         n = int(rng.integers(4, 7))

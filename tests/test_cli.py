@@ -1,12 +1,14 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robustmm.validation as validation
-from robustmm import SpreadDomain, build_policy, empirical_moments, read_sample_csv, solve_inner
+from robustmm import (SpreadDomain, build_policy, constant, empirical_moments, read_sample_csv, solve_inner,
+                      worst_case_objective)
 from robustmm.cli import _atomic_write, main
 from robustmm.config import ConfigError, parse_config
 
@@ -268,6 +270,33 @@ def test_degenerate_policy_exit_code(tmp_path):
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     assert run("solve", cfg, tmp_path / "out") == 4
+
+
+@pytest.mark.parametrize("delta, code", [("0.0", 0), ("0.02", 4)])
+def test_huge_intensity_on_zero_samples(tmp_path, capsys, delta, code):
+    # h+ = 1e80 on all-zero samples: at delta = 0 the means and variances are 0,
+    # so h+ never enters the exponent and the solve must not square it; at 0.02
+    # the adversary's means scale the fills by 1e80 and the mass itself underflows
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_text("0.0\n0.0\n0.0\n0.0\n")
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text()
+                   .replace("model.h_plus = exp_decay(1.0, 1.2)", "model.h_plus = constant(1e80)")
+                   .replace("radius.delta = 0.02", f"radius.delta = {delta}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", cfg, tmp_path / "out") == code
+    if code == 4:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "normalizer underflow" in err
+        return
+    parsed = parse_config(cfg)
+    model, domain = parsed.require_model(), parsed.require_domain()
+    summaries = tuple(empirical_moments(read_sample_csv(p, side))
+                      for p, side in zip(parsed.require_samples(), ("buy", "sell")))
+    flat = worst_case_objective(replace(model, h_plus=constant(0.0)), domain, summaries, 0.0, 0.0, 0.0)
+    got = json.loads((tmp_path / "out" / "solution.json").read_text())["objective"]
+    assert got == pytest.approx(flat, rel=1e-14)
 
 
 def test_overflowing_model_is_degenerate_without_warning(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from robustmm import (
 
 from helpers import fd_hessian, rand_instance, refined_grid_max
 from robustmm import policy
-from robustmm.policy import _envelope_map, _GridEvaluator, _log_mass_in_t
+from robustmm.policy import _form, _GridEvaluator, _log_mass_in_t
 
 
 def small_summaries():
@@ -198,7 +199,7 @@ def test_solve_zero_radius_exact():
     assert sol.alpha_star_minus == sm.alpha_n
     assert sol.beta_star_plus == sp.beta_n
     assert sol.beta_star_minus == sm.beta_n
-    # delta = 0 flattens the envelope map, so the center start stops at its first check
+    # delta = 0 leaves log Z flat in t, so the center start stops at its first check
     assert sol.iterations == 1
     assert sol.objective == worst_case_objective(model, dom, (sp, sm), 0.0, sp.alpha_n, sm.alpha_n)
 
@@ -318,8 +319,8 @@ def test_vanishing_integrand_gives_degenerate_policy():
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
     sol = solve_inner(model, dom, (sp, sm), 0.02)
     assert sol.objective == 0.0
-    log_z, weights = _GridEvaluator(model, dom).gibbs(np.array([sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n,
-                                                                 sp.alpha_n * sm.alpha_n]))
+    ev = _GridEvaluator(model, dom)
+    log_z, weights = ev.gibbs(*ev.tables(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n))
     assert log_z == -math.inf and not np.any(weights)
     with pytest.raises(DegeneratePolicyError, match="zero mass"):
         build_policy(model, dom, sol)
@@ -342,18 +343,18 @@ def test_gibbs_guards_each_row_max(case):
     dom = SpreadDomain(eps_max=100.0, grid_n=17)
     ev = _GridEvaluator(plain_model(), dom)
     assert np.all(ev.logw > 0.0)
-    row = np.array([0.8, 0.9, 1.0, 1.1, 0.72])
+    # a zero exponent, then the model's row: (A, B, C, D) of shape (2, 17)
+    A, B, C, D = (np.stack([np.zeros(17), v]) for v in ev.tables(0.8, 0.9, 1.0, 1.1))
     if case == "log-weight":
         # a domain's log weights stay below log(float max), far under half an ulp
         # of the float max, so only raised weights push a finite exponent past it
-        ev.base = np.full_like(ev.base, 1e308)
+        A[1], B[1], C[1] = 1e308, 0.0, 0.0
+        assert np.all(np.isfinite(_form(A, B, C, D)))
         ev.logw = ev.logw + 1e308
-        ev.K = np.zeros_like(ev.K)
-        assert np.all(np.isfinite(ev._affine(row)))
     else:
-        ev.base[5] = math.nan if case == "nan" else math.inf
+        B[1, 5] = math.nan if case == "nan" else math.inf
     with pytest.raises(ValueError, match="integrand overflow"):
-        ev.gibbs(np.stack([np.zeros(5), row]))
+        ev.gibbs(A, B, C, D)
 
 
 def test_integrand_overflow_raises():
@@ -576,49 +577,54 @@ def test_hessian_negative_under_certificate():
         assert float(np.linalg.eigvalsh(h)[-1]) <= 1e-6 * scale
 
 
-def test_envelope_map_matches_theorem_envelope():
-    rng = np.random.default_rng(36)
+def envelope_cases(rng):
+    """(model, domain, summaries, delta, t): random problems with and without the
+    certificate, delta = 0, a zero-variance side and t on both faces of the box."""
     flat = empirical_moments(SampleSet("sell", (0.5, 0.5, 0.5)))
     assert flat.variance == 0.0
-    cases = [(rand_instance(rng, cert=cert)[2:], rng.uniform(-1.4, 1.4, size=2))
-             for cert in (True, False) for _ in range(4)]
-    cases += [((small_summaries(), 0.0), rng.uniform(-1.4, 1.4, size=2)),
-              (((small_summaries()[0], flat), 0.05), np.array([0.3, -1.2])),
-              (((flat, small_summaries()[1]), 0.0), np.array([1.1, 0.0]))]
-    for (summaries, delta), t in cases:
+    cases = [(*rand_instance(rng, cert=cert), rng.uniform(-1.4, 1.4, size=2))
+             for cert in (True, False) for _ in range(3)]
+    model, dom, (sp, sm) = plain_model(), SpreadDomain(eps_max=0.8, grid_n=33), small_summaries()
+    return cases + [(model, dom, (sp, sm), 0.0, rng.uniform(-1.4, 1.4, size=2)),
+                    (model, dom, (sp, flat), 0.05, np.array([0.3, -1.2])),
+                    (model, dom, (flat, sm), 0.0, np.array([1.1, 0.0])),
+                    (model, dom, (sp, sm), 0.02, np.array([math.pi / 2, -math.pi / 2]))]
+
+
+def test_log_mass_in_t_matches_theorem_envelope():
+    # the solve's envelope in t and moments.py's envelope in alpha give the same
+    # log Z; the face case is left out, where moments.py's sqrt(delta - (alpha -
+    # alpha_n)^2) turns the rounding of alpha into an sd error of about 1e-9
+    for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(36))[:-1]:
         sp, sm = summaries
-        c, L = _envelope_map(summaries, delta)
-        phi = np.array([math.sin(t[0]), math.cos(t[0]), math.sin(t[1]), math.cos(t[1]),
-                        math.sin(t[0]) * math.sin(t[1])])
         ap = sp.alpha_n + math.sqrt(delta) * math.sin(t[0])
         am = sm.alpha_n + math.sqrt(delta) * math.sin(t[1])
-        want = [ap, am, theorem_beta_envelope(sp, delta, ap), theorem_beta_envelope(sm, delta, am), ap * am]
-        np.testing.assert_allclose(c + L @ phi, want, rtol=1e-13, atol=0.0)
+        value = worst_case_objective(model, dom, summaries, delta, ap, am)
+        lz = _log_mass_in_t(_GridEvaluator(model, dom), summaries, delta, t)[0]
+        assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
 
 
 def test_one_pass_derivatives_match_central_differences():
-    rng = np.random.default_rng(37)
     h = 1e-6
-    for cert in (True, False):
-        for _ in range(3):
-            model, dom, summaries, delta = rand_instance(rng, cert=cert)
-            ev = _GridEvaluator(model, dom)
-            c, L = _envelope_map(summaries, delta)
-            t = rng.uniform(-1.4, 1.4, size=2)
-            _, grad, hess = _log_mass_in_t(ev, c, L, t)
-            fd_grad = np.zeros(2)
-            fd_hess = np.zeros((2, 2))
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = h
-                up = _log_mass_in_t(ev, c, L, t + e)
-                down = _log_mass_in_t(ev, c, L, t - e)
-                fd_grad[i] = (up[0] - down[0]) / (2.0 * h)
-                fd_hess[:, i] = (up[1] - down[1]) / (2.0 * h)
-            np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
-                                       atol=1e-6 * float(np.max(np.abs(fd_grad))))
-            np.testing.assert_allclose(hess, fd_hess, rtol=1e-6,
-                                       atol=1e-6 * float(np.max(np.abs(fd_hess))))
+    for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(37)):
+        ev = _GridEvaluator(model, dom)
+        _, grad, hess = _log_mass_in_t(ev, summaries, delta, t)
+        fd_grad = np.zeros(2)
+        fd_hess = np.zeros((2, 2))
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = h
+            up = _log_mass_in_t(ev, summaries, delta, t + e)
+            down = _log_mass_in_t(ev, summaries, delta, t - e)
+            fd_grad[i] = (up[0] - down[0]) / (2.0 * h)
+            fd_hess[:, i] = (up[1] - down[1]) / (2.0 * h)
+        if delta == 0.0:
+            # log Z does not move with t, and neither do its exact derivatives
+            assert not np.any(grad) and not np.any(hess) and not np.any(fd_grad)
+        np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
+                                   atol=1e-6 * float(np.max(np.abs(fd_grad))))
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6,
+                                   atol=1e-6 * float(np.max(np.abs(fd_hess))))
 
 
 def test_solve_on_face_of_mean_box_matches_refined_grid():
@@ -637,3 +643,40 @@ def test_solve_on_face_of_mean_box_matches_refined_grid():
             assert sol.alpha_star_minus == pytest.approx(sm.alpha_n + root, abs=1e-12)
             grid = refined_grid_max(model, dom, summaries, delta)
             assert abs(sol.objective - grid) <= 1e-6 * (1.0 + abs(grid))
+
+
+def test_zero_eta_mass_is_a_product_of_two_axis_sums():
+    # at eta = 0 the cross term C vanishes, so Z = Z+ Z-: two 1-D sums of
+    # w exp(price m / gamma) with m = f + a h, whatever the second moments
+    rng = np.random.default_rng(45)
+    for cert in (True, False, True, False):
+        model, dom, summaries, delta = rand_instance(rng, cert=cert)
+        model = replace(model, eta=0.0)
+        sp, sm = summaries
+        ap = sp.alpha_n + rng.uniform(-1.0, 1.0, size=5) * math.sqrt(delta)
+        am = sm.alpha_n + rng.uniform(-1.0, 1.0, size=5) * math.sqrt(delta)
+        got = worst_case_objective(model, dom, summaries, delta, ap, am)
+        x, w = dom.axis_nodes, dom.axis_weights
+        for k in range(5):
+            z_plus = np.sum(w * np.exp((model.S + x) * (model.f_plus(x) + ap[k] * model.h_plus(x)) / model.gamma))
+            z_minus = np.sum(w * np.exp(-(model.S - x) * (model.f_minus(x) + am[k] * model.h_minus(x))
+                                        / model.gamma))
+            assert got[k] == pytest.approx(-model.gamma * z_plus * z_minus, rel=1e-13)
+
+
+def test_gibbs_layer_memory_stays_per_axis():
+    # a grid_n^2 float64 table is 8.4 MB at grid_n = 1025: one solve may hold
+    # at most four at a time and build_policy, with its density and copy, five
+    model, dom, summaries, delta = rand_instance(np.random.default_rng(46), grid_n=1025)
+    table = 8 * dom.grid_n ** 2
+    tracemalloc.start()
+    try:
+        sol = solve_inner(model, dom, summaries, delta)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        build_policy(model, dom, sol)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 4 * table, solve_peak / table
+    assert build_peak <= 5 * table, build_peak / table

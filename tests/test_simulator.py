@@ -19,7 +19,9 @@ from robustmm import (
     solve_inner,
 )
 
-from helpers import GaussianLaw
+import robustmm.simulator as simulator
+from helpers import FixedLaw, GaussianLaw
+from robustmm.policy import _GridEvaluator
 
 
 def fixture_samples():
@@ -80,6 +82,25 @@ def test_accounting_identity_every_episode():
     assert np.array_equal(batch["cash_delta"], cash)
     assert np.array_equal(batch["inventory_after"], inv)
     assert np.array_equal(batch["objective"], cash - model.eta * inv * inv)
+
+
+def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
+    # the Gibbs exponent is the expected reward: over the four equally likely
+    # innovation pairs of two-atom laws, the mean booked objective at each node
+    # is gamma times the exponent at the laws' (mean, second moment), exactly
+    model, _, _, policy = fixture_policy()
+    dom = SpreadDomain(eps_max=0.8, grid_n=17)
+    nodes = dom.grid_n ** 2
+    ep, em = (np.tile(v.ravel(), 4) for v in np.meshgrid(dom.axis_nodes, dom.axis_nodes, indexing="ij"))
+    monkeypatch.setattr(simulator, "sample_policy", lambda grid, rng, size: (ep, em))
+    (x1, x2), (y1, y2) = (0.3, 1.4), (0.6, 1.1)
+    laws = (FixedLaw(np.repeat([x1, x1, x2, x2], nodes)), FixedLaw(np.repeat([y1, y2, y1, y2], nodes)))
+    out = simulate_batch(policy, model, laws, 4 * nodes, np.random.default_rng(0))
+    assert np.array_equal(out["eps_plus"], ep) and np.array_equal(out["eps_minus"], em)
+    booked = out["objective"].reshape(4, nodes).mean(axis=0)
+    want = model.gamma * _GridEvaluator(model, dom).exponent(
+        (x1 + x2) / 2, (y1 + y2) / 2, (x1 * x1 + x2 * x2) / 2, (y1 * y1 + y2 * y2) / 2)
+    np.testing.assert_allclose(booked, want, rtol=1e-12, atol=0.0)
 
 
 def test_monte_carlo_matches_quadrature():
