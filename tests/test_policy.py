@@ -11,7 +11,6 @@ from scipy import stats
 from robustmm import (
     DegeneratePolicyError,
     EmpiricalSummary,
-    PolicyGrid,
     RobustSolution,
     SampleSet,
     SolverError,
@@ -30,7 +29,14 @@ from robustmm import (
     worst_case_objective,
 )
 
-from helpers import fd_hessian, rand_instance, refined_grid_max
+from helpers import (
+    binary_search_sample,
+    fd_hessian,
+    policy_with_masses,
+    rand_instance,
+    refined_grid_max,
+    zero_mass_cases,
+)
 from robustmm import policy
 from robustmm.policy import _form, _GridEvaluator, _log_mass_in_t
 
@@ -396,25 +402,6 @@ def fixture_policy():
     return build_policy(model, dom, solve_inner(model, dom, (sp, sm), 0.02))
 
 
-def binary_search_sample(grid, rng, size):
-    """Reference sampler: sample_policy's uniform stream with each cell
-    found by a plain binary search of the cell CDF."""
-    u, ux, uy = rng.random(size), rng.random(size), rng.random(size)
-    i, j = np.divmod(np.searchsorted(grid._cell_cdf, u, side="left"), grid.domain.grid_n)
-    lo, hi = grid.domain.cell_edges
-    return lo[i] + ux * (hi[i] - lo[i]), lo[j] + uy * (hi[j] - lo[j])
-
-
-def policy_with_masses(masses):
-    """PolicyGrid on [0, 1]^2 whose cell masses are masses / sum(masses);
-    at grid_n = 2^k + 1 every weight is a power of two, so dyadic masses
-    pass through the density exactly."""
-    n = masses.shape[0]
-    dom = SpreadDomain(eps_max=1.0, grid_n=n)
-    w = dom.axis_weights
-    return PolicyGrid(dom, masses / np.sum(masses) / (w[:, None] * w[None, :]))
-
-
 def assert_matches_binary_search(grid, rng_factory, size):
     got = sample_policy(grid, rng_factory(), size)
     want = binary_search_sample(grid, rng_factory(), size)
@@ -438,19 +425,6 @@ EDGE_UNIFORMS = np.concatenate(([0.0, 1.0 - 2.0 ** -53], EDGE, np.nextafter(EDGE
                                 np.nextafter(EDGE, 1.0)))
 
 
-def zero_mass_cases():
-    rng = np.random.default_rng(40)
-    base = rng.random((33, 33)) + 0.01
-    leading, trailing, interior, single = (base.copy() for _ in range(4))
-    leading.ravel()[:100] = 0.0
-    trailing.ravel()[-100:] = 0.0
-    for start in (50, 300, 700):
-        interior.ravel()[start:start + 40] = 0.0
-    single[:] = 0.0
-    single[17, 5] = 1.0
-    return {"leading": leading, "trailing": trailing, "interior": interior, "single": single}
-
-
 def dyadic_cases():
     # integer counts over 2^16 put every CDF value on a bucket edge k / 2^16
     rng = np.random.default_rng(41)
@@ -470,6 +444,17 @@ def test_sampling_matches_binary_search_on_fixture_policy():
     for seed in (0, 1, 42):
         assert_matches_binary_search(pol, lambda: np.random.default_rng(seed), 200_000)
     assert_matches_binary_search(pol, lambda: StubRng(EDGE_UNIFORMS), len(EDGE_UNIFORMS))
+
+
+@pytest.mark.parametrize("size", [1, policy._EPISODE_BLOCK - 1, policy._EPISODE_BLOCK,
+                                  policy._EPISODE_BLOCK + 1, 3 * policy._EPISODE_BLOCK + 5])
+def test_sampling_matches_binary_search_across_blocks(size):
+    # the blocked search and placement leave the stream and every spread as one pass does
+    pol = fixture_policy()
+    got_rng, want_rng = np.random.default_rng(size), np.random.default_rng(size)
+    got, want = sample_policy(pol, got_rng, size), binary_search_sample(pol, want_rng, size)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("masses", [pytest.param(m, id=k) for k, m in zero_mass_cases().items()])

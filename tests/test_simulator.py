@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from robustmm import (
 )
 
 import robustmm.simulator as simulator
-from helpers import FixedLaw, GaussianLaw
+from helpers import FixedLaw, GaussianLaw, one_shot_batch, policy_with_masses, zero_mass_cases
 from robustmm.policy import _GridEvaluator
 
 
@@ -37,9 +38,12 @@ def fixture_model():
 
 
 def fixture_policy(delta=0.02):
+    return fixture_policy_on(SpreadDomain(eps_max=0.8, grid_n=33), delta)
+
+
+def fixture_policy_on(dom, delta=0.02):
     buy, sell = fixture_samples()
     model = fixture_model()
-    dom = SpreadDomain(eps_max=0.8, grid_n=33)
     summaries = (empirical_moments(buy), empirical_moments(sell))
     sol = solve_inner(model, dom, summaries, delta)
     return model, dom, sol, build_policy(model, dom, sol)
@@ -79,8 +83,6 @@ def test_accounting_identity_every_episode():
     cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]
             - (model.S - batch["eps_minus"]) * batch["fill_minus"])
     inv = model.Q + batch["fill_plus"] - batch["fill_minus"]
-    assert np.array_equal(batch["cash_delta"], cash)
-    assert np.array_equal(batch["inventory_after"], inv)
     assert np.array_equal(batch["objective"], cash - model.eta * inv * inv)
 
 
@@ -101,6 +103,82 @@ def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
     want = model.gamma * _GridEvaluator(model, dom).exponent(
         (x1 + x2) / 2, (y1 + y2) / 2, (x1 * x1 + x2 * x2) / 2, (y1 * y1 + y2 * y2) / 2)
     np.testing.assert_allclose(booked, want, rtol=1e-12, atol=0.0)
+
+
+# episode counts on both sides of the simulator's block edges
+BLOCK = simulator._EPISODE_BLOCK
+BLOCK_EDGE_EPISODES = (1, 2000, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+@pytest.mark.parametrize("episodes", BLOCK_EDGE_EPISODES)
+@pytest.mark.parametrize("name", ["fixture", *zero_mass_cases()])
+def test_blocked_batch_equals_one_shot_batch(name, episodes):
+    # blocks change neither the random stream nor a single bit of any field
+    model = fixture_model()
+    policy = fixture_policy()[3] if name == "fixture" else policy_with_masses(zero_mass_cases()[name])
+    buy, sell = fixture_samples()
+    for metas in (ShiftSpec(mean_shift_plus=-0.2, sd_scale_minus=1.5).apply((buy, sell)),
+                  (GaussianLaw(0.8, 0.4), GaussianLaw(0.7, 0.5))):
+        got_rng, want_rng = np.random.default_rng(episodes), np.random.default_rng(episodes)
+        got = simulate_batch(policy, model, metas, episodes, got_rng)
+        want = one_shot_batch(policy, model, metas, episodes, want_rng)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_shift_experiment_equals_one_shot_rows():
+    # 40 000 episodes cross two block edges; every statistic is bit-equal
+    buy, sell = fixture_samples()
+    model = fixture_model()
+    dom = SpreadDomain(eps_max=0.8, grid_n=33)
+    shift = ShiftSpec(mean_shift_plus=-0.35, sd_scale_plus=1.6,
+                      mean_shift_minus=0.25, sd_scale_minus=1.6)
+    deltas, episodes, seed = (0.0, 0.02, 0.08), 40000, 11
+    rows = shift_experiment((buy, sell), model, dom, deltas=deltas, shift=shift,
+                            episodes=episodes, rng_seed=seed)
+    summaries = (empirical_moments(buy), empirical_moments(sell))
+    laws = shift.apply((buy, sell))
+    want = []
+    for delta, child in zip(deltas, np.random.SeedSequence(seed).spawn(len(deltas))):
+        sol = solve_inner(model, dom, summaries, delta)
+        pol = build_policy(model, dom, sol)
+        obj = one_shot_batch(pol, model, laws, episodes, np.random.default_rng(child))["objective"]
+        want.append(simulator.ShiftRow(
+            delta=delta, mean_objective=float(np.mean(obj)),
+            std_err=float(np.std(obj, ddof=1) / math.sqrt(episodes)),
+            p10_objective=float(np.percentile(obj, 10.0)),
+            concave_certificate=sol.concave_certificate))
+    assert rows == tuple(want)
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_stays_within_six_episode_arrays():
+    # a batch returns five episode-long arrays and runs every other pass
+    # on cache-sized blocks, so it never holds six at once
+    episodes = 1_000_000
+    model, _, _, policy = fixture_policy_on(SpreadDomain(eps_max=0.8, grid_n=65))
+    metas = ShiftSpec().apply(fixture_samples())
+    peak = traced_peak(simulate_batch, policy, model, metas, episodes, np.random.default_rng(3))
+    assert peak <= 6 * 8 * episodes, peak / (8 * episodes)
+
+
+def test_shift_experiment_memory_holds_one_batch_at_a_time():
+    # three radii at 10^6 episodes: no radius's objective outlives its row
+    episodes = 1_000_000
+    peak = traced_peak(shift_experiment, fixture_samples(), fixture_model(),
+                       SpreadDomain(eps_max=0.8, grid_n=65), deltas=(0.0, 0.02, 0.08),
+                       shift=ShiftSpec(mean_shift_plus=-0.1), episodes=episodes, rng_seed=5)
+    assert peak <= 6 * 8 * episodes, peak / (8 * episodes)
 
 
 def test_monte_carlo_matches_quadrature():
