@@ -442,8 +442,11 @@ _LEAK_GAMMA = [("model.gamma = 2.0", "model.gamma = 1e308"), ("domain.eps_max = 
     ("simulate", _LEAK_GAMMA, 3, "integrand overflow"),
     # an intensity at the float limit overflows the evaluator's set-up
     ("solve", [("model.h_plus = exp_decay(1.0, 1.2)", "model.h_plus = constant(1e308)")], 3, "integrand overflow"),
+    # a finite policy whose booked episodes overflow
+    ("simulate", [("seed = 7", "seed = 7\nsimulate.shift_sd_scale_plus = 1e200")], 3,
+     "episode objectives overflow"),
 ], ids=["curve-overflow", "radius-overflow", "objective-overflow", "objective-overflow-simulate",
-        "intensity-overflow"])
+        "intensity-overflow", "episode-overflow"])
 def test_overflow_reports_one_line(tmp_path, capsys, command, edits, code, text):
     # no numpy overflow warning on the way: the one stderr line is the verdict
     for name in ("buy.csv", "sell.csv"):

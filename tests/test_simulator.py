@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,64 @@ def test_shift_experiment_replays_shifted_sample():
         assert row.delta == delta
         assert (row.mean_objective, row.std_err, row.p10_objective) == pytest.approx(want, rel=1e-12)
         assert row.concave_certificate == sol.concave_certificate
+
+
+# every N in 1000-1100 gives g = 0, 0 < g < 0.5 and g >= 0.5; then both sides of a block edge and the cap
+P10_SIZES = (*range(1000, 1101), BLOCK - 1, BLOCK, BLOCK + 1, 1_000_000, simulator._EPISODES_MAX)
+
+
+def two_level(rng, n):
+    # order statistic k is -3.7 and k + 1 is 0.3: the two ends of numpy's lerp round apart
+    x = np.full(n, 0.3)
+    x[:math.floor((n - 1) * 0.1) + 1] = -3.7
+    return rng.permutation(x)
+
+
+P10_INPUTS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "ties": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "two-level": two_level,
+    "constant": lambda rng, n: np.full(n, -0.7),
+    "sorted": lambda rng, n: np.sort(rng.standard_normal(n)),
+    "reversed": lambda rng, n: np.sort(rng.standard_normal(n))[::-1].copy(),
+}
+
+
+@pytest.mark.parametrize("kind", P10_INPUTS)
+def test_p10_equals_numpy_percentile(kind):
+    gs = {(n - 1) * 0.1 - math.floor((n - 1) * 0.1) for n in P10_SIZES}
+    assert 0.0 in gs and min(gs - {0.0}) < 0.5 <= max(gs)
+    rng = np.random.default_rng(17)
+    for n in P10_SIZES:
+        # ten draws per small size: a selection seldom leaves a non-minimum just right of k
+        for _ in range(10 if n <= 1100 else 1):
+            x = P10_INPUTS[kind](rng, n)
+            want = np.percentile(x, 10.0)
+            got = simulator._p10(x)
+            assert np.float64(got).tobytes() == want.tobytes(), (n, got, want)
+
+
+_MA_PROBE = """
+import sys
+from robustmm import shift_experiment
+from robustmm.cli import _load_samples
+from robustmm.config import parse_config
+cfg = parse_config(sys.argv[1])
+shift_experiment(_load_samples(cfg), cfg.require_model(), cfg.require_domain(), deltas=cfg.sim_deltas,
+                 shift=cfg.shift, episodes=cfg.episodes, rng_seed=cfg.seed)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_shift_experiment_leaves_numpy_ma_unimported():
+    # np.percentile imports numpy.ma on its first call, and the module's
+    # long-lived objects land in the freed heap of the first radius's batch
+    cfg = Path(__file__).parent / "fixtures" / "simulate.cfg"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _MA_PROBE, str(cfg)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_shift_experiment_validation():
