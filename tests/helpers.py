@@ -42,17 +42,25 @@ class GaussianLaw:
         return rng.normal(self.mean, self.sd, size=size)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FixedLaw:
-    """Innovation law that returns prescribed draws, in place of a
-    MetaDistribution, for exact checks of the simulator's bookkeeping."""
+    """Innovation law that serves prescribed draws in order from a cursor,
+    in place of a MetaDistribution, for exact checks of the simulator's
+    bookkeeping; assert_consumed checks that every value was served."""
 
     values: np.ndarray
+    cursor: int = 0
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        assert size == len(self.values)
+        end = self.cursor + size
+        assert end <= len(self.values), (end, len(self.values))
         # a fresh array, like MetaDistribution's: simulate_batch writes the fills into it
-        return np.array(self.values, dtype=float)
+        out = np.array(self.values[self.cursor:end], dtype=float)
+        self.cursor = end
+        return out
+
+    def assert_consumed(self) -> None:
+        assert self.cursor == len(self.values), (self.cursor, len(self.values))
 
 
 def binary_search_sample(grid, rng, size):

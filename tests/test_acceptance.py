@@ -35,7 +35,7 @@ from robustmm.cli import main
 from robustmm.policy import _GridEvaluator
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import GaussianLaw, fd_hessian, mean_box, rand_instance, rand_samples, refined_grid_max
+from helpers import GaussianLaw, fd_hessian, mean_box, one_shot_batch, rand_instance, rand_samples, refined_grid_max
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -296,9 +296,14 @@ def test_09_simulator_matches_quadrature():
                  GaussianLaw(am, math.sqrt(bm - am * am)))
         batch = simulate_batch(pol, model, metas, 100_000,
                                np.random.default_rng(900 + k))
-        cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]
-                - (model.S - batch["eps_minus"]) * batch["fill_minus"])
-        inv = model.Q + batch["fill_plus"] - batch["fill_minus"]
+        # the batch keeps no fills: take them from the reference replay of its stream
+        replay = one_shot_batch(pol, model, metas, 100_000,
+                                np.random.default_rng(900 + k))
+        identities &= all(np.array_equal(batch[key], replay[key])
+                          for key in ("eps_plus", "eps_minus", "objective"))
+        cash = ((model.S + replay["eps_plus"]) * replay["fill_plus"]
+                - (model.S - replay["eps_minus"]) * replay["fill_minus"])
+        inv = model.Q + replay["fill_plus"] - replay["fill_minus"]
         identities &= np.array_equal(batch["objective"], cash - model.eta * inv * inv)
         mc = float(np.mean(batch["objective"]))
         se = float(np.std(batch["objective"], ddof=1) / math.sqrt(len(cash)))

@@ -68,11 +68,22 @@ def test_shift_spec_apply():
                                               MetaDistribution(sell.values))
 
 
+def replayed_batch(policy, model, metas, episodes, seed):
+    """simulate_batch's fields, checked bit for bit against the reference
+    replay of the same stream, which also keeps the fills."""
+    batch = simulate_batch(policy, model, metas, episodes, np.random.default_rng(seed))
+    replay = one_shot_batch(policy, model, metas, episodes, np.random.default_rng(seed))
+    assert batch.keys() == {"eps_plus", "eps_minus", "objective"}
+    for key in batch:
+        assert np.array_equal(batch[key], replay[key]), key
+    return replay
+
+
 def test_order_flow_linear_in_innovation():
     # single-atom laws fix the innovations at 0.7 and 0.3
     model, dom, sol, pol = fixture_policy()
     metas = (MetaDistribution((0.7,)), MetaDistribution((0.3,)))
-    batch = simulate_batch(pol, model, metas, 50, np.random.default_rng(0))
+    batch = replayed_batch(pol, model, metas, 50, 0)
     hp = model.h_plus(batch["eps_plus"])
     hm = model.h_minus(batch["eps_minus"])
     np.testing.assert_allclose(batch["fill_plus"], hp * 0.7 + 0.2, rtol=1e-14)
@@ -82,8 +93,7 @@ def test_order_flow_linear_in_innovation():
 def test_accounting_identity_every_episode():
     model, dom, sol, pol = fixture_policy()
     metas = (GaussianLaw(0.8, 0.4), GaussianLaw(0.7, 0.5))
-    rng = np.random.default_rng(17)
-    batch = simulate_batch(pol, model, metas, 20000, rng)
+    batch = replayed_batch(pol, model, metas, 20000, 17)
     cash = ((model.S + batch["eps_plus"]) * batch["fill_plus"]
             - (model.S - batch["eps_minus"]) * batch["fill_minus"])
     inv = model.Q + batch["fill_plus"] - batch["fill_minus"]
@@ -102,6 +112,8 @@ def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
     (x1, x2), (y1, y2) = (0.3, 1.4), (0.6, 1.1)
     laws = (FixedLaw(np.repeat([x1, x1, x2, x2], nodes)), FixedLaw(np.repeat([y1, y2, y1, y2], nodes)))
     out = simulate_batch(policy, model, laws, 4 * nodes, np.random.default_rng(0))
+    for law in laws:
+        law.assert_consumed()
     assert np.array_equal(out["eps_plus"], ep) and np.array_equal(out["eps_minus"], em)
     booked = out["objective"].reshape(4, nodes).mean(axis=0)
     want = model.gamma * _GridEvaluator(model, dom).exponent(
@@ -112,6 +124,38 @@ def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
 # episode counts on both sides of the simulator's block edges
 BLOCK = simulator._EPISODE_BLOCK
 BLOCK_EDGE_EPISODES = (1, 2000, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+# draw sizes of a blocked draw of LAW_DRAWS values: ragged, a full block, then the rest
+LAW_DRAWS = 100_003
+LAW_BLOCKS = (1, 777, BLOCK, LAW_DRAWS - 1 - 777 - BLOCK)
+
+
+@pytest.mark.parametrize("law", [MetaDistribution(fixture_samples()[0].values[:7]),
+                                 MetaDistribution(tuple(np.linspace(-1.0, 1.0, 200))),
+                                 GaussianLaw(0.8, 0.4)], ids=["7-atoms", "200-atoms", "gaussian"])
+def test_law_draws_the_same_values_in_blocks(law):
+    # simulate_batch draws each side's innovations a block at a time: a law
+    # gives one call's values and leaves the generator where one call does
+    whole_rng, block_rng = np.random.default_rng(8), np.random.default_rng(8)
+    whole = law.draw(whole_rng, LAW_DRAWS)
+    blocked = [law.draw(block_rng, size) for size in LAW_BLOCKS]
+    assert [b.size for b in blocked] == list(LAW_BLOCKS)
+    assert np.array_equal(np.concatenate(blocked), whole)
+    assert block_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_fixed_law_serves_blocks_from_a_cursor():
+    values = np.arange(LAW_DRAWS) * 0.5
+    law = FixedLaw(values)
+    blocked = [law.draw(None, size) for size in LAW_BLOCKS]
+    assert np.array_equal(np.concatenate(blocked), values)
+    law.assert_consumed()
+    # each draw is a fresh array: booking a block in place leaves the values alone
+    blocked[0] += 1.0
+    assert values[0] == 0.0
+    with pytest.raises(AssertionError):
+        law.draw(None, 1)
+    with pytest.raises(AssertionError):
+        FixedLaw(values).assert_consumed()
 
 
 @pytest.mark.parametrize("episodes", BLOCK_EDGE_EPISODES)
@@ -126,8 +170,8 @@ def test_blocked_batch_equals_one_shot_batch(name, episodes):
         got_rng, want_rng = np.random.default_rng(episodes), np.random.default_rng(episodes)
         got = simulate_batch(policy, model, metas, episodes, got_rng)
         want = one_shot_batch(policy, model, metas, episodes, want_rng)
-        assert got.keys() == want.keys()
-        for key in want:
+        assert got.keys() == {"eps_plus", "eps_minus", "objective"}
+        for key in got:
             assert np.array_equal(got[key], want[key]), key
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -166,14 +210,14 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_batch_memory_stays_within_six_episode_arrays():
-    # a batch returns five episode-long arrays and runs every other pass
-    # on cache-sized blocks, so it never holds six at once
+def test_batch_memory_stays_within_four_episode_arrays():
+    # a batch returns three episode-long arrays, and the sampler holds
+    # three; every other pass runs on cache-sized blocks
     episodes = 1_000_000
     model, _, _, policy = fixture_policy_on(SpreadDomain(eps_max=0.8, grid_n=65))
     metas = ShiftSpec().apply(fixture_samples())
     peak = traced_peak(simulate_batch, policy, model, metas, episodes, np.random.default_rng(3))
-    assert peak <= 6 * 8 * episodes, peak / (8 * episodes)
+    assert peak <= 4 * 8 * episodes, peak / (8 * episodes)
 
 
 def test_shift_experiment_memory_holds_one_batch_at_a_time():
@@ -182,7 +226,7 @@ def test_shift_experiment_memory_holds_one_batch_at_a_time():
     peak = traced_peak(shift_experiment, fixture_samples(), fixture_model(),
                        SpreadDomain(eps_max=0.8, grid_n=65), deltas=(0.0, 0.02, 0.08),
                        shift=ShiftSpec(mean_shift_plus=-0.1), episodes=episodes, rng_seed=5)
-    assert peak <= 6 * 8 * episodes, peak / (8 * episodes)
+    assert peak <= 4 * 8 * episodes, peak / (8 * episodes)
 
 
 def test_monte_carlo_matches_quadrature():
