@@ -9,13 +9,16 @@ couplings (moment_range_search): any multipliers give a bound on the
 extremum, and the per-atom maximizers at those multipliers form a
 measure whose w2_squared price puts it inside the ball, so its moment is
 attained. A closed form outside the bracket is a proven error; that is
-what the validation suite certifies. The cheapest move onto given
-moments is exact (min_cost_given_moments).
+what the validation suite certifies. A measure sorts its atoms once, and
+moment_range_search brackets a side's rows in one array pass over them,
+pricing each witness it tries on the sorted arrays. The cheapest move
+onto given moments is exact (min_cost_given_moments).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,11 +79,13 @@ class DiscreteMeasure:
         x = np.asarray(self.atoms)
         return float(np.dot(self.weights, x * x))
 
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Atoms in stable ascending order, their weights and cumulative weights."""
         x = np.asarray(self.atoms, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
         order = np.argsort(x, kind="stable")
-        return x[order], w[order]
+        w = np.asarray(self.weights, dtype=float)[order]
+        return x[order], w, np.cumsum(w)
 
 
 def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -90,23 +95,39 @@ def w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     the merged cumulative-weight grid, so the integral of the squared
     quantile gap is a finite sum over merged segments.
     """
-    xp, wp = p._sorted()
-    xq, wq = q._sorted()
-    cwp, cwq = np.cumsum(wp), np.cumsum(wq)
+    xp, wp, cwp = p._sorted
+    return float(_price(xp[None], wp, q, _merge(cwp, q))[0])
+
+
+def _merge(cwp: np.ndarray, q: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merged grid of cumulative weights cwp and q's: segment lengths, p's atom index, q's atom."""
+    xq, _, cwq = q._sorted
     ts = np.sort(np.concatenate([cwp, cwq]), kind="stable")
-    ip = np.minimum(np.searchsorted(cwp, ts, side="left"), len(xp) - 1)
-    iq = np.minimum(np.searchsorted(cwq, ts, side="left"), len(xq) - 1)
-    seg = np.diff(ts, prepend=0.0)
-    d = xp[ip] - xq[iq]
-    return float(np.sum(seg * d * d))
+    ip = np.minimum(np.searchsorted(cwp, ts, side="left"), len(cwp) - 1)
+    iq = np.minimum(np.searchsorted(cwq, ts, side="left"), len(cwq) - 1)
+    return ts - np.concatenate(([0.0], ts[:-1])), ip, xq[iq]
 
 
-def moment_range_search(
-    empirical: DiscreteMeasure,
-    delta: float,
-    objective: str,
-    alpha: float | None = None,
-) -> tuple[float, float]:
+def _price(y: np.ndarray, w: np.ndarray, q: DiscreteMeasure, grid) -> np.ndarray:
+    """w2_squared to q from each row of atoms y on weights w, where grid is
+    the merged grid of w's cumulative weights and q's."""
+    if not (y[:, 1:] >= y[:, :-1]).all():
+        # rounding put some row's atoms out of the sample's order
+        return np.concatenate([_price(row[order][None], w[order], q, _merge(np.cumsum(w[order]), q))
+                               for row, order in zip(y, np.argsort(y, axis=-1, kind="stable"))])
+    seg, ip, xq = grid
+    # take keeps the rows in C order, so that each sums as one row alone does
+    d = y.take(ip, axis=-1) - xq
+    return np.sum(seg * d * d, axis=-1)
+
+
+def _dots(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot(w, row) for each row, as a column (a matrix product differs in the last bit)."""
+    return np.array([np.dot(w, row) for row in rows])[:, None]
+
+
+def moment_range_search(empirical: DiscreteMeasure, delta: float, objective: str | list[str],
+                        alpha: float | None | list[float | None] = None):
     """Bracket an extremal moment over the ball of squared W2 radius delta.
 
     objective is max_mean, min_mean, max_second_moment or
@@ -130,24 +151,30 @@ def moment_range_search(
     standard deviation and r^2 = delta - a^2; a point mass (s = 0) splits
     into halves at a +- r. It is translated to mean a, then pulled toward
     the sample translated to a until w2_squared prices it within delta.
+    Within 1e-12 (1 + |c|) of the ball's edge the witness is the sample
+    translated to a, and an alpha that far outside counts as on the edge.
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
+
+    objective and alpha may also be equal-length sequences, one row each
+    (alpha None on the mean rows). The rows share one sort of the atoms and
+    one array pass over them, and the result is a list of (value, bound).
     """
-    _, value, bound = _bracket(empirical, delta, objective, alpha)
-    return value, bound
+    single = isinstance(objective, str)
+    rows = _bracket(empirical, delta, [objective] if single else objective, [alpha] if single else alpha)
+    return rows[0][2:] if single else [row[2:] for row in rows]
 
 
-def _bracket(
-    empirical: DiscreteMeasure, delta: float, objective: str, alpha: float | None
-) -> tuple[DiscreteMeasure, float, float]:
-    """The witness measure of moment_range_search with its (value, bound)."""
-    if objective not in _OBJECTIVES:
-        raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}, got {objective!r}")
+def _bracket(empirical: DiscreteMeasure, delta: float, objectives: list[str],
+             alphas: list[float | None]) -> list[tuple[np.ndarray, np.ndarray, float, float]]:
+    """Per row of moment_range_search: the witness atoms and weights, value and bound."""
+    for objective, alpha in zip(objectives, alphas):
+        if objective not in _OBJECTIVES:
+            raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}, got {objective!r}")
+        if objective.endswith("second_moment") and (alpha is None or not math.isfinite(alpha)):
+            raise ValueError(f"{objective} requires a finite mean constraint alpha, got {alpha!r}")
     check_radius(delta)
-    second = objective.endswith("second_moment")
-    if second and (alpha is None or not math.isfinite(alpha)):
-        raise ValueError(f"{objective} requires a finite mean constraint alpha, got {alpha!r}")
-    x, w = empirical._sorted()
+    x, w, _ = empirical._sorted
     x, w = x[w > 0], w[w > 0]
     # an atom of weight w moves up to sqrt(delta / w) inside the ball, and
     # w2_squared squares each gap before weighting it
@@ -158,59 +185,69 @@ def _bracket(
     center = float(np.dot(w, x))
     center += float(np.dot(w, x - center))
     d = x - center
-    a = alpha - center if second else 0.0
+    # a row per objective, so that p, b, alpha and each multiplier are
+    # columns; a mean row's alpha is the center, so its a is 0
+    p, b = np.array([_OBJECTIVES[o] for o in objectives]).T[:, :, None]
+    second = p != 0.0
+    alpha = np.array([[al if sec else center] for al, sec in zip(alphas, second[:, 0])])
+    a = alpha - center
     # alpha and center carry rounding relative to the mean: within that
-    # slack alpha counts as on the ball's edge
+    # slack outside the ball's edge alpha counts as on it
     edge = math.sqrt(delta)
-    if abs(a) > edge + 1e-12 * (1.0 + abs(center)):
+    slack = 1e-12 * (1.0 + abs(center))
+    if (np.abs(a) > edge + slack).any():
         raise ValueError("no feasible measure")
-    a = min(max(a, -edge), edge)
-    p, b = _OBJECTIVES[objective]
-    const = p * (alpha * alpha - a * a) if second else b * center
+    a = np.minimum(np.maximum(a, -edge), edge)
     anchor = d + a
-    rr = delta - a * a
-    with np.errstate(over="ignore", invalid="ignore"):
-        # delta = 0, or alpha on the ball's edge: only the sample translated
-        # to alpha is left, and that is the witness
-        u = anchor
-        if rr > 0.0:
-            r = math.sqrt(rr)
-            s = math.sqrt(float(np.dot(w, d * d)))
-            # k = lam - p > 0 is the curvature of each per-atom sup, and
-            # mu = -2 a k centers its maximizers u on a
-            if p == 0.0:
-                k = lam = 0.5 / r
-            elif p > 0.0:
-                k = max(s / r, math.ulp(0.0))
-                lam = k + 1.0
-            else:
-                k = max(s / r, 1.0)
-                lam = k - 1.0
-            u = a + (0.5 * b + lam * d) / k
-            # each sup, k u^2 - lam d^2, factored as k (u - d)(u + d) - p d^2
-            # so that no two terms of size lam d^2 cancel
-            sups = (k * a + 0.5 * b + p * d) * (u + d) - p * d * d
-            bound = const + lam * delta - 2.0 * k * a * a + float(np.dot(w, sups))
-            if p > 0.0 and s == 0.0:
-                # a point mass ties every position at lam = 1: split each
-                # atom into halves at a +- r
-                x, d, w = np.repeat(x, 2), np.repeat(d, 2), np.repeat(0.5 * w, 2)
-                anchor = d + a
-                u = anchor + r * np.resize((1.0, -1.0), len(d))
-            if second:
-                u = u + (a - float(np.dot(w, u)))
-        for back in _PULL if rr > 0.0 else (0.0,):
-            atoms = u + back * (anchor - u)
-            # priced as moves of the sample's own atoms, so a zero move costs 0
-            witness = DiscreteMeasure(tuple(x + (atoms - d)), tuple(w))
-            if w2_squared(witness, empirical) <= delta:
-                break
-        value = const + float(np.dot(w, (p * atoms + b) * atoms))
-    bound = value if rr <= 0.0 else bound
-    if not (math.isfinite(value) and math.isfinite(bound)):
+    # at rr = delta - a^2 = 0 (delta = 0, alpha on the edge) the sample translated to alpha is the
+    # witness, and its moment the bound. Within the slack inside the edge it is the witness too: a
+    # pull there moves atoms about sqrt(rr), which w2_squared's rounding can take past the ball
+    inner = delta - a * a > 0.0
+    pulled = inner & ~(second & (np.abs(a) >= edge - slack))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        const = np.where(second, p * (alpha * alpha - a * a), b * center)
+        r = np.sqrt(delta - a * a)
+        s = math.sqrt(float(np.dot(w, d * d)))
+        # k = lam - p > 0 is the curvature of each per-atom sup, and
+        # mu = -2 a k centers its maximizers u on a
+        k = np.where(p == 0.0, 0.5 / r, np.maximum(s / r, np.where(p > 0.0, math.ulp(0.0), 1.0)))
+        lam = k + p
+        u = np.where(inner, a + (0.5 * b + lam * d) / k, anchor)
+        # each sup, k u^2 - lam d^2, factored as k (u - d)(u + d) - p d^2
+        # so that no two terms of size lam d^2 cancel
+        sups = (k * a + 0.5 * b + p * d) * (u + d) - p * d * d
+        bound = const + lam * delta - 2.0 * k * a * a + _dots(w, sups)
+        u = np.where(pulled, u, anchor)
+        # a point mass ties every position at lam = 1: the largest second
+        # moment splits each atom into halves at a +- r
+        split = (pulled & (p > 0.0) & (s == 0.0))[:, 0]
+        groups = [(~split, x, d, w, u, anchor)]
+        if split.any():
+            x2, d2, w2 = np.repeat(x, 2), np.repeat(d, 2), np.repeat(0.5 * w, 2)
+            groups.append((split, x2, d2, w2, d2 + a + r * np.resize((1.0, -1.0), len(d2)), d2 + a))
+        witnesses, values = {}, np.empty(len(p))
+        for rows, x, d, w, u, anchor in groups:
+            rows = np.flatnonzero(rows)
+            u, anchor = u[rows], anchor[rows]
+            u = np.where((second & pulled)[rows], u + (a[rows] - _dots(w, u)), u)
+            atoms = u + 0.0 * (anchor - u)
+            # pull each row by the fractions _PULL toward its anchor until it is priced
+            # within delta, as moves of the sample's own atoms, so a zero move costs 0
+            pulling = np.flatnonzero(pulled[rows, 0])
+            grid = _merge(np.cumsum(w), empirical) if len(pulling) else None
+            for back in _PULL[1:]:
+                if len(pulling) == 0:
+                    break
+                pulling = pulling[~(_price(x + (atoms[pulling] - d), w, empirical, grid) <= delta)]
+                atoms[pulling] = u[pulling] + back * (anchor[pulling] - u[pulling])
+            values[rows] = (const[rows] + _dots(w, (p[rows] * atoms + b[rows]) * atoms))[:, 0]
+            witnesses.update((i, (witness, w)) for i, witness in zip(rows, x + (atoms - d)))
+    bounds = np.where(inner[:, 0], bound[:, 0], values)
+    if not (np.isfinite(values).all() and np.isfinite(bounds).all()):
         raise ValueError(_OVERFLOW)
-    sign = -1.0 if objective.startswith("min") else 1.0
-    return witness, sign * value, sign * bound
+    signs = [-1.0 if objective.startswith("min") else 1.0 for objective in objectives]
+    return [(*witnesses[i], sign * float(value), sign * float(bound))
+            for i, (value, bound, sign) in enumerate(zip(values, bounds, signs))]
 
 
 def min_cost_given_moments(

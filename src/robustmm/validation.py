@@ -69,36 +69,31 @@ def _row(check: str, analytic: float, oracle: float, bound: float | None, tol: f
     return CheckRow(check, analytic, oracle, bound, abs_err, rel_err, passed)
 
 
-def envelope_check_rows(samples: SampleSet, delta: float, tol: float) -> list[CheckRow]:
-    """Mean endpoints and the second-moment envelope for one side."""
-    label = samples.side
-    summary = empirical_moments(samples)
-    measure = DiscreteMeasure.from_samples(samples)
+def envelope_check_rows(side: str, measure: DiscreteMeasure, summary: EmpiricalSummary,
+                        delta: float, tol: float) -> list[CheckRow]:
+    """Mean endpoints and the second-moment envelope for one side, bracketed in one pass."""
     lo, hi = alpha_range(summary, delta)
-    rows = [
-        _row(f"mean_max[{label},delta={delta:g}]", hi,
-             *moment_range_search(measure, delta, "max_mean"), tol),
-        _row(f"mean_min[{label},delta={delta:g}]", lo,
-             *moment_range_search(measure, delta, "min_mean"), tol),
-    ]
+    at = f"{side},delta={delta:g}"
+    checks = [(f"mean_max[{at}]", hi, "max_mean", None, tol),
+              (f"mean_min[{at}]", lo, "min_mean", None, tol)]
     root = math.sqrt(delta)
     for frac in _INTERIOR_FRACTIONS:
         alpha = summary.alpha_n + frac * root
-        upper = beta_bounds(summary, delta, alpha)[1]
-        rows.append(_row(f"beta_upper[{label},delta={delta:g},t={frac:g}]", upper,
-                         *moment_range_search(measure, delta, "max_second_moment", alpha), tol))
+        checks.append((f"beta_upper[{at},t={frac:g}]", beta_bounds(summary, delta, alpha)[1],
+                       "max_second_moment", alpha, tol))
     # the printed lower envelope, which misses beta_n; beta_bounds gives the exact end
     alpha = summary.alpha_n
-    raw = beta_lower_raw(summary, delta, alpha)
-    rows.append(_row(f"beta_lower_raw[{label},delta={delta:g}]", raw,
-                     *moment_range_search(measure, delta, "min_second_moment", alpha), None))
-    return rows
+    checks.append((f"beta_lower_raw[{at}]", beta_lower_raw(summary, delta, alpha),
+                   "min_second_moment", alpha, None))
+    brackets = moment_range_search(measure, delta, [c[2] for c in checks], [c[3] for c in checks])
+    return [_row(name, analytic, value, bound, row_tol)
+            for (name, analytic, _, _, row_tol), (value, bound) in zip(checks, brackets)]
 
 
-def profile_check_rows(samples_plus: SampleSet, samples_minus: SampleSet, tol: float) -> list[CheckRow]:
+def profile_check_rows(measures: tuple[DiscreteMeasure, DiscreteMeasure],
+                       summaries: tuple[EmpiricalSummary, EmpiricalSummary], tol: float) -> list[CheckRow]:
     """Profile identities plus the profile-versus-primal diagnostic."""
-    summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
-    n = samples_plus.n
+    n = summaries[0].n
     alpha_n, sigma_n = moment_matrices(summaries)
     rows = []
 
@@ -127,15 +122,8 @@ def profile_check_rows(samples_plus: SampleSet, samples_minus: SampleSet, tol: f
     v_m = summaries[1].variance * 1.1
     target = MomentTarget.from_moments(a_p, a_m, a_p**2 + v_p, a_m**2 + v_m)
     formula = robust_profile(target, summaries, n)
-    primal = min_cost_given_moments(
-        DiscreteMeasure.from_samples(samples_plus),
-        target.alpha[0],
-        target.sigma[0][0],
-    ) + min_cost_given_moments(
-        DiscreteMeasure.from_samples(samples_minus),
-        target.alpha[1],
-        target.sigma[1][1],
-    )
+    primal = min_cost_given_moments(measures[0], target.alpha[0], target.sigma[0][0]) + min_cost_given_moments(
+        measures[1], target.alpha[1], target.sigma[1][1])
     rows.append(_row("profile_vs_primal_cost", formula, primal, None, None))
     return rows
 
@@ -154,11 +142,15 @@ def metric_check_rows(tol: float) -> list[CheckRow]:
 
 def run_validation(samples_plus: SampleSet, samples_minus: SampleSet,
                    deltas: tuple[float, ...], tol: float) -> list[CheckRow]:
+    # each side's measure and summary serve every budget, so its atoms are sorted once
+    sides = (samples_plus, samples_minus)
+    measures = tuple(DiscreteMeasure.from_samples(samples) for samples in sides)
+    summaries = tuple(empirical_moments(samples) for samples in sides)
     rows = metric_check_rows(tol)
     for delta in deltas:
-        rows.extend(envelope_check_rows(samples_plus, delta, tol))
-        rows.extend(envelope_check_rows(samples_minus, delta, tol))
-    rows.extend(profile_check_rows(samples_plus, samples_minus, tol))
+        for samples, measure, summary in zip(sides, measures, summaries):
+            rows.extend(envelope_check_rows(samples.side, measure, summary, delta, tol))
+    rows.extend(profile_check_rows(measures, summaries, tol))
     return rows
 
 

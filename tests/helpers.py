@@ -28,6 +28,7 @@ from robustmm import (
     w2_squared,
     worst_case_objective,
 )
+from robustmm.moments import check_radius
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,96 @@ def one_shot_batch(policy, model, metas, episodes, rng):
     objective = cash - model.eta * inventory * inventory
     return {"eps_plus": eps_plus, "eps_minus": eps_minus,
             "fill_plus": dn_p, "fill_minus": dn_m, "objective": objective}
+
+
+# The scalar bracket and transport distance of moment_range_search before
+# it bracketed a side's rows in one pass, kept unchanged (each measure
+# sorted on every call) as the reference for the row path.
+_REF_OBJECTIVES = {"max_mean": (0.0, 1.0), "min_mean": (0.0, -1.0),
+                   "max_second_moment": (1.0, 0.0), "min_second_moment": (-1.0, 0.0)}
+_REF_PULL = np.concatenate(([0.0], 2.0 ** np.arange(-52, 1)))
+_REF_OVERFLOW = "moment bracket leaves the float range"
+
+
+def _reference_sorted(measure: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(measure.atoms, dtype=float)
+    w = np.asarray(measure.weights, dtype=float)
+    order = np.argsort(x, kind="stable")
+    return x[order], w[order]
+
+
+def reference_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    xp, wp = _reference_sorted(p)
+    xq, wq = _reference_sorted(q)
+    cwp, cwq = np.cumsum(wp), np.cumsum(wq)
+    ts = np.sort(np.concatenate([cwp, cwq]), kind="stable")
+    ip = np.minimum(np.searchsorted(cwp, ts, side="left"), len(xp) - 1)
+    iq = np.minimum(np.searchsorted(cwq, ts, side="left"), len(xq) - 1)
+    seg = np.diff(ts, prepend=0.0)
+    d = xp[ip] - xq[iq]
+    return float(np.sum(seg * d * d))
+
+
+def reference_bracket(
+    empirical: DiscreteMeasure, delta: float, objective: str, alpha: float | None
+) -> tuple[DiscreteMeasure, float, float]:
+    """One row of moment_range_search: the witness with its (value, bound)."""
+    if objective not in _REF_OBJECTIVES:
+        raise ValueError(f"objective must be one of {tuple(_REF_OBJECTIVES)}, got {objective!r}")
+    check_radius(delta)
+    second = objective.endswith("second_moment")
+    if second and (alpha is None or not math.isfinite(alpha)):
+        raise ValueError(f"{objective} requires a finite mean constraint alpha, got {alpha!r}")
+    x, w = _reference_sorted(empirical)
+    x, w = x[w > 0], w[w > 0]
+    reach = float(x[-1]) - float(x[0]) + 2.0 * math.sqrt(delta / float(np.min(w)))
+    if not math.isfinite(reach * reach):
+        raise ValueError(_REF_OVERFLOW)
+    center = float(np.dot(w, x))
+    center += float(np.dot(w, x - center))
+    d = x - center
+    a = alpha - center if second else 0.0
+    edge = math.sqrt(delta)
+    if abs(a) > edge + 1e-12 * (1.0 + abs(center)):
+        raise ValueError("no feasible measure")
+    a = min(max(a, -edge), edge)
+    p, b = _REF_OBJECTIVES[objective]
+    const = p * (alpha * alpha - a * a) if second else b * center
+    anchor = d + a
+    rr = delta - a * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = anchor
+        if rr > 0.0:
+            r = math.sqrt(rr)
+            s = math.sqrt(float(np.dot(w, d * d)))
+            if p == 0.0:
+                k = lam = 0.5 / r
+            elif p > 0.0:
+                k = max(s / r, math.ulp(0.0))
+                lam = k + 1.0
+            else:
+                k = max(s / r, 1.0)
+                lam = k - 1.0
+            u = a + (0.5 * b + lam * d) / k
+            sups = (k * a + 0.5 * b + p * d) * (u + d) - p * d * d
+            bound = const + lam * delta - 2.0 * k * a * a + float(np.dot(w, sups))
+            if p > 0.0 and s == 0.0:
+                x, d, w = np.repeat(x, 2), np.repeat(d, 2), np.repeat(0.5 * w, 2)
+                anchor = d + a
+                u = anchor + r * np.resize((1.0, -1.0), len(d))
+            if second:
+                u = u + (a - float(np.dot(w, u)))
+        for back in _REF_PULL if rr > 0.0 else (0.0,):
+            atoms = u + back * (anchor - u)
+            witness = DiscreteMeasure(tuple(x + (atoms - d)), tuple(w))
+            if reference_w2_squared(witness, empirical) <= delta:
+                break
+        value = const + float(np.dot(w, (p * atoms + b) * atoms))
+    bound = value if rr <= 0.0 else bound
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError(_REF_OVERFLOW)
+    sign = -1.0 if objective.startswith("min") else 1.0
+    return witness, sign * value, sign * bound
 
 
 def rand_samples(rng: np.random.Generator, side: str, n: int | None = None) -> SampleSet:

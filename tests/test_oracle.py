@@ -17,10 +17,11 @@ from robustmm import (
     theorem_beta_envelope,
     w2_squared,
 )
-from robustmm.oracle import _bracket
+import robustmm.validation
+from robustmm.oracle import _bracket, _merge, _price
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import product_w2_squared, w2_distance
+from helpers import product_w2_squared, reference_bracket, reference_w2_squared, w2_distance
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -342,6 +343,12 @@ def test_beta_lower_end_matches_oracle():
 OBJECTIVES = ("max_mean", "min_mean", "max_second_moment", "min_second_moment")
 
 
+def bracket(sample: DiscreteMeasure, delta: float, objective: str, alpha):
+    """One row of the oracle's row path, with its witness as a measure."""
+    atoms, weights, value, bound = _bracket(sample, delta, [objective], [alpha])[0]
+    return DiscreteMeasure(tuple(atoms), tuple(weights)), value, bound
+
+
 def moment_of(measure: DiscreteMeasure, objective: str) -> float:
     return measure.second_moment() if objective.endswith("second_moment") else measure.mean()
 
@@ -390,7 +397,7 @@ def test_no_measure_in_the_ball_beats_the_bound(objective, sample, far, delta, f
     # the third route: random 1-8 atom measures pulled into the ball never
     # pass the dual bound, and the witness is itself inside the ball
     alpha = sample.mean() + frac * math.sqrt(delta) if objective.endswith("second_moment") else None
-    witness, value, bound = _bracket(sample, delta, objective, alpha)
+    witness, value, bound = bracket(sample, delta, objective, alpha)
     assert w2_squared(witness, sample) <= delta
     assert moment_of(witness, objective) == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert_beyond(objective, value, bound)
@@ -409,10 +416,10 @@ def test_point_mass_meets_its_bound(points):
             "max_second_moment": alpha**2 + delta - 0.05**2, "min_second_moment": alpha**2}
     for objective, moment in want.items():
         a = alpha if objective.endswith("second_moment") else None
-        witness, value, bound = _bracket(emp, delta, objective, a)
+        witness, value, bound = bracket(emp, delta, objective, a)
         assert w2_squared(witness, emp) <= delta
         assert (value, bound) == pytest.approx((moment, moment), rel=1e-12)
-    witness, _, _ = _bracket(emp, delta, "max_second_moment", alpha)
+    witness, _, _ = bracket(emp, delta, "max_second_moment", alpha)
     assert len(witness.atoms) == 2 * len(points)
 
 
@@ -425,7 +432,7 @@ def test_bracket_at_extreme_radii(delta):
     alpha = s.alpha_n + 0.5 * math.sqrt(delta)
     for objective in OBJECTIVES:
         a = alpha if objective.endswith("second_moment") else None
-        witness, value, bound = _bracket(emp, delta, objective, a)
+        witness, value, bound = bracket(emp, delta, objective, a)
         assert math.isfinite(value) and math.isfinite(bound)
         assert_beyond(objective, value, bound)
         # at 1e-300 alpha rounds to an ulp off the sample mean, outside the
@@ -448,3 +455,127 @@ def test_bracket_has_no_atom_cap():
         a = alpha if objective.endswith("second_moment") else None
         assert moment_range_search(emp, delta, objective, a) == pytest.approx(
             (moment, moment), rel=1e-14)
+
+
+LAYOUTS = ("uniform", "weighted", "zero-weights", "ties", "point-mass")
+
+
+def layout_measure(n: int, layout: str) -> DiscreteMeasure:
+    """n atoms in [0.1, 2]: equal or unequal weights, a third of them zero,
+    atoms rounded to one decimal (tied atoms of unequal weights), or one point."""
+    rng = np.random.default_rng([n, LAYOUTS.index(layout)])
+    x = rng.uniform(0.1, 2.0, size=n)
+    w = np.full(n, 1.0 / n) if layout in ("uniform", "point-mass") else rng.uniform(0.1, 1.0, size=n)
+    if layout == "zero-weights" and n > 1:
+        w[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+    if layout == "ties":
+        x = np.round(x, 1)
+    if layout == "point-mass":
+        x[:] = 0.7
+    return DiscreteMeasure(tuple(x), tuple(w / w.sum()))
+
+
+def edge_witness(sample: DiscreteMeasure, delta: float, alpha):
+    """For alpha within the oracle's slack inside the ball's edge, the
+    witness there: the sample translated to alpha, as the oracle builds it
+    (its atoms of positive weight in order, centered twice, moved by a).
+    None elsewhere, where the witness is pulled."""
+    order = np.argsort(sample.atoms, kind="stable")
+    x, w = np.asarray(sample.atoms)[order], np.asarray(sample.weights)[order]
+    x, w = x[w > 0], w[w > 0]
+    center = float(np.dot(w, x))
+    center += float(np.dot(w, x - center))
+    a = min(max(alpha - center, -math.sqrt(delta)), math.sqrt(delta))
+    if not (delta - a * a > 0.0 and abs(a) >= math.sqrt(delta) - 1e-12 * (1.0 + abs(center))):
+        return None
+    d = x - center
+    return x + ((d + a) - d)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 2000])
+def test_rows_equal_the_scalar_bracket_bit_for_bit(n, layout):
+    # every objective, and second moments at means from one edge of the
+    # ball to the other, in one row call; each row alone gives the same row
+    sample = layout_measure(n, layout)
+    for delta in (0.0, 1e-300, 0.04, 1e100):
+        objectives, alphas = [], []
+        for objective in OBJECTIVES:
+            fracs = (-1.0, -0.8, -0.3, 0.0, 0.5, 1.0) if objective.endswith("second_moment") else (None,)
+            for t in fracs:
+                objectives.append(objective)
+                alphas.append(None if t is None else sample.mean() + t * math.sqrt(delta))
+        rows = _bracket(sample, delta, objectives, alphas)
+        for row, objective, alpha in zip(rows, objectives, alphas):
+            atoms, weights, value, bound = row
+            witness, ref_value, ref_bound = reference_bracket(sample, delta, objective, alpha)
+            assert bound == ref_bound, (delta, objective, alpha)
+            translated = None if alpha is None else edge_witness(sample, delta, alpha)
+            if translated is not None:
+                assert atoms.tobytes() == translated.tobytes()
+                assert_beyond(objective, value, bound)
+            else:
+                assert (value, tuple(atoms), tuple(weights)) == (ref_value, witness.atoms, witness.weights), (
+                    delta, objective, alpha)
+            alone = _bracket(sample, delta, [objective], [alpha])[0]
+            assert (alone[2:], alone[0].tobytes(), alone[1].tobytes()) == (
+                row[2:], row[0].tobytes(), row[1].tobytes())
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["equal-weights", "unequal-weights"])
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 2000])
+def test_pricing_kernel_equals_w2_squared(n, weighted):
+    # atoms on a 0.1 grid, so rows tie atoms with the sample and with
+    # themselves, and rows sort their atoms in different orders
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = np.round(rng.uniform(0.0, 2.0, size=n), 1)
+        w = rng.uniform(0.1, 1.0, size=n) if weighted else np.ones(n)
+        w /= w.sum()
+        sample = DiscreteMeasure(tuple(x), tuple(w))
+        rows = np.vstack([x, np.round(x + rng.normal(scale=0.3, size=(4, n)), 1)])
+        grid = _merge(np.cumsum(w), sample)
+        # rows in the sample's order, and rows in their own orders
+        for batch in (np.sort(rows, axis=-1), rows):
+            for row, cost in zip(batch, _price(batch, w, sample, grid)):
+                measure = DiscreteMeasure(tuple(row), tuple(w))
+                assert cost == w2_squared(measure, sample) == reference_w2_squared(measure, sample)
+        assert _price(rows[:1], w, sample, grid)[0] == 0.0
+
+
+def test_bracket_one_rounding_from_the_edge_is_ordered():
+    # alpha = mean + sqrt(delta) lands a rounding inside the edge, where a
+    # pulled witness passed the dual bound (largest second moment
+    # 1.1400000034 against 1.1400000025, smallest 1.1399999966 against
+    # 1.1399999983): the sample translated to alpha stays inside it
+    emp = DiscreteMeasure.from_points([0.3, 0.9, 1.2])
+    s = empirical_moments(SampleSet("buy", (0.3, 0.9, 1.2)))
+    for alpha in (emp.mean() + 0.2, emp.mean() + 0.2 * (1.0 - 1e-12)):
+        lo, hi = beta_bounds(s, 0.04, alpha)
+        for objective, closed in (("max_second_moment", hi), ("min_second_moment", lo)):
+            witness, value, bound = bracket(emp, 0.04, objective, alpha)
+            assert (value <= bound) if objective.startswith("max") else (value >= bound)
+            assert value == pytest.approx(alpha * alpha + s.variance, rel=1e-15)
+            # the dual bound still holds: at 1e-12 inside the edge the
+            # closed form lies 1.9e-7 past the translated sample's moment
+            assert min(value, bound) - BRACKET_SLACK <= closed <= max(value, bound) + BRACKET_SLACK
+            assert witness.mean() == pytest.approx(alpha, rel=1e-15)
+
+
+def test_validation_brackets_each_side_once_per_budget(monkeypatch):
+    # eight rows (two mean ends, five upper envelopes, the raw lower) per
+    # side and budget in one search, through the door the benchmark counts
+    calls = []
+    search = robustmm.validation.moment_range_search
+
+    def counted(measure, delta, objectives, alphas):
+        calls.append((measure, len(objectives)))
+        return search(measure, delta, objectives, alphas)
+
+    monkeypatch.setattr(robustmm.validation, "moment_range_search", counted)
+    buy = SampleSet("buy", (0.4, 1.1, 0.7, 1.6, 0.2))
+    sell = SampleSet("sell", (0.5, 0.9, 1.3, 0.1, 0.8))
+    robustmm.validation.run_validation(buy, sell, (0.01, 0.04, 0.25), 1e-4)
+    assert [rows for _, rows in calls] == [8] * 6
+    # one measure per side serves all three budgets
+    assert len({id(measure) for measure, _ in calls}) == 2
