@@ -126,6 +126,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "objective": solution.objective,
         "delta": delta,
         "concave_certificate": solution.concave_certificate,
+        "optimality_gap": solution.optimality_gap,
         "eps_max": domain.eps_max,
         "grid_n": domain.grid_n,
     }
@@ -195,31 +196,27 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "radius": cmd_radius,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
-}
+_COMMANDS = {"solve": cmd_solve, "radius": cmd_radius, "simulate": cmd_simulate, "validate": cmd_validate}
+
+
+# built once at import, not on every main call
+_PARSER = argparse.ArgumentParser(
+    prog="robustmm", description="Wasserstein-robust market making: solve, calibrate, simulate, validate.")
+_SUB = _PARSER.add_subparsers(dest="command", required=True)
+for _name, _help in (
+    ("solve", "solve the robust inner problem and write the quoting policy"),
+    ("radius", "pick the transport radius from data at confidence 1 - chi"),
+    ("simulate", "run the shift experiment across radii"),
+    ("validate", "compare closed forms against the transport oracle"),
+):
+    _p = _SUB.add_parser(_name, help=_help)
+    _p.add_argument("--config", required=True, help="path to a key = value config file")
+    _p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+    _p.add_argument("--seed", type=int, default=None, help="seed override")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="robustmm",
-        description="Wasserstein-robust market making: solve, calibrate, simulate, validate.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the robust inner problem and write the quoting policy"),
-        ("radius", "pick the transport radius from data at confidence 1 - chi"),
-        ("simulate", "run the shift experiment across radii"),
-        ("validate", "compare closed forms against the transport oracle"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = parse_config(args.config).with_overrides(args.out, args.seed)

@@ -32,8 +32,8 @@ from .moments import EmpiricalSummary, check_radius, theorem_beta_envelope
 
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
-# a Newton start stops once the first-order decrease along its step is
-# below _NEWTON_TOL * (1 + |log Z|), and fails after _NEWTON_MAX_ITER steps
+# a Newton run stops once the first-order decrease along its step is below
+# _NEWTON_TOL * (1 + |log Z|); the runs of a solve share _NEWTON_MAX_ITER steps
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 500
 # buckets of the sampler's guide table; a power of two keeps u * m and k / m exact
@@ -235,6 +235,7 @@ class RobustSolution:
     objective: float
     concave_certificate: bool
     iterations: int
+    optimality_gap: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.objective):
@@ -262,13 +263,14 @@ def worst_case_objective(
 
 
 def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-                   delta: float, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                   delta: float, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """log Z on the pinned envelope, with its exact gradient and Hessian in t
-    from one grid pass. With r = sqrt(delta) each side has mean a = alpha_n +
-    r sin t and variance sd^2, sd = sd_n + r cos t, so its tables and their
-    first two t-derivatives are closed-form. g = E[de] and H = E[d2e] + Cov(de)
-    under the Gibbs weights p are bilinear forms x p y of per-axis vectors, read
-    off one product of p with stacked eps- vectors. Extreme radii overflow them."""
+    and its gradient in the moments x = (a+, a-, b+, b-, c = a+ a-), from one
+    grid pass. With r = sqrt(delta) each side has mean a = alpha_n + r sin t
+    and variance sd^2, sd = sd_n + r cos t, so its tables and their first two
+    t-derivatives are closed-form. g = E[de] and H = E[d2e] + Cov(de) under the
+    Gibbs weights p are bilinear forms x p y of per-axis vectors, read off one
+    product of p with stacked eps- vectors. Extreme radii overflow them."""
     r, gamma, k = math.sqrt(delta), ev.model.gamma, 2.0 * ev.model.eta / ev.model.gamma
     jets = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,9 +298,42 @@ def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, Empiri
         hmm = ybb.sum() + C @ (ydb + C * yd1d1)
         hpm = A1 @ (yb + C * yd1) + C1 @ (ycross + C * ydd1)
         hess = np.array([[hpp, hpm], [hpm, hmm]]) - np.outer(g, g)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(hess))):
+        # gamma de/dx = ((price+ - 2 eta (Q + f+)) h+ + 2 eta h+ f-, (price- - 2 eta f-) h- + 2 eta (Q + f+) h-,
+        # -eta h+^2, -eta h-^2, 2 eta h+ h-); a product of its own keeps the last bits of the one above
+        (pp, fp, hp), (pm, fm, hm), q = ev.plus, ev.minus, ev.model.Q
+        yf, yh, yhh, ya = (p @ np.stack([fm, hm, hm * hm, (pm / gamma - k * fm) * hm], axis=1)).T
+        gx = np.array([(pp / gamma - k * (q + fp)) @ (hp * y1) + k * hp @ yf, ya.sum() + k * (q + fp) @ yh,
+                       -0.5 * k * hp @ (hp * y1), -0.5 * k * yhh.sum(), k * hp @ yh])
+        if not all(np.all(np.isfinite(v)) for v in (g, hess, gx)):
             raise ValueError("integrand overflow")
-    return float(lz), g, hess
+    return float(lz), g, hess, gx
+
+
+def _linear_min(g: np.ndarray, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float,
+                t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Frank-Wolfe gap g.(x(t) - x') and the t of x', a minimizer of g.x over the moment set. With
+    a = alpha_n + r sin t, b = (sd_n + r cos t)^2 + a^2, c = a+ a-, g.x = (p0 + p1 s-) s+ + q+ cos t+
+    + R s- + q- cos t- + const in s = sin t, q = 2 r sd_n g_b <= 0. The least over t+ is -W, W^2 =
+    (p0 + p1 s-)^2 + q+^2; phi(s) = R s + q- w - W, w^2 = 1 - s^2, is least at +-1, at t's own s-,
+    or where (R^2 w^2 + q-^2 s^2) W^2 - p1^2 (p0 + p1 s)^2 w^2 = 2 R q- s w W^2: squared, degree 8."""
+    r, (sp, sm), norm = math.sqrt(delta), summaries, max(float(np.max(np.abs(g))), np.finfo(float).tiny)
+    ap, am, bp, bm, c = g / norm
+    coef = r * np.array([ap + 2.0 * sp.alpha_n * bp + c * sm.alpha_n, r * c, 2.0 * math.sqrt(sp.variance) * bp,
+                         am + 2.0 * sm.alpha_n * bm + c * sp.alpha_n, 2.0 * math.sqrt(sm.variance) * bm])
+    scale = max(float(np.max(np.abs(coef))), np.finfo(float).tiny)
+    p0, p1, qp, R, qm = coef / scale
+    w2, L2 = np.array([-1.0, 0.0, 1.0]), np.array([p1 * p1, 2.0 * p0 * p1, p0 * p0])
+    W2 = L2 + [0.0, 0.0, qp * qp]
+    lhs = np.convolve(R * R * w2 + [qm * qm, 0.0, 0.0], W2) - p1 * p1 * np.convolve(L2, w2)
+    poly = np.convolve(lhs, lhs) - 4.0 * (R * qm) ** 2 * np.convolve([1.0, 0, 0], np.convolve(w2, np.convolve(W2, W2)))
+    # leading terms within the others' rounding move no root of [-1, 1]; dropped, they cannot overflow np.roots
+    poly = poly[np.argmax(np.abs(poly) > 1e-14 * np.max(np.abs(poly))):]
+    s = np.clip(np.concatenate(([-1.0, 1.0, math.sin(t[1])], np.roots(poly).real)), -1.0, 1.0)
+    phi = R * s + qm * np.sqrt(1.0 - s * s) - np.hypot(p0 + p1 * s, qp)
+    k, (sin_p, sin_m) = int(np.argmin(phi)), np.sin(t)
+    here = (p0 + p1 * sin_m) * sin_p + qp * math.cos(t[0]) + R * sin_m + qm * math.cos(t[1])
+    return max(float(here - phi[k]), 0.0) * scale * norm, np.array([math.atan2(-(p0 + p1 * s[k]), abs(qp)),
+                                                                   math.asin(s[k])])
 
 
 def solve_inner(
@@ -311,21 +346,19 @@ def solve_inner(
     envelope beta = (sd + sqrt(delta) cos t)^2 + alpha^2 is smooth up to
     the faces of the mean box, and one grid pass gives log Z with its
     exact gradient and Hessian in t. Projected Newton (Bertsekas 1982)
-    with Armijo backtracking runs from the box center when the concavity
-    certificate holds, else from the nine points of {-pi/2, 0, pi/2}^2,
-    the center first. Ties keep the earlier start, so when h = 0 (the
-    moments never enter the integrand, and every start stops at once) the
-    answer is the empirical means.
+    with Armijo backtracking runs from the box center. log Z is convex in the
+    moments x, so the Frank-Wolfe gap (Jaggi 2013) bounds its excess over the
+    least; while the gap exceeds tol, Newton reruns from the gap's vertex, kept
+    if it lowers log Z by more than tol. All runs share one iteration budget.
     """
     check_radius(delta)
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
-    cert = concavity_check(summaries, delta)
     half = math.pi / 2.0
 
-    def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        lz, g, hess = _log_mass_in_t(ev, summaries, delta, t)
-        for it in range(1, _NEWTON_MAX_ITER + 1):
+    def descend(t: np.ndarray, budget: int) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
+        lz, g, hess, gx = _log_mass_in_t(ev, summaries, delta, t)
+        for it in range(1, budget + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
             # Newton where the free Hessian is positive definite, else a gradient
@@ -337,45 +370,37 @@ def solve_inner(
             d[free] = -vec @ np.divide(proj, lam, out=np.zeros_like(proj), where=lam > 0.0)
             # stationary once the first-order decrease along d is negligible
             if -float(g @ d) <= _NEWTON_TOL * (1.0 + abs(lz)):
-                return t, lz, it, True
+                return t, lz, gx, it, True
             step = 1.0
             for _ in range(60):
                 trial = np.clip(t + step * d, -half, half)
-                lz_new, g_new, hess_new = _log_mass_in_t(ev, summaries, delta, trial)
+                lz_new, g_new, hess_new, gx_new = _log_mass_in_t(ev, summaries, delta, trial)
                 if lz_new < lz + 1e-4 * float(g @ (trial - t)):
                     break
                 step *= 0.5
             else:
-                return t, lz, it, False
-            t, lz, g, hess = trial, lz_new, g_new, hess_new
-        return t, lz, _NEWTON_MAX_ITER, False
+                return t, lz, gx, it, False
+            t, lz, g, hess, gx = trial, lz_new, g_new, hess_new, gx_new
+        return t, lz, gx, budget, False
 
-    starts = [np.zeros(2)]
-    if not cert:
-        starts += [np.array([u, v]) for u in (-half, 0.0, half) for v in (-half, 0.0, half) if u or v]
-    best_t, best_lz = starts[0], math.inf
-    total_iter = 0
-    any_converged = False
-    for start in starts:
-        t, lz, iters, converged = descend(start)
-        total_iter += iters
-        any_converged = any_converged or converged
-        if lz < best_lz:
-            best_t, best_lz = t, lz
+    t, lz, gx, iterations, converged = descend(np.zeros(2), _NEWTON_MAX_ITER)
+    while True:
+        tol = 10.0 * _NEWTON_TOL * (1.0 + abs(lz))
+        gap, vertex = _linear_min(gx, summaries, delta, t)
+        if gap <= tol or iterations == _NEWTON_MAX_ITER:
+            break
+        t_run, lz_run, gx_run, its, run_converged = descend(vertex, _NEWTON_MAX_ITER - iterations)
+        iterations, converged = iterations + its, converged or run_converged
+        if not lz_run < lz - tol:
+            break
+        t, lz, gx = t_run, lz_run, gx_run
 
     # |sin| <= 1 and monotone rounding keep these means inside the box
-    ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(best_t)).tolist()
+    ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(t)).tolist()
     bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
-    solution = RobustSolution(
-        alpha_star_plus=ap,
-        alpha_star_minus=am,
-        beta_star_plus=bp,
-        beta_star_minus=bm,
-        objective=ev.objective(ap, am, bp, bm),
-        concave_certificate=cert,
-        iterations=total_iter,
-    )
-    if not any_converged:
+    solution = RobustSolution(ap, am, bp, bm, ev.objective(ap, am, bp, bm), concavity_check(summaries, delta),
+                              iterations, gap)
+    if not converged:
         raise SolverError(f"inner solver did not converge in {_NEWTON_MAX_ITER} iterations", best=solution)
     return solution
 

@@ -25,10 +25,12 @@ from robustmm import (
     empirical_moments,
     exp_decay,
     moment_matrices,
+    theorem_beta_envelope,
     w2_squared,
     worst_case_objective,
 )
 from robustmm.moments import check_radius
+from robustmm.policy import _NEWTON_MAX_ITER, _NEWTON_TOL, _GridEvaluator, _log_mass_in_t
 
 
 @dataclass(frozen=True)
@@ -290,6 +292,59 @@ def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
 
     _, best = _grid_fallback(fun_batch, lo, hi, fun, n=n)
     return float(best)
+
+
+def nine_start_solve(model, domain, summaries, delta):
+    """The multi-start search solve_inner ran before its Frank-Wolfe
+    certificate, kept as a reference: projected Newton from the nine points
+    of {-pi/2, 0, pi/2}^2, the center first, keeping the lowest log Z.
+    Returns (alpha_plus, alpha_minus, objective, iterations)."""
+    ev = _GridEvaluator(model, domain)
+    half = math.pi / 2.0
+
+    def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
+        lz, g, hess, _ = _log_mass_in_t(ev, summaries, delta, t)
+        for it in range(1, _NEWTON_MAX_ITER + 1):
+            # a coordinate on a bound whose descent direction leaves the box stays put
+            free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
+            # Newton where the free Hessian is positive definite, else a gradient
+            # step scaled by the curvature magnitudes; flat directions stay put
+            lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+            lam = np.abs(lam)
+            proj = vec.T @ g[free]
+            d = np.zeros(2)
+            d[free] = -vec @ np.divide(proj, lam, out=np.zeros_like(proj), where=lam > 0.0)
+            # stationary once the first-order decrease along d is negligible
+            if -float(g @ d) <= _NEWTON_TOL * (1.0 + abs(lz)):
+                return t, lz, it, True
+            step = 1.0
+            for _ in range(60):
+                trial = np.clip(t + step * d, -half, half)
+                lz_new, g_new, hess_new, _ = _log_mass_in_t(ev, summaries, delta, trial)
+                if lz_new < lz + 1e-4 * float(g @ (trial - t)):
+                    break
+                step *= 0.5
+            else:
+                return t, lz, it, False
+            t, lz, g, hess = trial, lz_new, g_new, hess_new
+        return t, lz, _NEWTON_MAX_ITER, False
+
+    starts = [np.zeros(2)]
+    starts += [np.array([u, v]) for u in (-half, 0.0, half) for v in (-half, 0.0, half) if u or v]
+    best_t, best_lz = starts[0], math.inf
+    total_iter = 0
+    any_converged = False
+    for start in starts:
+        t, lz, iters, converged = descend(start)
+        total_iter += iters
+        any_converged = any_converged or converged
+        if lz < best_lz:
+            best_t, best_lz = t, lz
+    assert any_converged
+
+    ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(best_t)).tolist()
+    bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
+    return ap, am, ev.objective(ap, am, bp, bm), total_iter
 
 
 def fd_hessian(fun, x: np.ndarray, h: float) -> np.ndarray:

@@ -126,8 +126,9 @@ def test_03_concavity_certificate():
             max_eig = max(max_eig, float(np.linalg.eigvalsh(hess)[-1]) / scale)
     ok_eig = max_eig <= 1e-6
 
-    # uncertified instances: the multi-start solve still finds the
-    # global maximum located by an exhaustive refined grid scan
+    # uncertified instances: Newton from the center, certified by the
+    # Frank-Wolfe gap, still finds the global maximum located by an
+    # exhaustive refined grid scan
     worst_gap = 0.0
     for _ in range(20):
         model, dom, summaries, delta = rand_instance(rng, cert=False)
@@ -197,7 +198,7 @@ def test_05_zero_radius_reduction():
         plain = RobustSolution(
             alpha_star_plus=sp.alpha_n, alpha_star_minus=sm.alpha_n,
             beta_star_plus=sp.beta_n, beta_star_minus=sm.beta_n,
-            objective=sol.objective, concave_certificate=True, iterations=0)
+            objective=sol.objective, concave_certificate=True, iterations=0, optimality_gap=0.0)
         bitwise &= np.array_equal(
             build_policy(model, dom, sol).density,
             build_policy(model, dom, plain).density)

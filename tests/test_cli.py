@@ -31,7 +31,7 @@ def test_solve_writes_policy_and_summary(tmp_path):
     assert run("solve", FIXTURES / "solve.cfg", out) == 0
     summary = json.loads((out / "solution.json").read_text())
     assert set(summary) == {"alpha_star", "beta_star", "objective", "delta",
-                            "concave_certificate", "eps_max", "grid_n"}
+                            "concave_certificate", "optimality_gap", "eps_max", "grid_n"}
     assert summary["delta"] == 0.02
     assert summary["concave_certificate"] is True
     header = (out / "policy.csv").read_text().splitlines()[0]
@@ -46,7 +46,9 @@ def test_solve_writes_policy_and_summary(tmp_path):
     buy, sell = cfg.require_samples()
     summaries = (empirical_moments(read_sample_csv(buy, "buy")),
                  empirical_moments(read_sample_csv(sell, "sell")))
-    policy = build_policy(model, domain, solve_inner(model, domain, summaries, cfg.delta))
+    solution = solve_inner(model, domain, summaries, cfg.delta)
+    assert summary["optimality_gap"] == solution.optimality_gap <= 1e-8 * (1.0 + abs(summary["objective"]))
+    policy = build_policy(model, domain, solution)
     assert np.array_equal(table[:, 2], policy.density.ravel())
     assert np.array_equal(table[:, 0], np.repeat(domain.axis_nodes, 33))
     assert np.array_equal(table[:, 1], np.tile(domain.axis_nodes, 33))
@@ -60,6 +62,21 @@ def test_solve_rerun_byte_identical(tmp_path):
     assert run("solve", FIXTURES / "solve.cfg", out1) == 0
     assert run("solve", FIXTURES / "solve.cfg", out2) == 0
     assert read_all(out1) == read_all(out2)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once, at import: calls with different commands in one
+    # process each see only their own options, and a bad one still exits 2
+    assert run("solve", FIXTURES / "solve.cfg", tmp_path / "a") == 0
+    assert run("radius", FIXTURES / "radius.cfg", tmp_path / "radius", seed=3) == 0
+    assert json.loads((tmp_path / "radius" / "manifest.json").read_text())["seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(FIXTURES / "solve.cfg"), "--seed", "x"])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value" in capsys.readouterr().err
+    assert run("solve", FIXTURES / "solve.cfg", tmp_path / "b") == 0
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["seed"] == 7
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
 
 def test_default_grid_policy_bytes(tmp_path):
