@@ -38,8 +38,6 @@ _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 500
 # buckets of the sampler's guide table; a power of two keeps u * m and k / m exact
 _GUIDE_SIZE = 1 << 16
-# episodes per block of the sampler's and the simulator's passes, a cache-sized run
-_EPISODE_BLOCK = 1 << 14
 # grid nodes per chunk of objective rows, a cache-sized table
 _CHUNK_NODES = 100_000
 
@@ -465,22 +463,19 @@ def sample_policy(grid: PolicyGrid, rng: np.random.Generator, size: int):
     cdf, guide, n = grid._cell_cdf, grid._cell_guide, grid.domain.grid_n
     lo, hi = grid.domain.cell_edges
     width = hi - lo
-    # the placement uniforms become the spreads in place, one block at a time
+    # the placement uniforms become the spreads in place
     u, eps_plus, eps_minus = rng.random(size), rng.random(size), rng.random(size)
-    for start in range(0, size, _EPISODE_BLOCK):
-        block = slice(start, start + _EPISODE_BLOCK)
-        ub = u[block]
-        # cdf ends at exactly 1.0 and u < 1, so every search lands on a cell
-        idx = guide[(ub * _GUIDE_SIZE).astype(np.intp)]
-        # a narrow bucket's cell is g or g + 1; a wide one takes the binary search
-        wide = np.flatnonzero(idx < 0)
-        idx += cdf[idx] < ub
-        idx[wide] = np.searchsorted(cdf, ub[wide], side="left")
-        i = idx // n
-        j = idx - i * n
-        for x, k in ((eps_plus[block], i), (eps_minus[block], j)):
-            x *= width[k]
-            x += lo[k]
+    # cdf ends at exactly 1.0 and u < 1, so every search lands on a cell
+    idx = guide[(u * _GUIDE_SIZE).astype(np.intp)]
+    # a narrow bucket's cell is g or g + 1; a wide one takes the binary search
+    wide = np.flatnonzero(idx < 0)
+    idx += cdf[idx] < u
+    idx[wide] = np.searchsorted(cdf, u[wide], side="left")
+    i = idx // n
+    j = idx - i * n
+    for x, k in ((eps_plus, i), (eps_minus, j)):
+        x *= width[k]
+        x += lo[k]
     return eps_plus, eps_minus
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .moments import SampleSet, check_radius, empirical_moments
 from .policy import (
-    _EPISODE_BLOCK,
     PolicyGrid,
     SpreadDomain,
     SpreadModel,
@@ -26,8 +25,10 @@ from .policy import (
     solve_inner,
 )
 
-# a batch holds at most three episode-long arrays of 8-byte values: a traced peak of 73 MB at the cap
+# a batch holds one episode-long array of 8-byte values: a traced peak of 26 MB at the cap
 _EPISODES_MAX = 3_000_000
+# episodes per block of the simulator's passes, a cache-sized run
+_EPISODE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,30 +86,21 @@ def simulate_batch(
     metas: tuple[MetaDistribution, MetaDistribution],
     episodes: int,
     rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
     """Vectorized episodes: one spread pair and one innovation per side
-    each, booked as the module docstring describes. Returns per-episode
-    spreads eps_plus, eps_minus and objective. Innovations are drawn a
-    block at a time, every plus one before any minus one, so a law's
-    draw must return a fresh array with the values one call would give."""
-    eps_plus, eps_minus = sample_policy(policy, rng, size=episodes)
-    blocks = [slice(start, start + _EPISODE_BLOCK) for start in range(0, episodes, _EPISODE_BLOCK)]
-    # the plus fills wait in objective, which the minus pass writes over block by block
+    each, booked as the module docstring describes. Returns the per-episode
+    objective. Each block of _EPISODE_BLOCK episodes draws its spread pairs,
+    then its plus innovations, then its minus ones, and is booked before the
+    next block draws, so a batch of one block draws the stream of one pass."""
     objective = np.empty(episodes)
-    for block in blocks:
-        ep = eps_plus[block]
-        dn_p = metas[0].draw(rng, ep.size)
-        dn_p *= model.h_plus(ep)
-        dn_p += model.f_plus(ep)
-        objective[block] = dn_p
-    for block in blocks:
-        ep, em, dn_p = eps_plus[block], eps_minus[block], objective[block]
-        dn_m = metas[1].draw(rng, em.size)
-        dn_m *= model.h_minus(em)
-        dn_m += model.f_minus(em)
+    for start in range(0, episodes, _EPISODE_BLOCK):
+        end = min(start + _EPISODE_BLOCK, episodes)
+        ep, em = sample_policy(policy, rng, size=end - start)
+        dn_p = model.h_plus(ep) * metas[0].draw(rng, end - start) + model.f_plus(ep)
+        dn_m = model.h_minus(em) * metas[1].draw(rng, end - start) + model.f_minus(em)
         inventory = model.Q + dn_p - dn_m
-        objective[block] = (model.S + ep) * dn_p - (model.S - em) * dn_m - model.eta * inventory * inventory
-    return {"eps_plus": eps_plus, "eps_minus": eps_minus, "objective": objective}
+        objective[start:end] = (model.S + ep) * dn_p - (model.S - em) * dn_m - model.eta * inventory * inventory
+    return objective
 
 
 @dataclass(frozen=True)
@@ -169,11 +161,14 @@ def shift_experiment(
         rng = np.random.default_rng(child)
         # extreme shifts or prices overflow the bookkeeping: one error, not numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            obj = simulate_batch(policy, model, true_metas, episodes, rng)["objective"]
+            obj = simulate_batch(policy, model, true_metas, episodes, rng)
             mean = float(np.mean(obj))
-            std_err = float(np.std(obj, ddof=1) / math.sqrt(episodes))
-            # the 10th percentile's one selection permutes obj, so it comes after mean and std
+            # the 10th percentile's one selection permutes obj; the squared
+            # deviations then overwrite it, so no second episode array exists
             p10 = _p10(obj)
+            obj -= mean
+            obj *= obj
+            std_err = math.sqrt(float(np.sum(obj)) / (episodes - 1)) / math.sqrt(episodes)
         del obj  # free this radius's episodes before the next batch
         if not all(map(math.isfinite, (mean, std_err, p10))):
             raise ValueError(f"episode objectives overflow at delta {delta!r}")

@@ -31,6 +31,7 @@ from robustmm import (
 )
 from robustmm.moments import check_radius
 from robustmm.policy import _NEWTON_MAX_ITER, _NEWTON_TOL, _GridEvaluator, _log_mass_in_t
+from robustmm.simulator import _EPISODE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class FixedLaw:
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         end = self.cursor + size
         assert end <= len(self.values), (end, len(self.values))
-        # a fresh array, like MetaDistribution's: simulate_batch writes the fills into it
+        # a fresh array, like MetaDistribution's
         out = np.array(self.values[self.cursor:end], dtype=float)
         self.cursor = end
         return out
@@ -98,10 +99,10 @@ def zero_mass_cases():
     return {"leading": leading, "trailing": trailing, "interior": interior, "single": single}
 
 
-def one_shot_batch(policy, model, metas, episodes, rng):
-    """Reference simulator: simulate_batch's random stream and arithmetic,
-    each field built in one pass over all episodes and each cell found by
-    binary search."""
+def one_pass_batch(policy, model, metas, episodes, rng):
+    """One pass over all episodes: every spread pair, then every plus
+    innovation, then every minus one, each field built in one expression
+    and each cell found by binary search."""
     eps_plus, eps_minus = binary_search_sample(policy, rng, episodes)
     dn_p = np.asarray(model.h_plus(eps_plus)) * metas[0].draw(rng, episodes) + np.asarray(model.f_plus(eps_plus))
     dn_m = np.asarray(model.h_minus(eps_minus)) * metas[1].draw(rng, episodes) + np.asarray(model.f_minus(eps_minus))
@@ -110,6 +111,15 @@ def one_shot_batch(policy, model, metas, episodes, rng):
     objective = cash - model.eta * inventory * inventory
     return {"eps_plus": eps_plus, "eps_minus": eps_minus,
             "fill_plus": dn_p, "fill_minus": dn_m, "objective": objective}
+
+
+def one_shot_batch(policy, model, metas, episodes, rng):
+    """Reference simulator: simulate_batch's random stream and arithmetic,
+    one pass per block of _EPISODE_BLOCK episodes, with the spreads, fills
+    and objective of every episode."""
+    passes = [one_pass_batch(policy, model, metas, min(_EPISODE_BLOCK, episodes - start), rng)
+              for start in range(0, episodes, _EPISODE_BLOCK)]
+    return {key: np.concatenate([p[key] for p in passes]) for key in passes[0]}
 
 
 # The scalar bracket and transport distance of moment_range_search before

@@ -133,7 +133,7 @@ def test_simulate_output(tmp_path):
     assert (out / "shift.csv").read_text() == (
         "delta,mean_objective,std_err,p10_objective,concave_certificate\n"
         "0.0,-0.6231632650322682,0.039179580148568635,-2.9476363988740255,true\n"
-        "0.02,-0.5761065853884975,0.03866576951735772,-2.8440719789295605,true\n"
+        "0.02,-0.5761065853884975,0.038665769517357715,-2.8440719789295605,true\n"
     )
 
 

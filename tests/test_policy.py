@@ -43,6 +43,7 @@ from helpers import (
 from robustmm import policy
 from robustmm.config import parse_config
 from robustmm.policy import _form, _GridEvaluator, _linear_min, _log_mass_in_t
+from robustmm.simulator import _EPISODE_BLOCK
 
 
 def small_summaries():
@@ -450,10 +451,11 @@ def test_sampling_matches_binary_search_on_fixture_policy():
     assert_matches_binary_search(pol, lambda: StubRng(EDGE_UNIFORMS), len(EDGE_UNIFORMS))
 
 
-@pytest.mark.parametrize("size", [1, policy._EPISODE_BLOCK - 1, policy._EPISODE_BLOCK,
-                                  policy._EPISODE_BLOCK + 1, 3 * policy._EPISODE_BLOCK + 5])
+@pytest.mark.parametrize("size", [1, _EPISODE_BLOCK - 1, _EPISODE_BLOCK,
+                                  _EPISODE_BLOCK + 1, 3 * _EPISODE_BLOCK + 5])
 def test_sampling_matches_binary_search_across_blocks(size):
-    # the blocked search and placement leave the stream and every spread as one pass does
+    # at and around the simulator's block size, the indexed search leaves
+    # the stream and every spread as a binary search does
     pol = fixture_policy()
     got_rng, want_rng = np.random.default_rng(size), np.random.default_rng(size)
     got, want = sample_policy(pol, got_rng, size), binary_search_sample(pol, want_rng, size)

@@ -25,7 +25,7 @@ from robustmm import (
 )
 
 import robustmm.simulator as simulator
-from helpers import FixedLaw, GaussianLaw, one_shot_batch, policy_with_masses, zero_mass_cases
+from helpers import FixedLaw, GaussianLaw, one_pass_batch, one_shot_batch, policy_with_masses, zero_mass_cases
 from robustmm.policy import _GridEvaluator
 
 
@@ -69,13 +69,12 @@ def test_shift_spec_apply():
 
 
 def replayed_batch(policy, model, metas, episodes, seed):
-    """simulate_batch's fields, checked bit for bit against the reference
-    replay of the same stream, which also keeps the fills."""
-    batch = simulate_batch(policy, model, metas, episodes, np.random.default_rng(seed))
+    """The reference replay of simulate_batch's stream, which keeps the
+    spreads and fills, with its objective checked bit for bit against the
+    batch's."""
+    objective = simulate_batch(policy, model, metas, episodes, np.random.default_rng(seed))
     replay = one_shot_batch(policy, model, metas, episodes, np.random.default_rng(seed))
-    assert batch.keys() == {"eps_plus", "eps_minus", "objective"}
-    for key in batch:
-        assert np.array_equal(batch[key], replay[key]), key
+    assert np.array_equal(objective, replay["objective"])
     return replay
 
 
@@ -108,14 +107,21 @@ def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
     dom = SpreadDomain(eps_max=0.8, grid_n=17)
     nodes = dom.grid_n ** 2
     ep, em = (np.tile(v.ravel(), 4) for v in np.meshgrid(dom.axis_nodes, dom.axis_nodes, indexing="ij"))
-    monkeypatch.setattr(simulator, "sample_policy", lambda grid, rng, size: (ep, em))
+    sizes = []
+
+    def node_sampler(grid, rng, size):
+        sizes.append(size)
+        return ep, em
+
+    monkeypatch.setattr(simulator, "sample_policy", node_sampler)
     (x1, x2), (y1, y2) = (0.3, 1.4), (0.6, 1.1)
     laws = (FixedLaw(np.repeat([x1, x1, x2, x2], nodes)), FixedLaw(np.repeat([y1, y2, y1, y2], nodes)))
     out = simulate_batch(policy, model, laws, 4 * nodes, np.random.default_rng(0))
     for law in laws:
         law.assert_consumed()
-    assert np.array_equal(out["eps_plus"], ep) and np.array_equal(out["eps_minus"], em)
-    booked = out["objective"].reshape(4, nodes).mean(axis=0)
+    # the batch is one block, so every episode books the node spreads
+    assert sizes == [4 * nodes]
+    booked = out.reshape(4, nodes).mean(axis=0)
     want = model.gamma * _GridEvaluator(model, dom).exponent(
         (x1 + x2) / 2, (y1 + y2) / 2, (x1 * x1 + x2 * x2) / 2, (y1 * y1 + y2 * y2) / 2)
     np.testing.assert_allclose(booked, want, rtol=1e-12, atol=0.0)
@@ -133,8 +139,8 @@ LAW_BLOCKS = (1, 777, BLOCK, LAW_DRAWS - 1 - 777 - BLOCK)
                                  MetaDistribution(tuple(np.linspace(-1.0, 1.0, 200))),
                                  GaussianLaw(0.8, 0.4)], ids=["7-atoms", "200-atoms", "gaussian"])
 def test_law_draws_the_same_values_in_blocks(law):
-    # simulate_batch draws each side's innovations a block at a time: a law
-    # gives one call's values and leaves the generator where one call does
+    # a law drawn a block at a time gives one call's values and leaves the
+    # generator where one call does
     whole_rng, block_rng = np.random.default_rng(8), np.random.default_rng(8)
     whole = law.draw(whole_rng, LAW_DRAWS)
     blocked = [law.draw(block_rng, size) for size in LAW_BLOCKS]
@@ -149,7 +155,7 @@ def test_fixed_law_serves_blocks_from_a_cursor():
     blocked = [law.draw(None, size) for size in LAW_BLOCKS]
     assert np.array_equal(np.concatenate(blocked), values)
     law.assert_consumed()
-    # each draw is a fresh array: booking a block in place leaves the values alone
+    # each draw is a fresh array: writing over it leaves the values alone
     blocked[0] += 1.0
     assert values[0] == 0.0
     with pytest.raises(AssertionError):
@@ -161,7 +167,8 @@ def test_fixed_law_serves_blocks_from_a_cursor():
 @pytest.mark.parametrize("episodes", BLOCK_EDGE_EPISODES)
 @pytest.mark.parametrize("name", ["fixture", *zero_mass_cases()])
 def test_blocked_batch_equals_one_shot_batch(name, episodes):
-    # blocks change neither the random stream nor a single bit of any field
+    # each block's spreads, plus and minus innovations are drawn and booked
+    # before the next block draws, to the last bit of every objective
     model = fixture_model()
     policy = fixture_policy()[3] if name == "fixture" else policy_with_masses(zero_mass_cases()[name])
     buy, sell = fixture_samples()
@@ -170,10 +177,19 @@ def test_blocked_batch_equals_one_shot_batch(name, episodes):
         got_rng, want_rng = np.random.default_rng(episodes), np.random.default_rng(episodes)
         got = simulate_batch(policy, model, metas, episodes, got_rng)
         want = one_shot_batch(policy, model, metas, episodes, want_rng)
-        assert got.keys() == {"eps_plus", "eps_minus", "objective"}
-        for key in got:
-            assert np.array_equal(got[key], want[key]), key
+        assert np.array_equal(got, want["objective"])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("episodes", [1, 2000, BLOCK])
+def test_batch_of_one_block_draws_one_pass_stream(episodes):
+    # up to one block, a batch draws every spread pair, then every plus
+    # innovation, then every minus one, as a single pass over it does
+    model, _, _, policy = fixture_policy()
+    metas = ShiftSpec(mean_shift_plus=-0.2, sd_scale_minus=1.5).apply(fixture_samples())
+    got = simulate_batch(policy, model, metas, episodes, np.random.default_rng(episodes))
+    want = one_pass_batch(policy, model, metas, episodes, np.random.default_rng(episodes))
+    assert np.array_equal(got, want["objective"])
 
 
 def test_shift_experiment_equals_one_shot_rows():
@@ -193,11 +209,14 @@ def test_shift_experiment_equals_one_shot_rows():
         sol = solve_inner(model, dom, summaries, delta)
         pol = build_policy(model, dom, sol)
         obj = one_shot_batch(pol, model, laws, episodes, np.random.default_rng(child))["objective"]
+        mean, p10 = float(np.mean(obj)), float(np.percentile(obj, 10.0))
+        # the squares are summed in the order the 10th percentile's selection leaves
+        obj.partition(math.floor((episodes - 1) * 0.1))
+        dev = obj - mean
         want.append(simulator.ShiftRow(
-            delta=delta, mean_objective=float(np.mean(obj)),
-            std_err=float(np.std(obj, ddof=1) / math.sqrt(episodes)),
-            p10_objective=float(np.percentile(obj, 10.0)),
-            concave_certificate=sol.concave_certificate))
+            delta=delta, mean_objective=mean,
+            std_err=math.sqrt(float(np.sum(dev * dev)) / (episodes - 1)) / math.sqrt(episodes),
+            p10_objective=p10, concave_certificate=sol.concave_certificate))
     assert rows == tuple(want)
 
 
@@ -210,23 +229,73 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_batch_memory_stays_within_four_episode_arrays():
-    # a batch returns three episode-long arrays, and the sampler holds
-    # three; every other pass runs on cache-sized blocks
+def test_batch_memory_stays_within_one_and_a_half_episode_arrays():
+    # a batch returns its one episode-long array, the objective; every
+    # other array lives for one cache-sized block
     episodes = 1_000_000
     model, _, _, policy = fixture_policy_on(SpreadDomain(eps_max=0.8, grid_n=65))
     metas = ShiftSpec().apply(fixture_samples())
     peak = traced_peak(simulate_batch, policy, model, metas, episodes, np.random.default_rng(3))
-    assert peak <= 4 * 8 * episodes, peak / (8 * episodes)
+    assert peak <= 1.5 * 8 * episodes, peak / (8 * episodes)
 
 
 def test_shift_experiment_memory_holds_one_batch_at_a_time():
-    # three radii at 10^6 episodes: no radius's objective outlives its row
+    # three radii at 10^6 episodes: no radius's objective outlives its row,
+    # and its statistics take no second episode-long array
     episodes = 1_000_000
     peak = traced_peak(shift_experiment, fixture_samples(), fixture_model(),
                        SpreadDomain(eps_max=0.8, grid_n=65), deltas=(0.0, 0.02, 0.08),
                        shift=ShiftSpec(mean_shift_plus=-0.1), episodes=episodes, rng_seed=5)
-    assert peak <= 4 * 8 * episodes, peak / (8 * episodes)
+    assert peak <= 1.5 * 8 * episodes, peak / (8 * episodes)
+
+
+_RSS_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from robustmm import ShiftSpec, SpreadDomain, shift_experiment
+from test_simulator import fixture_model, fixture_samples
+
+def peak_kb_after(episodes):
+    shift_experiment(fixture_samples(), fixture_model(), SpreadDomain(eps_max=0.8, grid_n=65),
+                     deltas=(0.0, 0.02, 0.08), shift=ShiftSpec(mean_shift_plus=-0.1),
+                     episodes=episodes, rng_seed=5)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+print(peak_kb_after(1000), peak_kb_after(1_000_000))
+"""
+
+
+def test_shift_experiment_resident_growth_within_two_episode_arrays():
+    # tracemalloc sees no heap layout, which can hold resident pages that a
+    # freed array left; a fresh interpreter's peak resident set (Linux
+    # reports KiB) may grow by two arrays after a warm-up run
+    episodes = 1_000_000
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(Path(__file__).parent)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    warm_kb, run_kb = map(int, out.split())
+    growth = (run_kb - warm_kb) * 1024
+    assert growth <= 2 * 8 * episodes, growth / (8 * episodes)
+
+
+def std_err_of(monkeypatch, obj):
+    """shift_experiment's std_err for a batch that books obj."""
+    monkeypatch.setattr(simulator, "simulate_batch", lambda *args: obj.copy())
+    (row,) = shift_experiment(fixture_samples(), fixture_model(), SpreadDomain(eps_max=0.8, grid_n=33),
+                              deltas=(0.0,), shift=ShiftSpec(), episodes=obj.size, rng_seed=0)
+    return row.std_err
+
+
+@pytest.mark.parametrize("episodes", [1000, BLOCK + 1, 1_000_000])
+def test_std_err_matches_two_pass_fsum(monkeypatch, episodes):
+    # the squared deviations are summed in place, in the order the selection leaves
+    obj = np.random.default_rng(episodes).normal(-0.6, 1.7, episodes)
+    mean = math.fsum(obj) / episodes
+    want = math.sqrt(math.fsum(np.square(obj - mean)) / (episodes - 1) / episodes)
+    assert std_err_of(monkeypatch, obj) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # a dyadic constant sums exactly, so each of its deviations is 0
+    assert std_err_of(monkeypatch, np.full(episodes, -0.625)) == 0.0
 
 
 def test_monte_carlo_matches_quadrature():
@@ -235,9 +304,9 @@ def test_monte_carlo_matches_quadrature():
     bp, bm = sol.beta_star_plus, sol.beta_star_minus
     metas = (GaussianLaw(ap, math.sqrt(bp - ap * ap)), GaussianLaw(am, math.sqrt(bm - am * am)))
     rng = np.random.default_rng(71)
-    batch = simulate_batch(pol, model, metas, 100000, rng)
-    mc = float(np.mean(batch["objective"]))
-    se = float(np.std(batch["objective"], ddof=1) / math.sqrt(len(batch["objective"])))
+    obj = simulate_batch(pol, model, metas, 100000, rng)
+    mc = float(np.mean(obj))
+    se = float(np.std(obj, ddof=1) / math.sqrt(len(obj)))
     quad = expected_reward(model, pol, ap, am, bp, bm)
     assert abs(mc - quad) <= 3.0 * se
 
@@ -247,8 +316,8 @@ def test_standard_error_scales_with_episodes():
     metas = (GaussianLaw(0.8, 0.4), GaussianLaw(0.7, 0.5))
 
     def se(episodes, seed):
-        batch = simulate_batch(pol, model, metas, episodes, np.random.default_rng(seed))
-        return float(np.std(batch["objective"], ddof=1) / math.sqrt(episodes))
+        obj = simulate_batch(pol, model, metas, episodes, np.random.default_rng(seed))
+        return float(np.std(obj, ddof=1) / math.sqrt(episodes))
 
     ratio = se(10000, 5) / se(1000000, 6)
     assert 8.0 <= ratio <= 12.0
@@ -298,7 +367,7 @@ def test_shift_experiment_replays_shifted_sample():
     for row, delta, child in zip(rows, deltas, children):
         sol = solve_inner(model, dom, summaries, delta)
         pol = build_policy(model, dom, sol)
-        obj = simulate_batch(pol, model, laws, episodes, np.random.default_rng(child))["objective"]
+        obj = simulate_batch(pol, model, laws, episodes, np.random.default_rng(child))
         want = (float(np.mean(obj)), float(np.std(obj, ddof=1) / math.sqrt(episodes)),
                 float(np.percentile(obj, 10.0)))
         assert row.delta == delta
