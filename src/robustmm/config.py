@@ -127,15 +127,15 @@ def _parse_int(raw: dict[str, str], key: str, default: int | None = None) -> int
 
 
 def _parse_radii(raw: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    """A nonempty comma list of transport budgets."""
+    """A nonempty comma list of transport budgets; an empty entry is an error."""
     if key not in raw:
         return default
+    if not all(tok.strip() for tok in raw[key].split(",")):
+        raise ConfigError(f"{key}: {raw[key]!r} has an empty entry; list one or more radii, comma separated")
     try:
-        vals = tuple(float(tok) for tok in raw[key].split(",") if tok.strip())
+        vals = tuple(float(tok) for tok in raw[key].split(","))
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as a number list") from exc
-    if len(vals) == 0:
-        raise ConfigError(f"{key} must list at least one radius")
     for delta in vals:
         _keyed(f"{key}: ", check_radius, delta)
     return vals

@@ -11,13 +11,17 @@ Gibbs density proportional to M(eps) = exp(exponent), where
     gamma * exponent = (S + eps+) m+ - (S - eps-) m-
                        - eta [ (Q + m+ - m-)^2 + v+ h+^2 + v- h-^2 ]
 
-uses independence of the two sides. Expanding the square splits the
-exponent as A(eps+) + B(eps-) + C(eps+) D(eps-) with C = 2 eta (Q + m+)
-/ gamma and D = m-, so every table lives on one spread axis. The
-adversary picks the moments inside per-side transport balls; the worst
-case pins each second moment at its envelope and leaves a
-two-dimensional concave (under a certificate) maximization of
--gamma * integral(M) over a box of means.
+uses independence of the two sides. The a^2 h^2 of the squared inventory
+cancels against v h^2, so the exponent is affine in the moments
+x = (a+, a-, b+, b-, c = a+ a-). It splits as A(eps+) + B(eps-) + C(eps+) D(eps-),
+
+    A = A0 + a+ Ap + b+ Bp,  B = B0 + a- Am + b- Bm,  C = C0 + a+ Cp,  D = D0 + a- Dm,
+
+with C = 2 eta (Q + m+) / gamma and D = m-, so every table lives on one
+spread axis, and log Z = log integral(M) is a log-sum-exp of functions
+affine in x, convex in x. The adversary picks the moments inside per-side
+transport balls; the worst case pins each second moment at its envelope
+and minimizes log Z over a box of means, certified by a Frank-Wolfe gap.
 """
 from __future__ import annotations
 
@@ -137,50 +141,39 @@ def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
             raise ValueError(f"{name} must be nonnegative on [0, eps_max]")
 
 
-def _form(A, B, C, D) -> np.ndarray:
-    """The exponent A_i + B_j + C_i D_j on every node (i, j) of each row, built
-    in place; callers check for the inf or nan of overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = C[..., :, None] * D[..., None, :]
-        e += A[..., :, None]
-        e += B[..., None, :]
-    return e
-
-
 class _GridEvaluator:
-    """Per-axis constants of the Gibbs exponent on a domain: each side's signed
-    price (S + eps+, eps- - S), f and h at the axis nodes, and the axis log
-    weights. Only gibbs and exponent form tables over the square, gibbs a row or a chunk at a time."""
+    """Per-axis coefficients of the Gibbs exponent on a domain, read off each side's
+    (price m - eta (u^2 + v h^2)) / gamma with signed price S + eps+ or eps- - S and
+    inventory u = Q + m+ or m-, and the axis log weights. Only gibbs forms tables
+    over the square, a row or a chunk at a time."""
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
         self.model = model
-        x = domain.axis_nodes
+        x, eta, gamma = domain.axis_nodes, model.eta, model.gamma
         # extreme inputs can overflow to inf here; gibbs checks the exponent
         with np.errstate(over="ignore", invalid="ignore"):
-            self.plus, self.minus = ((price, np.asarray(f(x), dtype=float), np.asarray(h(x), dtype=float))
-                                     for price, f, h in ((model.S + x, model.f_plus, model.h_plus),
-                                                         (x - model.S, model.f_minus, model.h_minus)))
+            fp, hp, fm, hm = (np.asarray(c(x), dtype=float)
+                              for c in (model.f_plus, model.h_plus, model.f_minus, model.h_minus))
+            pp, up, pm = model.S + x, model.Q + fp, x - model.S
+            self.A0, self.Ap, self.Bp = ((pp * fp - eta * up * up) / gamma, (pp - 2.0 * eta * up) * hp / gamma,
+                                         -eta * hp * hp / gamma)
+            self.B0, self.Am, self.Bm = ((pm * fm - eta * fm * fm) / gamma, (pm - 2.0 * eta * fm) * hm / gamma,
+                                         -eta * hm * hm / gamma)
+            self.C0, self.Cp, self.D0, self.Dm = 2.0 * eta / gamma * up, 2.0 * eta / gamma * hp, fm, hm
         self.logw = np.log(domain.axis_weights)
 
-    def _side(self, side, offset, a, v):
-        """One side's term (price m - eta (u^2 + v h^2)) / gamma and its
-        inventory u = offset + m, with mean fill m = f + a h."""
-        price, f, h = side
-        m = f + a * h
-        u = offset + m
-        return (price * m - self.model.eta * (u * u + v * (h * h))) / self.model.gamma, u
+    def linear(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
+        """(A, B, C, D) less their constants (A0, B0, C0, D0): along a path of
+        moments, the tables' t-derivatives are these at the moments' derivatives.
+        Callers ignore the floating-point overflow that extreme inputs raise."""
+        return ap * self.Ap + bp * self.Bp, am * self.Am + bm * self.Bm, ap * self.Cp, am * self.Dm
 
     def tables(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
         """(A, B, C, D) at moments (a, b) per side: one row for scalar
         moments, a row per entry for 1-D arrays of them."""
         ap, am, bp, bm = (np.asarray(v, dtype=float)[..., None] for v in (ap, am, bp, bm))
         with np.errstate(over="ignore", invalid="ignore"):
-            A, u = self._side(self.plus, self.model.Q, ap, bp - ap * ap)
-            B, D = self._side(self.minus, 0.0, am, bm - am * am)
-            return A, B, 2.0 * self.model.eta / self.model.gamma * u, D
-
-    def exponent(self, ap: float, am: float, bp: float, bm: float) -> np.ndarray:
-        return _form(*self.tables(ap, am, bp, bm)).ravel()
+            return tuple(c + v for c, v in zip((self.A0, self.B0, self.C0, self.D0), self.linear(ap, am, bp, bm)))
 
     def gibbs(self, A, B, C, D) -> tuple[np.ndarray, np.ndarray]:
         """log Z and the normalized Gibbs weights exp(exponent) * w / Z of the
@@ -188,7 +181,9 @@ class _GridEvaluator:
         B and D over the eps- nodes, on the last axis. A row that is -inf at
         every node has log Z = -inf and zero weights."""
         with np.errstate(over="ignore", invalid="ignore"):
-            e = _form(A + self.logw, B + self.logw, C, D)
+            e = C[..., :, None] * D[..., None, :]
+            e += (A + self.logw)[..., :, None]
+            e += (B + self.logw)[..., None, :]
         m = np.max(e, axis=(-2, -1), keepdims=True)
         # a nan or +inf term, of the exponent or after its log weight, is its row's max
         if not np.all(m < math.inf):
@@ -265,24 +260,19 @@ def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, Empiri
     """log Z on the pinned envelope, with its exact gradient and Hessian in t
     and its gradient in the moments x = (a+, a-, b+, b-, c = a+ a-), from one
     grid pass. With r = sqrt(delta) each side has mean a = alpha_n + r sin t
-    and variance sd^2, sd = sd_n + r cos t, so its tables and their first two
-    t-derivatives are closed-form. g = E[de] and H = E[d2e] + Cov(de) under the
-    Gibbs weights p are bilinear forms x p y of per-axis vectors, read off one
+    and variance sd^2, sd = sd_n + r cos t, so b = sd^2 + a^2. The tables are
+    affine in (a, b), so their t-derivatives are their linear parts at
+    a' = r cos t, b' = 2 r (a cos t - sd sin t) and a'' = -r sin t,
+    b'' = 2 r (r - a sin t - sd cos t). g = E[de] and H = E[d2e] + Cov(de) under
+    the Gibbs weights p are bilinear forms x p y of per-axis vectors, read off one
     product of p with stacked eps- vectors. Extreme radii overflow them."""
-    r, gamma, k = math.sqrt(delta), ev.model.gamma, 2.0 * ev.model.eta / ev.model.gamma
-    jets = []
+    r, sin, cos = math.sqrt(delta), np.sin(t), np.cos(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        for side, offset, s, sin, cos in zip((ev.plus, ev.minus), (ev.model.Q, 0.0), summaries,
-                                             np.sin(t), np.cos(t)):
-            price, _, h = side
-            sd, sd1, sd2 = math.sqrt(s.variance) + r * cos, -r * sin, -r * cos
-            term, u = ev._side(side, offset, s.alpha_n + r * sin, sd * sd)
-            # the side's term and its inventory u = offset + m, each with two t-derivatives
-            m1, m2, hh = r * cos * h, -r * sin * h, h * h
-            jets.append((term, price * m1 / gamma - k * (u * m1 + sd * sd1 * hh),
-                         price * m2 / gamma - k * (m1 * m1 + u * m2 + (sd1 * sd1 + sd * sd2) * hh), u, m1, m2))
-        (A, A1, A2, U, U1, U2), (B, B1, B2, D, D1, D2) = jets
-        C, C1, C2 = k * U, k * U1, k * U2
+        a = np.array([s.alpha_n for s in summaries]) + r * sin
+        sd = np.array([math.sqrt(s.variance) for s in summaries]) + r * cos
+        A, B, C, D = ev.tables(*a, *(sd * sd + a * a))
+        A1, B1, C1, D1 = ev.linear(*(r * cos), *(2.0 * r * (a * cos - sd * sin)))
+        A2, B2, C2, D2 = ev.linear(*(-r * sin), *(2.0 * r * (r - a * sin - sd * cos)))
         # the exponent is A + B + C D, so de+ = A1 + C1 D, de- = B1 + C D1 and
         # d2e = (A2 + C2 D, C1 D1, B2 + C D2) on every node
         lz, p = ev.gibbs(A, B, C, D)
@@ -296,12 +286,9 @@ def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, Empiri
         hmm = ybb.sum() + C @ (ydb + C * yd1d1)
         hpm = A1 @ (yb + C * yd1) + C1 @ (ycross + C * ydd1)
         hess = np.array([[hpp, hpm], [hpm, hmm]]) - np.outer(g, g)
-        # gamma de/dx = ((price+ - 2 eta (Q + f+)) h+ + 2 eta h+ f-, (price- - 2 eta f-) h- + 2 eta (Q + f+) h-,
-        # -eta h+^2, -eta h-^2, 2 eta h+ h-); a product of its own keeps the last bits of the one above
-        (pp, fp, hp), (pm, fm, hm), q = ev.plus, ev.minus, ev.model.Q
-        yf, yh, yhh, ya = (p @ np.stack([fm, hm, hm * hm, (pm / gamma - k * fm) * hm], axis=1)).T
-        gx = np.array([(pp / gamma - k * (q + fp)) @ (hp * y1) + k * hp @ yf, ya.sum() + k * (q + fp) @ yh,
-                       -0.5 * k * hp @ (hp * y1), -0.5 * k * yhh.sum(), k * hp @ yh])
+        # de/dx = (Ap + Cp D0, Am + C0 Dm, Bp, Bm, Cp Dm); a product of its own keeps the last bits of the one above
+        yd0, ydm, yam, ybm = (p @ np.stack([ev.D0, ev.Dm, ev.Am, ev.Bm], axis=1)).T
+        gx = np.array([ev.Ap @ y1 + ev.Cp @ yd0, yam.sum() + ev.C0 @ ydm, ev.Bp @ y1, ybm.sum(), ev.Cp @ ydm])
         if not all(np.all(np.isfinite(v)) for v in (g, hess, gx)):
             raise ValueError("integrand overflow")
     return float(lz), g, hess, gx
@@ -485,9 +472,9 @@ def expected_reward(
     """Quadrature of the per-spread expected reward against the policy.
 
     The reward at a spread pair equals gamma times the Gibbs exponent, so
-    this is the benchmark the episode simulator must reproduce.
+    this is the benchmark the episode simulator must reproduce. Each of
+    gamma (A + B + C D) is contracted with the cell masses one axis at a time.
     """
-    ev = _GridEvaluator(model, grid.domain)
-    expo = ev.exponent(alpha_plus, alpha_minus, beta_plus, beta_minus)
-    reward = model.gamma * expo
-    return float(np.sum(grid.cell_masses().ravel() * reward))
+    A, B, C, D = _GridEvaluator(model, grid.domain).tables(alpha_plus, alpha_minus, beta_plus, beta_minus)
+    mass = grid.cell_masses()
+    return float(model.gamma * (A @ mass.sum(axis=1) + B @ mass.sum(axis=0) + C @ (mass @ D)))

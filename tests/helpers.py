@@ -86,6 +86,25 @@ def policy_with_masses(masses):
     return PolicyGrid(dom, masses / np.sum(masses) / (w[:, None] * w[None, :]))
 
 
+def exponent_table(ev, ap, am, bp, bm) -> np.ndarray:
+    """The Gibbs exponent A_i + B_j + C_i D_j at scalar moments on every node
+    of the square, raveled, summed in the kernel's order: C D, then A, then B."""
+    A, B, C, D = ev.tables(ap, am, bp, bm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = C[:, None] * D[None, :]
+        e += A[:, None]
+        e += B[None, :]
+    return e.ravel()
+
+
+def reward_quadrature(model, grid, ap, am, bp, bm) -> float:
+    """expected_reward from the full grid_n^2 table: gamma times the exponent
+    on every node, summed against the cell masses."""
+    expo = exponent_table(_GridEvaluator(model, grid.domain), ap, am, bp, bm)
+    reward = model.gamma * expo
+    return float(np.sum(grid.cell_masses().ravel() * reward))
+
+
 def zero_mass_cases():
     rng = np.random.default_rng(40)
     base = rng.random((33, 33)) + 0.01

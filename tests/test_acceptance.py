@@ -35,7 +35,8 @@ from robustmm.cli import main
 from robustmm.policy import _GridEvaluator
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import GaussianLaw, fd_hessian, mean_box, one_shot_batch, rand_instance, rand_samples, refined_grid_max
+from helpers import (GaussianLaw, exponent_table, fd_hessian, mean_box, one_shot_batch, rand_instance, rand_samples,
+                     refined_grid_max)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -161,8 +162,8 @@ def test_04_normalization_and_gibbs_optimality():
         w = dom.weights
         worst_resid = max(worst_resid, abs(float(np.sum(w * pol.density)) - 1.0))
 
-        reward = model.gamma * ev.exponent(
-            sol.alpha_star_plus, sol.alpha_star_minus,
+        reward = model.gamma * exponent_table(
+            ev, sol.alpha_star_plus, sol.alpha_star_minus,
             sol.beta_star_plus, sol.beta_star_minus).reshape(pol.density.shape)
 
         def value(dens):

@@ -419,6 +419,8 @@ MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text
     (MODEL_BLOCK + "domain.grid_n = 4097\n", "domain.grid_n"),
     ("simulate.deltas = nan, 0.01\n", "simulate.deltas"),
     ("validate.deltas = inf\n", "validate.deltas"),
+    ("validate.deltas = 0.01,,0.04,\n", "validate.deltas"),
+    ("simulate.deltas = 0.0, \n", "simulate.deltas"),
     (MODEL_BLOCK.replace("h_plus = exp_decay(1.0, 1.2)", "h_plus = affine(0.1, -1.0)"), "model.h_plus"),
     (MODEL_BLOCK.replace("f_plus = constant(0.2)", "f_plus = exp_decay(1.0, -2000)"), "model.f_plus"),
     (MODEL_BLOCK.replace("h_minus = exp_decay(1.0, 1.2)", "h_minus = foo(1.0)"), "model.h_minus"),
@@ -427,6 +429,7 @@ MODEL_BLOCK = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text
     ("simulate.episodes = 1000000000\n", "simulate.episodes"),
     ("simulate.shift_sd_scale_plus = -1.0\n", "simulate.shift_sd_scale_plus must be nonnegative"),
 ], ids=["radius.delta", "domain.grid_n", "domain.grid_n-cap", "simulate.deltas", "validate.deltas",
+        "validate.deltas-empty-entry", "simulate.deltas-empty-entry",
         "model.h_plus-negative", "model.f_plus-overflow", "model.h_minus-kind", "model.gamma",
         "radius.resamples-cap", "simulate.episodes-cap", "simulate.shift_sd_scale_plus-negative"])
 def test_config_rejects_bad_number(tmp_path, text, key):

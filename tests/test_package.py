@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -40,3 +43,16 @@ def test_benchmark_reads_solve_inner_by_position_and_field():
     fields = {f.name for f in dataclasses.fields(robustmm.RobustSolution)}
     assert {"alpha_star_plus", "alpha_star_minus", "beta_star_plus", "beta_star_minus",
             "objective", "iterations"} <= fields
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # in a fresh interpreter, every top-level package that importing robustmm
+    # and its CLI loads from outside the standard library is numpy or robustmm
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import robustmm, robustmm.cli\n"
+            "print(*sorted({n.partition('.')[0] for n in set(sys.modules) - before} - sys.stdlib_module_names))")
+    src = str(Path(robustmm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["numpy", "robustmm"]

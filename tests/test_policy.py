@@ -23,6 +23,7 @@ from robustmm import (
     constant,
     empirical_moments,
     exp_decay,
+    expected_reward,
     read_sample_csv,
     sample_policy,
     solve_inner,
@@ -33,16 +34,18 @@ from robustmm import (
 
 from helpers import (
     binary_search_sample,
+    exponent_table,
     fd_hessian,
     nine_start_solve,
     policy_with_masses,
     rand_instance,
     refined_grid_max,
+    reward_quadrature,
     zero_mass_cases,
 )
 from robustmm import policy
 from robustmm.config import parse_config
-from robustmm.policy import _form, _GridEvaluator, _linear_min, _log_mass_in_t
+from robustmm.policy import _GridEvaluator, _linear_min, _log_mass_in_t
 from robustmm.simulator import _EPISODE_BLOCK
 
 
@@ -68,7 +71,7 @@ def exponent_at(model, eps_plus, eps_minus, *moments):
     """The evaluator's Gibbs exponent at one node of HAND_GRID."""
     i, j = np.searchsorted(HAND_GRID.axis_nodes, (eps_plus, eps_minus))
     assert HAND_GRID.axis_nodes[i] == eps_plus and HAND_GRID.axis_nodes[j] == eps_minus
-    expo = _GridEvaluator(model, HAND_GRID).exponent(*moments)
+    expo = exponent_table(_GridEvaluator(model, HAND_GRID), *moments)
     return float(expo.reshape(17, 17)[i, j])
 
 
@@ -111,8 +114,8 @@ def test_log_m_full_formula():
 
 
 def test_log_m_scales_inversely_with_gamma():
-    e1 = _GridEvaluator(plain_model(gamma=1.0), HAND_GRID).exponent(0.8, 0.9, 1.0, 1.1)
-    e2 = _GridEvaluator(plain_model(gamma=4.0), HAND_GRID).exponent(0.8, 0.9, 1.0, 1.1)
+    e1 = exponent_table(_GridEvaluator(plain_model(gamma=1.0), HAND_GRID), 0.8, 0.9, 1.0, 1.1)
+    e2 = exponent_table(_GridEvaluator(plain_model(gamma=4.0), HAND_GRID), 0.8, 0.9, 1.0, 1.1)
     np.testing.assert_allclose(e1, 4.0 * e2, rtol=1e-12)
 
 
@@ -291,8 +294,8 @@ def test_policy_density_integrates_to_one():
         assert abs(float(np.sum(pol.cell_masses())) - 1.0) <= 1e-6
         # the density is the Gibbs weight normalized with the node weights
         ev = _GridEvaluator(model, dom)
-        e = ev.exponent(sol.alpha_star_plus, sol.alpha_star_minus,
-                        sol.beta_star_plus, sol.beta_star_minus)
+        e = exponent_table(ev, sol.alpha_star_plus, sol.alpha_star_minus,
+                           sol.beta_star_plus, sol.beta_star_minus)
         t = np.exp(e - np.max(e))
         expected = (t / np.sum(t * dom.weights.ravel())).reshape(pol.density.shape)
         np.testing.assert_allclose(pol.density, expected, rtol=1e-13, atol=0.0)
@@ -360,7 +363,7 @@ def test_gibbs_guards_each_row_max(case):
         # a domain's log weights stay below log(float max), far under half an ulp
         # of the float max, so only raised weights push a finite exponent past it
         A[1], B[1], C[1] = 1e308, 0.0, 0.0
-        assert np.all(np.isfinite(_form(A, B, C, D)))
+        assert np.all(np.isfinite(C[:, :, None] * D[:, None, :] + A[:, :, None] + B[:, None, :]))
         ev.logw = ev.logw + 1e308
     else:
         B[1, 5] = math.nan if case == "nan" else math.inf
@@ -376,6 +379,26 @@ def test_integrand_overflow_raises():
         solve_inner(model, dom, (sp, sm), 0.01)
 
 
+def test_expected_reward_matches_full_table_quadrature():
+    # contracted one axis at a time, the quadrature matches the full grid_n^2
+    # reward table within rounding of the quadrature of |reward|; a relative
+    # bound would not hold where the reward nearly cancels
+    rng = np.random.default_rng(49)
+    for cert in (True, False):
+        for grid_n in (33, 65):
+            for _ in range(3):
+                model, dom, summaries, delta = rand_instance(rng, cert=cert, grid_n=grid_n)
+                sol = solve_inner(model, dom, summaries, delta)
+                pol = build_policy(model, dom, sol)
+                sp, sm = summaries
+                for moments in ((sol.alpha_star_plus, sol.alpha_star_minus, sol.beta_star_plus, sol.beta_star_minus),
+                                (sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)):
+                    reward = model.gamma * exponent_table(_GridEvaluator(model, dom), *moments)
+                    scale = float(np.sum(pol.cell_masses().ravel() * np.abs(reward)))
+                    got, want = expected_reward(model, pol, *moments), reward_quadrature(model, pol, *moments)
+                    assert abs(got - want) <= 1e-13 * scale, (got, want, scale)
+
+
 def test_gibbs_density_maximizes_entropy_regularized_value():
     rng = np.random.default_rng(34)
     model, dom, summaries, delta = rand_instance(rng)
@@ -383,8 +406,8 @@ def test_gibbs_density_maximizes_entropy_regularized_value():
     pol = build_policy(model, dom, sol)
 
     ev = _GridEvaluator(model, dom)
-    reward = model.gamma * ev.exponent(
-        sol.alpha_star_plus, sol.alpha_star_minus,
+    reward = model.gamma * exponent_table(
+        ev, sol.alpha_star_plus, sol.alpha_star_minus,
         sol.beta_star_plus, sol.beta_star_minus).reshape(pol.density.shape)
     w = dom.weights
 
@@ -683,10 +706,11 @@ def test_moment_gradient_matches_central_differences():
         sd = np.array([math.sqrt(s.variance) for s in summaries]) + math.sqrt(delta) * np.cos(t)
         a = np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(t)
         x = np.array([a[0], a[1], sd[0] ** 2 + a[0] ** 2, sd[1] ** 2 + a[1] ** 2, a[0] * a[1]])
-        cross = np.outer(ev.plus[2], ev.minus[2]).ravel() * 2.0 * model.eta / model.gamma
+        nodes = dom.axis_nodes
+        cross = np.outer(model.h_plus(nodes), model.h_minus(nodes)).ravel() * 2.0 * model.eta / model.gamma
 
         def log_z(y):
-            e = ev.exponent(*y[:4]) + (y[4] - y[0] * y[1]) * cross + np.log(dom.weights.ravel())
+            e = exponent_table(ev, *y[:4]) + (y[4] - y[0] * y[1]) * cross + np.log(dom.weights.ravel())
             return float(np.max(e) + np.log(np.sum(np.exp(e - np.max(e)))))
 
         fd = np.array([(log_z(x + h * e) - log_z(x - h * e)) / (2.0 * h) for e in np.eye(5)])

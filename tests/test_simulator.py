@@ -25,7 +25,8 @@ from robustmm import (
 )
 
 import robustmm.simulator as simulator
-from helpers import FixedLaw, GaussianLaw, one_pass_batch, one_shot_batch, policy_with_masses, zero_mass_cases
+from helpers import (FixedLaw, GaussianLaw, exponent_table, one_pass_batch, one_shot_batch, policy_with_masses,
+                     zero_mass_cases)
 from robustmm.policy import _GridEvaluator
 
 
@@ -122,8 +123,8 @@ def test_two_atom_laws_book_gamma_times_exponent(monkeypatch):
     # the batch is one block, so every episode books the node spreads
     assert sizes == [4 * nodes]
     booked = out.reshape(4, nodes).mean(axis=0)
-    want = model.gamma * _GridEvaluator(model, dom).exponent(
-        (x1 + x2) / 2, (y1 + y2) / 2, (x1 * x1 + x2 * x2) / 2, (y1 * y1 + y2 * y2) / 2)
+    want = model.gamma * exponent_table(
+        _GridEvaluator(model, dom), (x1 + x2) / 2, (y1 + y2) / 2, (x1 * x1 + x2 * x2) / 2, (y1 * y1 + y2 * y2) / 2)
     np.testing.assert_allclose(booked, want, rtol=1e-12, atol=0.0)
 
 
