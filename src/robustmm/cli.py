@@ -1,8 +1,10 @@
 """Command line front end: solve, radius, simulate, validate.
 
-Every command reads one flat config file, writes its outputs atomically
-into the output directory, and drops a manifest echoing the resolved
-configuration so a rerun with the same inputs is byte-identical.
+main runs the steps the four commands share: it reads one flat config
+file and both sample files, creates the output directory, runs the
+command, which writes its own outputs atomically there, and on exit 0
+or 5 drops a manifest echoing the resolved configuration, so a rerun
+with the same inputs is byte-identical.
 
 Exit codes: 0 success, 2 configuration problem (the message names the key
 or the file and line), 3 solver failure, 4 degenerate policy, 5 validation failure.
@@ -58,16 +60,6 @@ def _make_out_dir(path: Path, key: str) -> None:
         raise ConfigError(f"{key}: output directory {path} is not writable")
 
 
-def _write_manifest(cfg: RunConfig, command: str) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": dict(sorted(cfg.raw.items())),
-    }
-    _atomic_write(cfg.out_dir / "manifest.json", _json_dumps(manifest))
-
-
 def _load_samples(cfg: RunConfig) -> tuple[SampleSet, SampleSet]:
     samples = []
     for side, path in zip(("buy", "sell"), cfg.require_samples()):
@@ -97,10 +89,8 @@ def _resolve_budget(cfg: RunConfig, samples) -> float:
     return _select_radius(cfg, samples).delta_hat ** 2
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
-    model = cfg.require_model()
-    domain = cfg.require_domain()
+def cmd_solve(cfg: RunConfig, samples) -> int:
+    model, domain = cfg.require_model()
     summaries = (empirical_moments(samples[0]), empirical_moments(samples[1]))
     delta = _resolve_budget(cfg, samples)
     solution = solve_inner(model, domain, summaries, delta)
@@ -131,13 +121,11 @@ def cmd_solve(cfg: RunConfig) -> int:
         "grid_n": domain.grid_n,
     }
     _atomic_write(cfg.out_dir / "solution.json", _json_dumps(summary))
-    _write_manifest(cfg, "solve")
     print(f"solve: objective {solution.objective!r} at delta {delta!r} -> {cfg.out_dir}")
     return 0
 
 
-def cmd_radius(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
+def cmd_radius(cfg: RunConfig, samples) -> int:
     if cfg.chi is None:
         raise ConfigError("radius command requires radius.chi")
     selection = _select_radius(cfg, samples)
@@ -151,24 +139,13 @@ def cmd_radius(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     _atomic_write(cfg.out_dir / "radius.json", _json_dumps(payload))
-    _write_manifest(cfg, "radius")
     print(f"radius: delta_hat {selection.delta_hat!r} at chi {cfg.chi!r} -> {cfg.out_dir}")
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
-    model = cfg.require_model()
-    domain = cfg.require_domain()
-    rows = shift_experiment(
-        samples,
-        model,
-        domain,
-        deltas=cfg.sim_deltas,
-        shift=cfg.shift,
-        episodes=cfg.episodes,
-        rng_seed=cfg.seed,
-    )
+def cmd_simulate(cfg: RunConfig, samples) -> int:
+    rows = shift_experiment(samples, *cfg.require_model(), deltas=cfg.sim_deltas, shift=cfg.shift,
+                            episodes=cfg.episodes, rng_seed=cfg.seed)
     lines = ["delta,mean_objective,std_err,p10_objective,concave_certificate"]
     for row in rows:
         cert = "true" if row.concave_certificate else "false"
@@ -176,17 +153,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"{row.delta!r},{row.mean_objective!r},{row.std_err!r},{row.p10_objective!r},{cert}"
         )
     _atomic_write(cfg.out_dir / "shift.csv", "\n".join(lines) + "\n")
-    _write_manifest(cfg, "simulate")
     print(f"simulate: {len(rows)} radii x {cfg.episodes} episodes -> {cfg.out_dir}")
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    samples = _load_samples(cfg)
+def cmd_validate(cfg: RunConfig, samples) -> int:
     _keyed(_SAMPLES, gram_bound_check, (empirical_moments(samples[0]), empirical_moments(samples[1])))
     rows = run_validation(samples[0], samples[1], deltas=cfg.validate_deltas, tol=cfg.validate_tol)
     _atomic_write(cfg.out_dir / "validation.json", _json_dumps([r.as_dict() for r in rows]))
-    _write_manifest(cfg, "validate")
     print(format_table(rows))
     failures = [r for r in rows if r.passed is False]
     if failures:
@@ -221,19 +195,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config).with_overrides(args.out, args.seed)
         _make_out_dir(cfg.out_dir, "output.dir" if args.out is None else "--out")
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+        code = _COMMANDS[args.command](cfg, _load_samples(cfg))
+        # last, after the command's own files, and only on exit 0 or 5
+        manifest = {"command": args.command, "version": __version__, "seed": cfg.seed,
+                    "config": dict(sorted(cfg.raw.items()))}
+        _atomic_write(cfg.out_dir / "manifest.json", _json_dumps(manifest))
+        return code
+    except ConfigError as exc:  # a ValueError too, so it is caught first
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except DegeneratePolicyError as exc:
         print(f"degenerate policy: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

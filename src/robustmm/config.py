@@ -2,8 +2,8 @@
 
 Dotted keys group into blocks; values are numbers, paths, comma lists,
 or function specs like exp_decay(2.0, 1.5). Exactly one of radius.delta
-and radius.chi may be given. Sample paths resolve relative to the config
-file location.
+and radius.chi may be given. Sample paths and output.dir resolve relative
+to the config file location; an empty path is an error.
 """
 from __future__ import annotations
 
@@ -31,22 +31,6 @@ _SHIFT_KEYS = {"mean_shift_plus": "simulate.shift_mean_plus",
                "mean_shift_minus": "simulate.shift_mean_minus",
                "sd_scale_minus": "simulate.shift_sd_scale_minus"}
 
-_KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | {
-    "samples.buy",
-    "samples.sell",
-    "domain.eps_max",
-    "domain.grid_n",
-    "radius.delta",
-    "radius.chi",
-    "radius.resamples",
-    "simulate.deltas",
-    "simulate.episodes",
-    "validate.deltas",
-    "validate.tol",
-    "seed",
-    "output.dir",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,20 +55,16 @@ class RunConfig:
             raise ConfigError("samples.buy and samples.sell are required")
         return self.samples_buy, self.samples_sell
 
-    def require_model(self) -> SpreadModel:
+    def require_model(self) -> tuple[SpreadModel, SpreadDomain]:
         if self.model is None:
             raise ConfigError("model block is required (model.S ... model.h_minus)")
-        return self.model
-
-    def require_domain(self) -> SpreadDomain:
         # parse_config builds a domain whenever it builds a model
-        self.require_model()
-        return self.domain
+        return self.model, self.domain
 
     def with_overrides(self, out_dir: str | None, seed: int | None) -> "RunConfig":
         cfg = self
         if out_dir is not None:
-            cfg = replace(cfg, out_dir=Path(out_dir))
+            cfg = replace(cfg, out_dir=_nonempty_path("--out", out_dir))
         if seed is not None:
             cfg = replace(cfg, seed=_check_seed(seed))
         return cfg
@@ -94,6 +74,13 @@ def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     return seed
+
+
+def _nonempty_path(key: str, text: str) -> Path:
+    """A path value; an empty one is an error, never the current directory."""
+    if not text:
+        raise ConfigError(f"{key}: empty path")
+    return Path(text)
 
 
 def _keyed(prefix: str, owner, *args, **kwargs):
@@ -136,9 +123,34 @@ def _parse_radii(raw: dict[str, str], key: str, default: tuple[float, ...]) -> t
         vals = tuple(float(tok) for tok in raw[key].split(","))
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw[key]!r} as a number list") from exc
-    for delta in vals:
-        _keyed(f"{key}: ", check_radius, delta)
     return vals
+
+
+def _check_radii(deltas: tuple[float, ...]) -> None:
+    for delta in deltas:
+        check_radius(delta)
+
+
+def _check_tol(tol: float) -> None:
+    if tol <= 0:
+        raise ValueError("must be positive")
+
+
+# key: (RunConfig field, parser, default, owner's check, prefix that makes
+# the check's message name the key); a default of None is not checked
+_SCALAR_KEYS = {
+    "radius.delta": ("delta", _parse_float, None, check_radius, "radius.delta: "),
+    "radius.chi": ("chi", _parse_float, None, check_chi, "radius."),
+    "radius.resamples": ("resamples", _parse_int, DEFAULT_RESAMPLES, check_resamples, "radius."),
+    "simulate.episodes": ("episodes", _parse_int, 10_000, check_episodes, "simulate."),
+    "simulate.deltas": ("sim_deltas", _parse_radii, (0.0, 0.01, 0.04), _check_radii, "simulate.deltas: "),
+    "validate.deltas": ("validate_deltas", _parse_radii, DEFAULT_DELTAS, _check_radii, "validate.deltas: "),
+    "validate.tol": ("validate_tol", _parse_float, DEFAULT_TOL, _check_tol, "validate.tol "),
+    "seed": ("seed", _parse_int, 0, _check_seed, ""),
+}
+
+_KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | set(_SCALAR_KEYS) | {
+    "samples.buy", "samples.sell", "domain.eps_max", "domain.grid_n", "output.dir"}
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -146,7 +158,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        # drop the byte-order mark some editors write first; decoding it as
+        # plain UTF-8 keeps a bad byte's offset the file's own
+        lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     raw: dict[str, str] = {}
@@ -167,8 +181,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
     base = path.parent
 
-    samples_buy = base / raw["samples.buy"] if "samples.buy" in raw else None
-    samples_sell = base / raw["samples.sell"] if "samples.sell" in raw else None
+    # base / path leaves an absolute path as it is
+    samples_buy, samples_sell = (base / _nonempty_path(key, raw[key]) if key in raw else None
+                                 for key in ("samples.buy", "samples.sell"))
 
     model = None
     if any(k in raw for k in _MODEL_KEYS):
@@ -196,48 +211,17 @@ def parse_config(path: str | Path) -> RunConfig:
             if key.startswith("domain."):
                 raise ConfigError(f"{key} requires a model block")
 
-    delta = _parse_float(raw, "radius.delta")
-    chi = _parse_float(raw, "radius.chi")
-    if delta is not None and chi is not None:
+    if "radius.delta" in raw and "radius.chi" in raw:
         raise ConfigError("give exactly one of radius.delta and radius.chi, not both")
-    if delta is not None:
-        _keyed("radius.delta: ", check_radius, delta)
-    if chi is not None:
-        _keyed("radius.", check_chi, chi)
-    resamples = _parse_int(raw, "radius.resamples", DEFAULT_RESAMPLES)
-    _keyed("radius.", check_resamples, resamples)
-
-    episodes = _parse_int(raw, "simulate.episodes", 10_000)
-    _keyed("simulate.", check_episodes, episodes)
-    sim_deltas = _parse_radii(raw, "simulate.deltas", (0.0, 0.01, 0.04))
+    scalars = {}
+    for key, (field, parse, default, check, prefix) in _SCALAR_KEYS.items():
+        scalars[field] = parse(raw, key, default)
+        if scalars[field] is not None:
+            _keyed(prefix, check, scalars[field])
     # keys left out take ShiftSpec's defaults
     shift = _keyed("simulate.shift_", ShiftSpec, **{
         field: _parse_float(raw, key) for field, key in _SHIFT_KEYS.items() if key in raw})
 
-    validate_deltas = _parse_radii(raw, "validate.deltas", DEFAULT_DELTAS)
-    validate_tol = _parse_float(raw, "validate.tol", DEFAULT_TOL)
-    if validate_tol <= 0:
-        raise ConfigError("validate.tol must be positive")
-    seed = _check_seed(_parse_int(raw, "seed", 0))
-
-    out_dir = Path(raw.get("output.dir", "out"))
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
-
-    return RunConfig(
-        raw=dict(raw),
-        samples_buy=samples_buy,
-        samples_sell=samples_sell,
-        model=model,
-        domain=domain,
-        delta=delta,
-        chi=chi,
-        resamples=resamples,
-        sim_deltas=sim_deltas,
-        episodes=episodes,
-        shift=shift,
-        validate_deltas=validate_deltas,
-        validate_tol=validate_tol,
-        seed=seed,
-        out_dir=out_dir,
-    )
+    return RunConfig(raw=dict(raw), samples_buy=samples_buy, samples_sell=samples_sell, model=model, domain=domain,
+                     shift=shift, out_dir=base / _nonempty_path("output.dir", raw.get("output.dir", "out")),
+                     **scalars)

@@ -135,13 +135,12 @@ def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[
     Reaching mean alpha and standard deviation s costs exactly
     (alpha - alpha_n)^2 + (s - sd_n)^2, so the budget leaves
     |s - sd_n| <= r with r = sqrt(delta - (alpha - alpha_n)^2), and
-    lower = alpha^2 + max(sd_n - r, 0)^2.
+    lower = alpha^2 + max(sd_n - r, 0)^2. The upper end is
+    theorem_beta_envelope, the function the solve reports beta with.
     """
-    dev, root = _deviation_root(summary, delta, alpha)
-    sd = math.sqrt(summary.variance)
-    upper = summary.beta_n + 2.0 * dev * summary.alpha_n + delta + 2.0 * sd * root
-    low_sd = max(sd - float(root), 0.0)
-    return (alpha * alpha + low_sd * low_sd, float(upper))
+    _, root = _deviation_root(summary, delta, alpha)
+    low_sd = max(math.sqrt(summary.variance) - float(root), 0.0)
+    return (alpha * alpha + low_sd * low_sd, theorem_beta_envelope(summary, delta, alpha))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
@@ -163,10 +162,9 @@ def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha):
         beta(alpha) = (sqrt(beta_n - alpha_n^2) + sqrt(delta - (alpha - alpha_n)^2))^2
                       + alpha^2
 
-    Algebraically identical to the upper bound of beta_bounds; kept as a
-    separate code path so the identity can be checked rather than assumed.
-    At delta = 0 the expression collapses to beta_n exactly. A scalar
-    alpha gives a float, an array of means an array.
+    It is the upper end of beta_bounds. At delta = 0 the expression
+    collapses to beta_n exactly. A scalar alpha gives a float, an array
+    of means an array.
     """
     dev, root = _deviation_root(summary, delta, alpha)
     s = math.sqrt(summary.variance) + root
@@ -183,7 +181,8 @@ def read_sample_csv(path: str | Path, side: str) -> SampleSet:
     """
     path = Path(path)
     values: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that some editors write first
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.strip()
             if not tok:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 import robustmm.validation as validation
-from robustmm import (SpreadDomain, build_policy, constant, empirical_moments, read_sample_csv, solve_inner,
-                      worst_case_objective)
+from robustmm import (SpreadDomain, __version__, build_policy, constant, empirical_moments, read_sample_csv,
+                      solve_inner, worst_case_objective)
 from robustmm.cli import _atomic_write, main
-from robustmm.config import ConfigError, parse_config
+from robustmm.config import _KNOWN_KEYS, _SCALAR_KEYS, ConfigError, parse_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,6 +25,13 @@ def run(command, cfg, out, seed=None):
 
 def read_all(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def assert_manifest(out: Path, command: str, cfg: Path, seed: int) -> None:
+    manifest = json.loads((out / "manifest.json").read_text())
+    raw = parse_config(cfg).raw
+    assert manifest == {"command": command, "version": __version__, "seed": seed, "config": raw}
+    assert list(manifest["config"]) == sorted(raw)
 
 
 def test_solve_writes_policy_and_summary(tmp_path):
@@ -42,7 +50,7 @@ def test_solve_writes_policy_and_summary(tmp_path):
     assert len(rows) == 33 * 33
     table = np.loadtxt(out / "policy.csv", delimiter=",", skiprows=1)
     cfg = parse_config(FIXTURES / "solve.cfg")
-    model, domain = cfg.require_model(), cfg.require_domain()
+    model, domain = cfg.require_model()
     buy, sell = cfg.require_samples()
     summaries = (empirical_moments(read_sample_csv(buy, "buy")),
                  empirical_moments(read_sample_csv(sell, "sell")))
@@ -90,7 +98,7 @@ def test_default_grid_policy_bytes(tmp_path):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     assert run("solve", cfg_path, tmp_path / "out") == 0
     cfg = parse_config(cfg_path)
-    model, domain = cfg.require_model(), cfg.require_domain()
+    model, domain = cfg.require_model()
     assert domain.grid_n == 257
     buy, sell = cfg.require_samples()
     summaries = (empirical_moments(read_sample_csv(buy, "buy")),
@@ -114,6 +122,7 @@ def test_radius_output(tmp_path):
     assert 0 <= payload["gram_bound"] < 1
     assert payload["delta_hat"] == pytest.approx(
         (payload["profile_quantile"] / 2.0) ** 0.5, rel=1e-12)
+    assert_manifest(out, "radius", FIXTURES / "radius.cfg", 7)
 
 
 def test_radius_seed_override_changes_result(tmp_path):
@@ -165,7 +174,10 @@ def test_validate_failure_exit_code(tmp_path):
     cfg.write_text(base.replace("validate.tol = 1e-4", "validate.tol = 1e-16"))
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
-    assert run("validate", cfg, tmp_path / "out") == 5
+    assert run("validate", cfg, tmp_path / "out", seed=11) == 5
+    # exit 5 writes the manifest beside the command's own file
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json", "validation.json"]
+    assert_manifest(tmp_path / "out", "validate", cfg, 11)
 
 
 def test_validate_catches_an_error_inside_tol(tmp_path, monkeypatch):
@@ -260,6 +272,69 @@ def test_non_utf8_config_names_its_path(tmp_path, capsys):
     assert err.count("\n") == 1 and str(cfg) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("old, new, out, key", [
+    ("output.dir = out", "output.dir =", None, "output.dir"),
+    ("samples.buy = buy.csv", "samples.buy =", None, "samples.buy"),
+    ("samples.sell = sell.csv", "samples.sell =", None, "samples.sell"),
+    (None, None, "", "--out"),
+], ids=["output.dir", "samples.buy", "samples.sell", "--out"])
+def test_empty_path_names_its_key(tmp_path, monkeypatch, capsys, old, new, out, key):
+    # an empty path is never the config's directory or the current one:
+    # the run stops before any work and writes nothing
+    home, cwd = tmp_path / "cfg", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    text = (FIXTURES / "solve.cfg").read_text() + "output.dir = out\n"
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new)
+    (home / "run.cfg").write_text(text)
+    for name in ("buy.csv", "sell.csv"):
+        (home / name).write_bytes((FIXTURES / name).read_bytes())
+    assert main(["solve", "--config", str(home / "run.cfg")] + ([] if out is None else ["--out", out])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key}: empty path" in err
+    assert sorted(p.name for p in home.iterdir()) == ["buy.csv", "run.cfg", "sell.csv"]
+    assert list(cwd.iterdir()) == []
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # files saved with a UTF-8 byte-order mark give the plain files' outputs
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        for file in ("solve.cfg", "buy.csv"):
+            (tmp_path / name / file).write_bytes(bom + (FIXTURES / file).read_bytes())
+        (tmp_path / name / "sell.csv").write_bytes((FIXTURES / "sell.csv").read_bytes())
+        assert run("solve", tmp_path / name / "solve.cfg", tmp_path / name / "out") == 0
+    assert read_all(tmp_path / "bom" / "out") == read_all(tmp_path / "plain" / "out")
+    # a bad byte after the mark is reported at its offset in the file
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbfseed = 1\n\xff = 1\n")
+    with pytest.raises(ConfigError, match="at byte 12"):
+        parse_config(bad)
+
+
+def test_readme_config_table_matches_the_parser():
+    # every key the parser knows has a row of its own, and a table-driven
+    # key's default reads as the parser's default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    defaults = {}
+    for row in table.splitlines()[2:]:
+        keys, default = row.split("|")[1:3]
+        for key in re.findall(r"`([^`]+)`", keys):
+            defaults[key] = default.strip().strip("`")
+    assert set(defaults) == _KNOWN_KEYS
+    for key, (_, _, default, _, _) in _SCALAR_KEYS.items():
+        if default is None:
+            assert defaults[key] == "", key
+        elif isinstance(default, tuple):
+            assert tuple(float(tok) for tok in defaults[key].split(",")) == default, key
+        else:
+            assert type(default)(defaults[key]) == default, key
+
+
 def test_removed_quadrature_key_is_unknown(tmp_path, capsys):
     cfg = tmp_path / "quad.cfg"
     cfg.write_text(MODEL_BLOCK + "domain.quadrature = trapezoid\n")
@@ -287,6 +362,7 @@ def test_degenerate_policy_exit_code(tmp_path):
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     assert run("solve", cfg, tmp_path / "out") == 4
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("delta, code", [("0.0", 0), ("0.02", 4)])
@@ -308,7 +384,7 @@ def test_huge_intensity_on_zero_samples(tmp_path, capsys, delta, code):
         assert err.count("\n") == 1 and "normalizer underflow" in err
         return
     parsed = parse_config(cfg)
-    model, domain = parsed.require_model(), parsed.require_domain()
+    model, domain = parsed.require_model()
     summaries = tuple(empirical_moments(read_sample_csv(p, side))
                       for p, side in zip(parsed.require_samples(), ("buy", "sell")))
     flat = worst_case_objective(replace(model, h_plus=constant(0.0)), domain, summaries, 0.0, 0.0, 0.0)
@@ -386,7 +462,7 @@ def test_config_builds_the_default_domain(tmp_path, capsys):
                    if not line.startswith("domain."))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert parse_config(cfg).require_domain() == SpreadDomain(eps_max=0.5)
+    assert parse_config(cfg).require_model()[1] == SpreadDomain(eps_max=0.5)
     for name in ("buy.csv", "sell.csv"):
         (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
     cfg.write_text(text.replace("model.S = 5.0", "model.S = 0.0"))
@@ -482,6 +558,7 @@ def test_overflow_reports_one_line(tmp_path, capsys, command, edits, code, text)
         assert run(command, cfg, tmp_path / "out") == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and text in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_negative_seed_override_is_config_error(tmp_path, capsys):

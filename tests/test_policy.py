@@ -795,7 +795,7 @@ def _fixture_problems():
     summaries = tuple(empirical_moments(read_sample_csv(p, side))
                       for p, side in zip(cfg.require_samples(), ("buy", "sell")))
     cap = math.sqrt(summaries[0].variance * summaries[1].variance)
-    return [(cfg.require_model(), cfg.require_domain(), summaries, delta) for delta in (0.0, 0.02, 3 * cap, 20 * cap)]
+    return [(*cfg.require_model(), summaries, delta) for delta in (0.0, 0.02, 3 * cap, 20 * cap)]
 
 
 def _random_problems():

@@ -417,7 +417,7 @@ from robustmm import shift_experiment
 from robustmm.cli import _load_samples
 from robustmm.config import parse_config
 cfg = parse_config(sys.argv[1])
-shift_experiment(_load_samples(cfg), cfg.require_model(), cfg.require_domain(), deltas=cfg.sim_deltas,
+shift_experiment(_load_samples(cfg), *cfg.require_model(), deltas=cfg.sim_deltas,
                  shift=cfg.shift, episodes=cfg.episodes, rng_seed=cfg.seed)
 print("numpy.ma" in sys.modules)
 """
