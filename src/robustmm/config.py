@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .functions import parse_function_spec
-from .moments import check_radius
+from .moments import check_radius, read_text_lines
 from .policy import SpreadDomain, SpreadModel, validate_model_on_domain
 from .profile import DEFAULT_RESAMPLES, check_chi, check_resamples
 from .simulator import ShiftSpec, check_episodes
@@ -157,14 +157,8 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        # drop the byte-order mark some editors write first; decoding it as
-        # plain UTF-8 keeps a bad byte's offset the file's own
-        lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_keyed("", read_text_lines, path), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -138,9 +138,9 @@ def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[
     lower = alpha^2 + max(sd_n - r, 0)^2. The upper end is
     theorem_beta_envelope, the function the solve reports beta with.
     """
-    _, root = _deviation_root(summary, delta, alpha)
+    dev, root = _deviation_root(summary, delta, alpha)
     low_sd = max(math.sqrt(summary.variance) - float(root), 0.0)
-    return (alpha * alpha + low_sd * low_sd, theorem_beta_envelope(summary, delta, alpha))
+    return (alpha * alpha + low_sd * low_sd, _upper_envelope(summary, alpha, dev, root))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
@@ -166,11 +166,25 @@ def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha):
     collapses to beta_n exactly. A scalar alpha gives a float, an array
     of means an array.
     """
-    dev, root = _deviation_root(summary, delta, alpha)
+    return _upper_envelope(summary, alpha, *_deviation_root(summary, delta, alpha))
+
+
+def _upper_envelope(summary: EmpiricalSummary, alpha, dev: np.ndarray, root: np.ndarray):
+    """theorem_beta_envelope from the deviation and root of _deviation_root."""
     s = math.sqrt(summary.variance) + root
     a = np.asarray(alpha, dtype=float)
     beta = np.where((dev == 0.0) & (root == 0.0), summary.beta_n, s * s + a * a)
     return float(beta) if beta.ndim == 0 else beta
+
+
+def read_text_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file, decoded whole so that a bad byte is reported
+    with the path and its offset in the file. A leading byte-order mark is
+    dropped; line ends are universal newlines. Every input file is read here."""
+    try:
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def read_sample_csv(path: str | Path, side: str) -> SampleSet:
@@ -181,18 +195,14 @@ def read_sample_csv(path: str | Path, side: str) -> SampleSet:
     """
     path = Path(path)
     values: list[float] = []
-    # utf-8-sig drops the byte-order mark that some editors write first
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.strip()
-            if not tok:
-                continue
-            if lineno == 1 and tok.lower() == "value":
-                continue
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from exc
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        tok = line.strip()
+        if not tok or (lineno == 1 and tok.lower() == "value"):
+            continue
+        try:
+            values.append(float(tok))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from exc
     try:
         return SampleSet(side=side, values=tuple(values))
     except ValueError as exc:

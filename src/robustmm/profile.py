@@ -73,20 +73,21 @@ class MomentTarget:
     def from_moments(cls, alpha_plus: float, alpha_minus: float,
                      beta_plus: float, beta_minus: float) -> "MomentTarget":
         """Product-measure structure: off-diagonal is the product of means."""
-        cross = alpha_plus * alpha_minus
-        return cls(alpha=(alpha_plus, alpha_minus),
-                   sigma=((beta_plus, cross), (cross, beta_minus)))
+        return cls(*product_moments(alpha_plus, alpha_minus, beta_plus, beta_minus))
+
+
+def product_moments(alpha_plus, alpha_minus, beta_plus, beta_minus) -> tuple[np.ndarray, np.ndarray]:
+    """Product-measure means (..., 2) and second moments (..., 2, 2), the off-diagonal the
+    product of the means: scalar moments give one target, arrays of k a stack of k."""
+    cross = np.multiply(alpha_plus, alpha_minus)
+    sigma = np.stack([beta_plus, cross, cross, beta_minus], axis=-1)
+    return np.stack([alpha_plus, alpha_minus], axis=-1), sigma.reshape(cross.shape + (2, 2))
 
 
 def moment_matrices(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> tuple[np.ndarray, np.ndarray]:
     """Empirical (alpha_n, Sigma_n) with the product-measure off-diagonal."""
     sp, sm = summaries
-    alpha = np.array([sp.alpha_n, sm.alpha_n])
-    sigma = np.array([
-        [sp.beta_n, sp.alpha_n * sm.alpha_n],
-        [sp.alpha_n * sm.alpha_n, sm.beta_n],
-    ])
-    return alpha, sigma
+    return product_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
 
 
 def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:
@@ -115,23 +116,20 @@ def gram_bound_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> fl
 
 
 def profile_batch(alpha: np.ndarray, sigma: np.ndarray,
-                  summaries: tuple[EmpiricalSummary, EmpiricalSummary], n: int) -> np.ndarray:
-    """Profile values R for a stack of targets: means alpha (k, 2) and
-    second-moment matrices sigma (k, 2, 2), each row under MomentTarget's rules."""
-    if n < 1:
-        raise ValueError("n must be at least one")
+                  summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> np.ndarray:
+    """Profile values R for a stack of targets, means alpha (k, 2) and second-moment
+    matrices sigma (k, 2, 2) under MomentTarget's rules; n is summaries[0].n."""
     _check_targets(alpha, sigma)
     alpha_n, sigma_n, p, g = _gram(summaries)
     d = sigma_n - sigma
     v = alpha - alpha_n + d @ (p @ alpha_n)
     trace = np.einsum("kij,ji->k", d @ d, p)
-    return (np.einsum("ki,ki->k", v, v) / (1.0 - g) + 3.0 * trace) / (4.0 * n)
+    return (np.einsum("ki,ki->k", v, v) / (1.0 - g) + 3.0 * trace) / (4.0 * summaries[0].n)
 
 
-def robust_profile(target: MomentTarget,
-                   summaries: tuple[EmpiricalSummary, EmpiricalSummary], n: int) -> float:
+def robust_profile(target: MomentTarget, summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> float:
     """Profile value R(alpha*, Sigma*) against the empirical summaries."""
-    return float(profile_batch(np.array([target.alpha]), np.array([target.sigma]), summaries, n)[0])
+    return float(profile_batch(np.array([target.alpha]), np.array([target.sigma]), summaries)[0])
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,8 @@ def select_radius(
             means[side, start:start + len(block)] = block.mean(axis=1)
             seconds[side, start:start + len(block)] = (block * block).mean(axis=1)
 
-    # one product-measure target per round, as in MomentTarget.from_moments
-    cross = means[0] * means[1]
-    sigma = np.stack([seconds[0], cross, cross, seconds[1]], axis=1).reshape(-1, 2, 2)
-    values = profile_batch(means.T, sigma, summaries, n)
+    # one product-measure target per round
+    values = profile_batch(*product_moments(means[0], means[1], seconds[0], seconds[1]), summaries)
     q = float(np.quantile(values, 1.0 - chi, method="higher"))
     q = max(q, 0.0)  # the trace term can round below zero
     return RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q, gram_bound=g)

@@ -93,12 +93,11 @@ def envelope_check_rows(side: str, measure: DiscreteMeasure, summary: EmpiricalS
 def profile_check_rows(measures: tuple[DiscreteMeasure, DiscreteMeasure],
                        summaries: tuple[EmpiricalSummary, EmpiricalSummary], tol: float) -> list[CheckRow]:
     """Profile identities plus the profile-versus-primal diagnostic."""
-    n = summaries[0].n
     alpha_n, sigma_n = moment_matrices(summaries)
     rows = []
 
     center = MomentTarget(alpha=tuple(alpha_n), sigma=tuple(map(tuple, sigma_n)))
-    rows.append(_row("profile_at_empirical", 0.0, robust_profile(center, summaries, n), None, tol))
+    rows.append(_row("profile_at_empirical", 0.0, robust_profile(center, summaries), None, tol))
 
     g = gram_bound_check(summaries)
     rows.append(replace(_row("gram_bound_below_one", 1.0, g, None, None), passed=bool(g < 1.0)))
@@ -110,7 +109,7 @@ def profile_check_rows(measures: tuple[DiscreteMeasure, DiscreteMeasure],
     sigma = sigma_n + 0.5 * (bump + bump.transpose(0, 2, 1))
     for k in range(2):
         sigma[:, k, k] = np.maximum(sigma[:, k, k], alpha[:, k] ** 2 + 0.05)
-    worst = float(np.min(profile_batch(alpha, sigma, summaries, n)))
+    worst = float(np.min(profile_batch(alpha, sigma, summaries)))
     rows.append(_row("profile_nonnegative_min", 0.0, min(worst, 0.0), None, tol))
 
     # scaled-variant diagnostic: formula value vs the primal transport cost
@@ -121,7 +120,7 @@ def profile_check_rows(measures: tuple[DiscreteMeasure, DiscreteMeasure],
     v_p = summaries[0].variance * 1.2
     v_m = summaries[1].variance * 1.1
     target = MomentTarget.from_moments(a_p, a_m, a_p**2 + v_p, a_m**2 + v_m)
-    formula = robust_profile(target, summaries, n)
+    formula = robust_profile(target, summaries)
     primal = min_cost_given_moments(measures[0], target.alpha[0], target.sigma[0][0]) + min_cost_given_moments(
         measures[1], target.alpha[1], target.sigma[1][1])
     rows.append(_row("profile_vs_primal_cost", formula, primal, None, None))

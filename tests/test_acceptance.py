@@ -222,14 +222,14 @@ def test_06_profile_sanity():
         sp, sm = summaries
         worst_gram = max(worst_gram, gram_bound_check(summaries))
         center = MomentTarget.from_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        worst_center = max(worst_center, abs(robust_profile(center, summaries, n)))
+        worst_center = max(worst_center, abs(robust_profile(center, summaries)))
         for _ in range(5):
             ap = sp.alpha_n + rng.normal(0, 0.2)
             am = sm.alpha_n + rng.normal(0, 0.2)
             bp = max(sp.beta_n * rng.uniform(0.7, 1.4), ap * ap + 1e-6)
             bm = max(sm.beta_n * rng.uniform(0.7, 1.4), am * am + 1e-6)
             target = MomentTarget.from_moments(float(ap), float(am), float(bp), float(bm))
-            worst_neg = min(worst_neg, robust_profile(target, summaries, n))
+            worst_neg = min(worst_neg, robust_profile(target, summaries))
     ok = worst_center <= 1e-12 and worst_neg >= -1e-12 and worst_gram < 1.0
     report(6, "profile zero at center, nonnegative, gram bound", ok,
            f"|R(center)| {worst_center:.1e}, min R {worst_neg:.1e}, max gram {worst_gram:.4f}")
@@ -275,7 +275,7 @@ def test_08_radius_covers_true_moments():
         sel = select_radius(buy, sell, chi=0.1, resamples=300,
                             rng_seed=int(rng.integers(0, 2**63)))
         summaries = (empirical_moments(buy), empirical_moments(sell))
-        if robust_profile(truth, summaries, n) <= 2.0 * sel.delta_hat**2:
+        if robust_profile(truth, summaries) <= 2.0 * sel.delta_hat**2:
             hits += 1
     rate = hits / draws
     ok = rate >= 0.88

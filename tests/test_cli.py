@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -513,6 +514,57 @@ def test_config_rejects_bad_number(tmp_path, text, key):
     cfg.write_text(text)
     with pytest.raises(ConfigError, match=key):
         parse_config(cfg)
+
+
+_SAMPLE_KEYS = "samples.buy = buy.csv\nsamples.sell = sell.csv\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("radius", _SAMPLE_KEYS, "radius.chi"),
+    ("solve", MODEL_BLOCK + _SAMPLE_KEYS, "radius.chi"),
+    ("solve", MODEL_BLOCK + "samples.sell = sell.csv\nradius.delta = 0.02\n", "samples.buy"),
+    ("validate", "samples.buy = buy.csv\n", "samples.sell"),
+    ("solve", _SAMPLE_KEYS + "radius.delta = 0.02\n", "model.S"),
+    ("simulate", _SAMPLE_KEYS, "model.S"),
+    ("radius", _SAMPLE_KEYS + "radius.chi = 0.1\nradius.resamples = 1.5\n", "radius.resamples"),
+    ("validate", _SAMPLE_KEYS + "validate.deltas = 0.01, x\n", "validate.deltas"),
+    ("validate", _SAMPLE_KEYS + "validate.tol = 0\n", "validate.tol"),
+    ("validate", _SAMPLE_KEYS + "domain.eps_max = 0.8\n", "domain.eps_max"),
+], ids=["radius-without-chi", "solve-without-budget", "no-buy-samples", "no-sell-samples",
+        "solve-without-model", "simulate-without-model", "non-integer-resamples", "non-number-radius",
+        "zero-tol", "domain-without-model"])
+def test_missing_or_bad_key_exits_2_naming_it(tmp_path, capsys, command, text, key):
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(command, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any directory, so the rule cannot fire")
+def test_read_only_output_dir_names_its_key(tmp_path, capsys):
+    out = tmp_path / "locked"
+    out.mkdir(mode=0o500)
+    assert run("solve", FIXTURES / "solve.cfg", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out" in err and "not writable" in err
+    assert list(out.iterdir()) == []
+
+
+def test_non_utf8_sample_names_its_path_and_offset(tmp_path, capsys):
+    # the bad byte sits past the first 8 KiB, where a streamed decoder
+    # would report its position in a later chunk
+    buy = tmp_path / "buy.csv"
+    buy.write_bytes(b"value\n" + b"1.0\n" * 5000 + b"\xff\n")
+    (tmp_path / "sell.csv").write_bytes((FIXTURES / "sell.csv").read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SAMPLE_KEYS + "radius.chi = 0.1\n")
+    assert run("radius", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"config error: samples.buy: {buy}: not UTF-8 text (invalid start byte at byte 20006)\n")
 
 
 def test_non_finite_sample_names_its_key(tmp_path, capsys):

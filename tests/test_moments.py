@@ -153,6 +153,21 @@ def test_read_sample_csv_reports_bad_line(tmp_path):
         read_sample_csv(p, "buy")
 
 
+def test_read_sample_csv_line_ends_blank_lines_and_byte_order_mark(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"value\n0.5\n1.5\n-2.25\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbfvalue\r\n\r\n0.5\r\n  \r\n1.5\r\n\r\n-2.25\r\n\r\n")
+    assert read_sample_csv(marked, "buy") == read_sample_csv(plain, "buy")
+
+
+def test_read_sample_csv_counts_blank_lines_in_line_numbers(tmp_path):
+    p = tmp_path / "buy.csv"
+    p.write_bytes(b"0.5\r\n\r\n\n1.5\n\nabc\n")
+    with pytest.raises(ValueError, match=r"buy\.csv:6: cannot parse 'abc' as a number"):
+        read_sample_csv(p, "buy")
+
+
 def test_read_sample_csv_rejects_empty(tmp_path):
     p = tmp_path / "buy.csv"
     p.write_text("")

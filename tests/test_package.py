@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -56,3 +57,19 @@ def test_numpy_is_the_one_runtime_dependency():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["numpy", "robustmm"]
+
+
+def test_one_module_reads_input_files():
+    # moments.read_text_lines decodes every config and sample file; no other
+    # module reads a file, or opens one except to write it
+    for path in sorted(Path(robustmm.__file__).parent.glob("*.py")):
+        if path.name == "moments.py":
+            continue
+        calls = [node for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Call)]
+        for node in calls:
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            assert name not in ("read_text", "read_bytes"), (path.name, node.lineno)
+            if name in ("open", "fdopen"):
+                modes = [arg.value for arg in [*node.args, *(kw.value for kw in node.keywords if kw.arg == "mode")]
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+                assert any(set(mode) & set("wax") and "+" not in mode for mode in modes), (path.name, node.lineno)

@@ -34,7 +34,7 @@ def test_profile_zero_at_empirical():
         _, _, summaries = summaries_from(rng)
         sp, sm = summaries
         target = MomentTarget.from_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        assert abs(robust_profile(target, summaries, sp.n)) <= 1e-12
+        assert abs(robust_profile(target, summaries)) <= 1e-12
 
 
 def test_profile_nonnegative_on_random_targets():
@@ -47,7 +47,7 @@ def test_profile_nonnegative_on_random_targets():
         bp = max(sp.beta_n * rng.uniform(0.7, 1.4), ap * ap + 1e-6)
         bm = max(sm.beta_n * rng.uniform(0.7, 1.4), am * am + 1e-6)
         target = MomentTarget.from_moments(float(ap), float(am), float(bp), float(bm))
-        assert robust_profile(target, summaries, sp.n) >= -1e-12
+        assert robust_profile(target, summaries) >= -1e-12
 
 
 def test_gram_bound_unit_variance_unit_means():
@@ -129,11 +129,11 @@ def test_profile_batch_matches_scalar_oracle(general):
         _, _, summaries = summaries_from(rng, n=int(rng.integers(2, 40)))
         n = summaries[0].n
         alpha, sigma = random_targets(rng, summaries, 25, general)
-        values = profile_batch(alpha, sigma, summaries, n)
+        values = profile_batch(alpha, sigma, summaries)
         for a, s, value in zip(alpha, sigma, values):
             target = MomentTarget(alpha=tuple(a), sigma=tuple(map(tuple, s)))
             assert value == pytest.approx(robust_profile_scalar(target, summaries, n), rel=1e-13)
-            assert robust_profile(target, summaries, n) == value
+            assert robust_profile(target, summaries) == value
 
 
 def test_profile_batch_applies_target_rules_to_every_row():
@@ -142,7 +142,7 @@ def test_profile_batch_applies_target_rules_to_every_row():
     alpha, sigma = random_targets(rng, summaries, 10, general=True)
     sigma[6, 1, 1] = alpha[6, 1] ** 2 - 1e-3
     with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
-        profile_batch(alpha, sigma, summaries, summaries[0].n)
+        profile_batch(alpha, sigma, summaries)
     with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
         MomentTarget(alpha=tuple(alpha[6]), sigma=tuple(map(tuple, sigma[6])))
 
@@ -212,7 +212,7 @@ def test_bootstrap_chunks_keep_the_stream(monkeypatch):
     (ap, bp), (am, bm) = [(v.mean(axis=1), (v * v).mean(axis=1)) for v in draws]
     sigma = np.stack([bp, ap * am, ap * am, bm], axis=1).reshape(-1, 2, 2)
     summaries = (empirical_moments(buy), empirical_moments(sell))
-    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries, n)
+    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries)
     q = max(float(np.quantile(values, 0.9, method="higher")), 0.0)
     assert whole == RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q,
                                     gram_bound=gram_bound_check(summaries))
