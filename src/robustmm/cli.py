@@ -6,8 +6,9 @@ command, which writes its own outputs atomically there, and on exit 0
 or 5 drops a manifest echoing the resolved configuration, so a rerun
 with the same inputs is byte-identical.
 
-Exit codes: 0 success, 2 configuration problem (the message names the key
-or the file and line), 3 solver failure, 4 degenerate policy, 5 validation failure.
+Exit codes: 0 success, 2 configuration problem or an output that cannot be
+written (the message names the key, or the file and line), 3 solver failure,
+4 degenerate policy, 5 validation failure.
 """
 from __future__ import annotations
 
@@ -28,12 +29,18 @@ from .simulator import shift_experiment
 from .validation import format_table, run_validation
 
 
+class _WriteError(OSError):
+    """An output file that could not be written; filename is the target's path."""
+
+
 def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
-    """Write data, one string or an iterable of chunks, to path in an existing directory."""
+    """Write data, one string or an iterable of chunks, to path in an existing
+    directory. An OSError on the way becomes a _WriteError naming path."""
     # a unique temp file beside the target: runs sharing the directory
     # never write the same one, and os.replace stays on one file system
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             # mkstemp makes the file private; give it the mode open() gives
             umask = os.umask(0)
@@ -41,8 +48,11 @@ def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines([data] if isinstance(data, str) else data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise _WriteError(exc.errno, exc.strerror, str(path)) from exc
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
 
 
 def _json_dumps(obj) -> str:
@@ -65,7 +75,7 @@ def _load_samples(cfg: RunConfig) -> tuple[SampleSet, SampleSet]:
     for side, path in zip(("buy", "sell"), cfg.require_samples()):
         try:
             samples.append(read_sample_csv(path, side))
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"samples.{side}: {exc}") from exc
     return samples[0], samples[1]
 
@@ -191,10 +201,11 @@ for _name, _help in (
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    out_key = "output.dir" if args.out is None else "--out"
 
     try:
         cfg = parse_config(args.config).with_overrides(args.out, args.seed)
-        _make_out_dir(cfg.out_dir, "output.dir" if args.out is None else "--out")
+        _make_out_dir(cfg.out_dir, out_key)
         code = _COMMANDS[args.command](cfg, _load_samples(cfg))
         # last, after the command's own files, and only on exit 0 or 5
         manifest = {"command": args.command, "version": __version__, "seed": cfg.seed,
@@ -203,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ConfigError as exc:  # a ValueError too, so it is caught first
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except _WriteError as exc:
+        print(f"config error: {out_key}: cannot write {exc.filename} ({exc.strerror})", file=sys.stderr)
         return 2
     except (SolverError, ValueError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

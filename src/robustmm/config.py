@@ -155,8 +155,6 @@ _KNOWN_KEYS = set(_MODEL_KEYS) | set(_SHIFT_KEYS.values()) | set(_SCALAR_KEYS) |
 
 def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(_keyed("", read_text_lines, path), start=1):
         text = line.split("#", 1)[0].strip()

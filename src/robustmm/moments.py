@@ -180,11 +180,15 @@ def _upper_envelope(summary: EmpiricalSummary, alpha, dev: np.ndarray, root: np.
 def read_text_lines(path: Path) -> list[str]:
     """The lines of a UTF-8 file, decoded whole so that a bad byte is reported
     with the path and its offset in the file. A leading byte-order mark is
-    dropped; line ends are universal newlines. Every input file is read here."""
+    dropped; line ends are universal newlines. A file that cannot be opened or
+    read is reported as "<path>: cannot read (<reason>)". Every input file is
+    read here."""
     try:
         return path.read_text(encoding="utf-8").removeprefix("\ufeff").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def read_sample_csv(path: str | Path, side: str) -> SampleSet:

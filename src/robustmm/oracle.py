@@ -8,7 +8,10 @@ moments inside a transport ball are bracketed by weak duality over
 couplings (moment_range_search): any multipliers give a bound on the
 extremum, and the per-atom maximizers at those multipliers form a
 measure whose w2_squared price puts it inside the ball, so its moment is
-attained. A closed form outside the bracket is a proven error; that is
+attained. The one exception is the ball's edge, where the witness is the
+sample translated to the mean constraint: its true cost is within the
+radius, but w2_squared may price it a rounding above. A closed form
+outside the bracket is a proven error; that is
 what the validation suite certifies. A measure sorts its atoms once, and
 moment_range_search brackets a side's rows in one array pass over them,
 pricing each witness it tries on the sorted arrays. The cheapest move
@@ -133,7 +136,8 @@ def moment_range_search(empirical: DiscreteMeasure, delta: float, objective: str
     objective is max_mean, min_mean, max_second_moment or
     min_second_moment; the second-moment objectives fix the mean at alpha.
     Returns (value, bound) with the extremum between them. value is the
-    moment of a witness measure that w2_squared prices within delta.
+    moment of a witness measure that w2_squared prices within delta, except
+    on the edge (below), where the price may exceed delta by rounding.
     bound is the weak-duality value over couplings
 
         lam delta + mu a + sum_i w_i sup_u [phi(u) - mu u - lam (u - d_i)^2]
@@ -153,6 +157,10 @@ def moment_range_search(empirical: DiscreteMeasure, delta: float, objective: str
     the sample translated to a until w2_squared prices it within delta.
     Within 1e-12 (1 + |c|) of the ball's edge the witness is the sample
     translated to a, and an alpha that far outside counts as on the edge.
+    Its true cost a^2 is at most delta, but w2_squared prices the rounded
+    translation, which may come out above delta: the root of that price
+    exceeds sqrt(delta) by less than eps (max |x_i| + sqrt(delta)), with eps
+    the float spacing at 1.
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
 

@@ -19,9 +19,12 @@ x = (a+, a-, b+, b-, c = a+ a-). It splits as A(eps+) + B(eps-) + C(eps+) D(eps-
 
 with C = 2 eta (Q + m+) / gamma and D = m-, so every table lives on one
 spread axis, and log Z = log integral(M) is a log-sum-exp of functions
-affine in x, convex in x. The adversary picks the moments inside per-side
-transport balls; the worst case pins each second moment at its envelope
-and minimizes log Z over a box of means, certified by a Frank-Wolfe gap.
+affine in x, convex in x. Under any cell masses the mean exponent is
+r0 + k.x, read off the per-axis coefficients in one pass (reward): it gives
+expected_reward, and under the Gibbs weights the gradient of log Z in x. The
+adversary picks the moments inside per-side transport balls; the worst case
+pins each second moment at its envelope and minimizes log Z over a box of
+means, certified by a Frank-Wolfe gap.
 """
 from __future__ import annotations
 
@@ -164,9 +167,22 @@ class _GridEvaluator:
 
     def linear(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
         """(A, B, C, D) less their constants (A0, B0, C0, D0): along a path of
-        moments, the tables' t-derivatives are these at the moments' derivatives.
-        Callers ignore the floating-point overflow that extreme inputs raise."""
+        moments, the tables' t-derivatives are these at the moments' velocity,
+        which only the covariance of the exponent's derivatives needs. Callers
+        ignore the floating-point overflow that extreme inputs raise."""
         return ap * self.Ap + bp * self.Bp, am * self.Am + bm * self.Bm, ap * self.Cp, am * self.Dm
+
+    def reward(self, mass: np.ndarray) -> tuple[float, np.ndarray]:
+        """The mean exponent under a cell-mass table, or the Gibbs weights, as
+        r0 + k.x in the moments x = (a+, a-, b+, b-, c = a+ a-): the exponent
+        A + B + C D is A0 + B0 + C0 D0 + a+ (Ap + Cp D0) + a- (Am + C0 Dm)
+        + b+ Bp + b- Bm + c Cp Dm, each term contracted one axis at a time with
+        the mass's row sums, column sums or products with D0 and Dm. Only this
+        contracts masses with the coefficients; callers ignore the overflow that
+        extreme inputs raise."""
+        row, col, (yd0, ydm) = mass.sum(axis=1), mass.sum(axis=0), (mass @ np.stack([self.D0, self.Dm], axis=1)).T
+        k = [self.Ap @ row + self.Cp @ yd0, self.Am @ col + self.C0 @ ydm, self.Bp @ row, self.Bm @ col, self.Cp @ ydm]
+        return float(self.A0 @ row + self.B0 @ col + self.C0 @ yd0), np.array(k)
 
     def tables(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
         """(A, B, C, D) at moments (a, b) per side: one row for scalar
@@ -258,37 +274,36 @@ def worst_case_objective(
 def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary],
                    delta: float, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """log Z on the pinned envelope, with its exact gradient and Hessian in t
-    and its gradient in the moments x = (a+, a-, b+, b-, c = a+ a-), from one
+    and its gradient gx in the moments x = (a+, a-, b+, b-, c = a+ a-), from one
     grid pass. With r = sqrt(delta) each side has mean a = alpha_n + r sin t
-    and variance sd^2, sd = sd_n + r cos t, so b = sd^2 + a^2. The tables are
-    affine in (a, b), so their t-derivatives are their linear parts at
-    a' = r cos t, b' = 2 r (a cos t - sd sin t) and a'' = -r sin t,
-    b'' = 2 r (r - a sin t - sd cos t). g = E[de] and H = E[d2e] + Cov(de) under
-    the Gibbs weights p are bilinear forms x p y of per-axis vectors, read off one
-    product of p with stacked eps- vectors. Extreme radii overflow them."""
+    and variance sd^2, sd = sd_n + r cos t, so b = sd^2 + a^2, with velocity
+    a' = r cos t, b' = 2 r (a cos t - sd sin t) and curvature a'' = -r sin t,
+    b'' = 2 r (r - a sin t - sd cos t); c moves by a+' a- along t+ and a-' a+
+    along t-, and by a+' a-' along both. The exponent is affine in x, so under
+    the Gibbs weights p, gx = k of reward(p), E[de] = g is gx along the velocity
+    and E[d2e] is gx along the curvature. Only Cov(de), in H = E[d2e] + Cov(de),
+    takes bilinear forms x p y of per-axis vectors, read off one product of p
+    with stacked eps- vectors. Extreme radii overflow them."""
     r, sin, cos = math.sqrt(delta), np.sin(t), np.cos(t)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.array([s.alpha_n for s in summaries]) + r * sin
         sd = np.array([math.sqrt(s.variance) for s in summaries]) + r * cos
         A, B, C, D = ev.tables(*a, *(sd * sd + a * a))
-        A1, B1, C1, D1 = ev.linear(*(r * cos), *(2.0 * r * (a * cos - sd * sin)))
-        A2, B2, C2, D2 = ev.linear(*(-r * sin), *(2.0 * r * (r - a * sin - sd * cos)))
-        # the exponent is A + B + C D, so de+ = A1 + C1 D, de- = B1 + C D1 and
-        # d2e = (A2 + C2 D, C1 D1, B2 + C D2) on every node
+        a1, b1, a2 = r * cos, 2.0 * r * (a * cos - sd * sin), -r * sin
+        A1, B1, C1, D1 = ev.linear(*a1, *b1)
         lz, p = ev.gibbs(A, B, C, D)
+        gx = ev.reward(p)[1]
+        g = gx[:2] * a1 + gx[2:4] * b1 + gx[4] * a1 * a[::-1]
+        curv = gx[:2] * a2 + gx[2:4] * 2.0 * r * (r - a * sin - sd * cos) + gx[4] * a2 * a[::-1]
+        # de+ = A1 + C1 D and de- = B1 + C D1 on every node
         y1, yd, ydd, yb, yd1, yd1d1, ybb, ydb, ycross, ydd1 = (p @ np.stack(
-            [np.ones_like(D), D, D * D, B1, D1, D1 * D1, B2 + B1 * B1, D2 + 2.0 * B1 * D1, D1 + D * B1, D * D1],
-            axis=1)).T
-        g = np.array([A1 @ y1 + C1 @ yd, yb.sum() + C @ yd1])
+            [np.ones_like(D), D, D * D, B1, D1, D1 * D1, B1 * B1, 2.0 * B1 * D1, D * B1, D * D1], axis=1)).T
         # E[d2e + de de'] per entry, then less g g'; each eps+ product takes its
         # weight first, so terms of vanishing weight cannot overflow
-        hpp = A2 @ y1 + C2 @ yd + A1 @ (A1 * y1 + 2.0 * C1 * yd) + C1 @ (C1 * ydd)
-        hmm = ybb.sum() + C @ (ydb + C * yd1d1)
-        hpm = A1 @ (yb + C * yd1) + C1 @ (ycross + C * ydd1)
+        hpp = curv[0] + A1 @ (A1 * y1 + 2.0 * C1 * yd) + C1 @ (C1 * ydd)
+        hmm = curv[1] + ybb.sum() + C @ (ydb + C * yd1d1)
+        hpm = gx[4] * a1[0] * a1[1] + A1 @ (yb + C * yd1) + C1 @ (ycross + C * ydd1)
         hess = np.array([[hpp, hpm], [hpm, hmm]]) - np.outer(g, g)
-        # de/dx = (Ap + Cp D0, Am + C0 Dm, Bp, Bm, Cp Dm); a product of its own keeps the last bits of the one above
-        yd0, ydm, yam, ybm = (p @ np.stack([ev.D0, ev.Dm, ev.Am, ev.Bm], axis=1)).T
-        gx = np.array([ev.Ap @ y1 + ev.Cp @ yd0, yam.sum() + ev.C0 @ ydm, ev.Bp @ y1, ybm.sum(), ev.Cp @ ydm])
         if not all(np.all(np.isfinite(v)) for v in (g, hess, gx)):
             raise ValueError("integrand overflow")
     return float(lz), g, hess, gx
@@ -472,9 +487,8 @@ def expected_reward(
     """Quadrature of the per-spread expected reward against the policy.
 
     The reward at a spread pair equals gamma times the Gibbs exponent, so
-    this is the benchmark the episode simulator must reproduce. Each of
-    gamma (A + B + C D) is contracted with the cell masses one axis at a time.
+    this is the benchmark the episode simulator must reproduce: gamma (r0 + k.x)
+    with r0 and k from reward over the cell masses, at x = (a+, a-, b+, b-, a+ a-).
     """
-    A, B, C, D = _GridEvaluator(model, grid.domain).tables(alpha_plus, alpha_minus, beta_plus, beta_minus)
-    mass = grid.cell_masses()
-    return float(model.gamma * (A @ mass.sum(axis=1) + B @ mass.sum(axis=0) + C @ (mass @ D)))
+    r0, k = _GridEvaluator(model, grid.domain).reward(grid.cell_masses())
+    return float(model.gamma * (r0 + k @ [alpha_plus, alpha_minus, beta_plus, beta_minus, alpha_plus * alpha_minus]))

@@ -202,7 +202,7 @@ def test_validate_catches_an_error_inside_tol(tmp_path, monkeypatch):
 
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert run("solve", tmp_path / "nope.cfg", tmp_path / "out") == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {tmp_path / 'nope.cfg'}: cannot read (No such file or directory)\n"
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -565,6 +565,46 @@ def test_non_utf8_sample_names_its_path_and_offset(tmp_path, capsys):
     assert run("radius", cfg, tmp_path / "out") == 2
     assert capsys.readouterr().err == (
         f"config error: samples.buy: {buy}: not UTF-8 text (invalid start byte at byte 20006)\n")
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "output.dir"])
+def test_unwritable_output_file_names_it_and_its_key(tmp_path, capsys, flag):
+    # a directory where policy.csv goes makes the final rename fail; the run
+    # exits 2 with one line naming the file and the key that set the directory
+    out = tmp_path / "out"
+    (out / "policy.csv").mkdir(parents=True)
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text() + ("" if flag else "output.dir = out\n"))
+    assert main(["solve", "--config", str(cfg)] + (["--out", str(out)] if flag else [])) == 2
+    err = capsys.readouterr().err
+    key = "--out" if flag else "output.dir"
+    assert err == f"config error: {key}: cannot write {out / 'policy.csv'} (Is a directory)\n"
+    assert sorted(p.name for p in out.iterdir()) == ["policy.csv"]
+    assert list((out / "policy.csv").iterdir()) == []
+
+
+@pytest.mark.parametrize("side", ["config", "buy"])
+def test_unreadable_input_file_names_its_path(tmp_path, capsys, monkeypatch, side):
+    # root reads any file, so the read itself is made to fail; config and
+    # sample files report it the same way, a sample under its key
+    for name in ("buy.csv", "sell.csv"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text((FIXTURES / "solve.cfg").read_text())
+    locked = cfg if side == "config" else tmp_path / "buy.csv"
+    read_text = Path.read_text
+
+    def denied(path, *args, **kwargs):
+        if path == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert run("solve", cfg, tmp_path / "out") == 2
+    prefix = "" if side == "config" else "samples.buy: "
+    assert capsys.readouterr().err == f"config error: {prefix}{locked}: cannot read (Permission denied)\n"
 
 
 def test_non_finite_sample_names_its_key(tmp_path, capsys):

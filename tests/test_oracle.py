@@ -562,6 +562,30 @@ def test_bracket_one_rounding_from_the_edge_is_ordered():
             assert witness.mean() == pytest.approx(alpha, rel=1e-15)
 
 
+def test_edge_witness_is_priced_past_delta_by_rounding_only():
+    # on the ball's edge the witness is the sample translated to alpha, whose
+    # true cost (alpha - mean)^2 is at most delta; w2_squared prices the
+    # rounded translation, which may land above delta, but the root of that
+    # price exceeds sqrt(delta) by less than eps (max |x| + sqrt(delta))
+    rng = np.random.default_rng(50)
+    eps = np.finfo(float).eps
+    over = 0
+    for _ in range(20):
+        vals = rng.uniform(0.1, 2.0, size=int(rng.integers(2, 8))) * 10.0 ** rng.uniform(-2.0, 2.0)
+        emp = DiscreteMeasure.from_points(list(vals))
+        for delta in (0.01, 0.04, 0.25):
+            delta *= float(np.max(vals)) ** 2
+            root = math.sqrt(delta)
+            for alpha in (emp.mean() + s * root * (1.0 - f) for s in (1.0, -1.0) for f in (1e-14, 1e-16, 0.0)):
+                for objective in ("max_second_moment", "min_second_moment"):
+                    witness, _, _ = bracket(emp, delta, objective, alpha)
+                    cost = w2_squared(witness, emp)
+                    over += cost > delta
+                    assert math.sqrt(cost) - root < eps * (float(np.max(vals)) + root), (cost, delta)
+    # the exception is real: some edge witnesses are priced above delta
+    assert over > 0
+
+
 def test_validation_brackets_each_side_once_per_budget(monkeypatch):
     # eight rows (two mean ends, five upper envelopes, the raw lower) per
     # side and budget in one search, through the door the benchmark counts

@@ -382,21 +382,23 @@ def test_integrand_overflow_raises():
 def test_expected_reward_matches_full_table_quadrature():
     # contracted one axis at a time, the quadrature matches the full grid_n^2
     # reward table within rounding of the quadrature of |reward|; a relative
-    # bound would not hold where the reward nearly cancels
-    rng = np.random.default_rng(49)
+    # bound would not hold where the reward nearly cancels. The Gibbs policy
+    # and random cell masses, about a fifth of them zero, are both checked
+    rng, mass_rng = np.random.default_rng(49), np.random.default_rng(51)
     for cert in (True, False):
         for grid_n in (33, 65):
             for _ in range(3):
                 model, dom, summaries, delta = rand_instance(rng, cert=cert, grid_n=grid_n)
                 sol = solve_inner(model, dom, summaries, delta)
-                pol = build_policy(model, dom, sol)
+                masses = mass_rng.random((grid_n, grid_n)) * (mass_rng.random((grid_n, grid_n)) < 0.8)
                 sp, sm = summaries
-                for moments in ((sol.alpha_star_plus, sol.alpha_star_minus, sol.beta_star_plus, sol.beta_star_minus),
-                                (sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)):
-                    reward = model.gamma * exponent_table(_GridEvaluator(model, dom), *moments)
-                    scale = float(np.sum(pol.cell_masses().ravel() * np.abs(reward)))
-                    got, want = expected_reward(model, pol, *moments), reward_quadrature(model, pol, *moments)
-                    assert abs(got - want) <= 1e-13 * scale, (got, want, scale)
+                for pol in (build_policy(model, dom, sol), policy_with_masses(masses)):
+                    for moments in ((sol.alpha_star_plus, sol.alpha_star_minus, sol.beta_star_plus,
+                                     sol.beta_star_minus), (sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)):
+                        reward = model.gamma * exponent_table(_GridEvaluator(model, pol.domain), *moments)
+                        scale = float(np.sum(pol.cell_masses().ravel() * np.abs(reward)))
+                        got, want = expected_reward(model, pol, *moments), reward_quadrature(model, pol, *moments)
+                        assert abs(got - want) <= 1e-13 * scale, (got, want, scale)
 
 
 def test_gibbs_density_maximizes_entropy_regularized_value():
