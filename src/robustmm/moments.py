@@ -1,9 +1,19 @@
-"""Empirical order-flow moments and their Wasserstein perturbation envelopes.
+"""Empirical order-flow moments and the moments a Wasserstein budget leaves.
 
 Each side of the book carries an i.i.d. sample of meta-order innovations.
 A ball of radius-squared delta around the empirical law (exact squared
 2-Wasserstein distance on the line) constrains how far an adversary can
-move the first two moments:
+move the first two moments. Reaching mean a and standard deviation sd costs
+exactly (a - alpha_n)^2 + (sd - sd_n)^2 (Gelbrich 1990), so on each side the
+feasible moments are the disk
+
+    (a - alpha_n)^2 + (sd - sd_n)^2 <= delta,   b = sd^2 + a^2,
+
+and c = a+ a- across the two independent sides. MomentSet owns that set: the
+path a = alpha_n + r sin t, sd = sd_n + r cos t (r = sqrt(delta)) along the
+disk's upper arc, where the worst case lies, with its derivatives in t, and
+the least of a linear function over the set. The closed forms below describe
+the same disk in alpha coordinates, for the validation table:
 
     mean:            alpha in [alpha_n - sqrt(delta), alpha_n + sqrt(delta)]
     second moment:   ell(alpha) <= beta <= u(alpha)
@@ -17,7 +27,7 @@ with
 
 The upper envelope is attained by an affine push of the sample. The
 printed lower expression is not attained: the exact lower end, from the
-same push (Gelbrich 1990), is alpha^2 + max(sd_n - r, 0)^2 with
+same push, is alpha^2 + max(sd_n - r, 0)^2 with
 r = sqrt(delta - (alpha - alpha_n)^2), which is beta_n + ell(alpha)
 when sd_n >= r.
 """
@@ -109,6 +119,57 @@ def check_radius(delta: float) -> None:
         raise ValueError(f"radius must be finite, got {delta!r}")
     if delta < 0:
         raise ValueError("negative radius")
+
+
+@dataclass(frozen=True)
+class MomentSet:
+    """The moments a transport budget delta leaves the two sides: the per-side
+    disks of the module docstring. The worst case lies on their upper arcs,
+    the path of t in [-pi/2, pi/2]^2."""
+
+    summaries: tuple[EmpiricalSummary, EmpiricalSummary]
+    delta: float
+
+    def __post_init__(self) -> None:
+        check_radius(self.delta)
+
+    def path(self, t: np.ndarray) -> tuple:
+        """Per side, the point (a, b) at t, a = alpha_n + r sin t, sd = sd_n + r cos t,
+        b = sd^2 + a^2, then its velocity (a', b') = (r cos t, 2 r (a cos t - sd sin t))
+        and curvature (a'', b'') = (-r sin t, 2 r (r - a sin t - sd cos t)) in t. At
+        delta = 0 the point is (alpha_n, beta_n) exactly. Extreme radii overflow to inf."""
+        r, sin, cos = math.sqrt(self.delta), np.sin(t), np.cos(t)
+        alpha_n, beta_n, sd_n = np.array([(s.alpha_n, s.beta_n, math.sqrt(s.variance)) for s in self.summaries]).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, sd = alpha_n + r * sin, sd_n + r * cos
+            return (a, sd * sd + a * a if r > 0.0 else beta_n, (r * cos, 2.0 * r * (a * cos - sd * sin)),
+                    (-r * sin, 2.0 * r * (r - a * sin - sd * cos)))
+
+    def linear_min(self, g: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """Frank-Wolfe gap g.(x(t) - x') and the t of x', a minimizer of g.x over the set. Along the
+        path, with c = a+ a-, g.x = (p0 + p1 s-) s+ + q+ cos t+ + R s- + q- cos t- + const in s = sin t,
+        q = 2 r sd_n g_b <= 0. The least over t+ is -W, W^2 =
+        (p0 + p1 s-)^2 + q+^2; phi(s) = R s + q- w - W, w^2 = 1 - s^2, is least at +-1, at t's own s-,
+        or where (R^2 w^2 + q-^2 s^2) W^2 - p1^2 (p0 + p1 s)^2 w^2 = 2 R q- s w W^2: squared, degree 8."""
+        r, (sp, sm), norm = math.sqrt(self.delta), self.summaries, max(float(np.max(np.abs(g))), np.finfo(float).tiny)
+        ap, am, bp, bm, c = g / norm
+        coef = r * np.array([ap + 2.0 * sp.alpha_n * bp + c * sm.alpha_n, r * c, 2.0 * math.sqrt(sp.variance) * bp,
+                             am + 2.0 * sm.alpha_n * bm + c * sp.alpha_n, 2.0 * math.sqrt(sm.variance) * bm])
+        scale = max(float(np.max(np.abs(coef))), np.finfo(float).tiny)
+        p0, p1, qp, R, qm = coef / scale
+        w2, L2 = np.array([-1.0, 0.0, 1.0]), np.array([p1 * p1, 2.0 * p0 * p1, p0 * p0])
+        W2 = L2 + [0.0, 0.0, qp * qp]
+        lhs = np.convolve(R * R * w2 + [qm * qm, 0.0, 0.0], W2) - p1 * p1 * np.convolve(L2, w2)
+        poly = np.convolve(lhs, lhs) - 4.0 * (R * qm) ** 2 * np.convolve([1.0, 0, 0],
+                                                                         np.convolve(w2, np.convolve(W2, W2)))
+        # leading terms within the others' rounding move no root of [-1, 1]; dropped, they cannot overflow np.roots
+        poly = poly[np.argmax(np.abs(poly) > 1e-14 * np.max(np.abs(poly))):]
+        s = np.clip(np.concatenate(([-1.0, 1.0, math.sin(t[1])], np.roots(poly).real)), -1.0, 1.0)
+        phi = R * s + qm * np.sqrt(1.0 - s * s) - np.hypot(p0 + p1 * s, qp)
+        k, (sin_p, sin_m) = int(np.argmin(phi)), np.sin(t)
+        here = (p0 + p1 * sin_m) * sin_p + qp * math.cos(t[0]) + R * sin_m + qm * math.cos(t[1])
+        return max(float(here - phi[k]), 0.0) * scale * norm, np.array([math.atan2(-(p0 + p1 * s[k]), abs(qp)),
+                                                                       math.asin(s[k])])
 
 
 def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:

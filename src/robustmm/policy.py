@@ -22,9 +22,10 @@ spread axis, and log Z = log integral(M) is a log-sum-exp of functions
 affine in x, convex in x. Under any cell masses the mean exponent is
 r0 + k.x, read off the per-axis coefficients in one pass (reward): it gives
 expected_reward, and under the Gibbs weights the gradient of log Z in x. The
-adversary picks the moments inside per-side transport balls; the worst case
-pins each second moment at its envelope and minimizes log Z over a box of
-means, certified by a Frank-Wolfe gap.
+adversary picks the moments from moments.MomentSet, the per-side disks a
+transport budget leaves; the worst case minimizes log Z along the path of
+their upper arcs, where each second moment sits at its envelope, certified
+by a Frank-Wolfe gap.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import FunctionSpec
-from .moments import EmpiricalSummary, check_radius, theorem_beta_envelope
+from .moments import EmpiricalSummary, MomentSet, theorem_beta_envelope
 
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
@@ -271,30 +272,24 @@ def worst_case_objective(
     return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
 
 
-def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, EmpiricalSummary],
-                   delta: float, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """log Z on the pinned envelope, with its exact gradient and Hessian in t
-    and its gradient gx in the moments x = (a+, a-, b+, b-, c = a+ a-), from one
-    grid pass. With r = sqrt(delta) each side has mean a = alpha_n + r sin t
-    and variance sd^2, sd = sd_n + r cos t, so b = sd^2 + a^2, with velocity
-    a' = r cos t, b' = 2 r (a cos t - sd sin t) and curvature a'' = -r sin t,
-    b'' = 2 r (r - a sin t - sd cos t); c moves by a+' a- along t+ and a-' a+
-    along t-, and by a+' a-' along both. The exponent is affine in x, so under
-    the Gibbs weights p, gx = k of reward(p), E[de] = g is gx along the velocity
-    and E[d2e] is gx along the curvature. Only Cov(de), in H = E[d2e] + Cov(de),
-    takes bilinear forms x p y of per-axis vectors, read off one product of p
-    with stacked eps- vectors. Extreme radii overflow them."""
-    r, sin, cos = math.sqrt(delta), np.sin(t), np.cos(t)
+def _log_mass_in_t(ev: _GridEvaluator, moments: MomentSet,
+                   t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """log Z at the point t of the moment set's path, with its exact gradient and
+    Hessian in t and its gradient gx in the moments x = (a+, a-, b+, b-, c = a+ a-),
+    from one grid pass. c moves by a+' a- along t+ and a-' a+ along t-, and by
+    a+' a-' along both. The exponent is affine in x, so under the Gibbs weights p,
+    gx = k of reward(p), E[de] = g is gx along the path's velocity and E[d2e] is gx
+    along its curvature. Only Cov(de), in H = E[d2e] + Cov(de), takes bilinear
+    forms x p y of per-axis vectors, read off one product of p with stacked eps-
+    vectors. Extreme radii overflow them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.array([s.alpha_n for s in summaries]) + r * sin
-        sd = np.array([math.sqrt(s.variance) for s in summaries]) + r * cos
-        A, B, C, D = ev.tables(*a, *(sd * sd + a * a))
-        a1, b1, a2 = r * cos, 2.0 * r * (a * cos - sd * sin), -r * sin
+        a, b, (a1, b1), (a2, b2) = moments.path(t)
+        A, B, C, D = ev.tables(*a, *b)
         A1, B1, C1, D1 = ev.linear(*a1, *b1)
         lz, p = ev.gibbs(A, B, C, D)
         gx = ev.reward(p)[1]
         g = gx[:2] * a1 + gx[2:4] * b1 + gx[4] * a1 * a[::-1]
-        curv = gx[:2] * a2 + gx[2:4] * 2.0 * r * (r - a * sin - sd * cos) + gx[4] * a2 * a[::-1]
+        curv = gx[:2] * a2 + gx[2:4] * b2 + gx[4] * a2 * a[::-1]
         # de+ = A1 + C1 D and de- = B1 + C D1 on every node
         y1, yd, ydd, yb, yd1, yd1d1, ybb, ydb, ycross, ydd1 = (p @ np.stack(
             [np.ones_like(D), D, D * D, B1, D1, D1 * D1, B1 * B1, 2.0 * B1 * D1, D * B1, D * D1], axis=1)).T
@@ -309,55 +304,28 @@ def _log_mass_in_t(ev: _GridEvaluator, summaries: tuple[EmpiricalSummary, Empiri
     return float(lz), g, hess, gx
 
 
-def _linear_min(g: np.ndarray, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float,
-                t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Frank-Wolfe gap g.(x(t) - x') and the t of x', a minimizer of g.x over the moment set. With
-    a = alpha_n + r sin t, b = (sd_n + r cos t)^2 + a^2, c = a+ a-, g.x = (p0 + p1 s-) s+ + q+ cos t+
-    + R s- + q- cos t- + const in s = sin t, q = 2 r sd_n g_b <= 0. The least over t+ is -W, W^2 =
-    (p0 + p1 s-)^2 + q+^2; phi(s) = R s + q- w - W, w^2 = 1 - s^2, is least at +-1, at t's own s-,
-    or where (R^2 w^2 + q-^2 s^2) W^2 - p1^2 (p0 + p1 s)^2 w^2 = 2 R q- s w W^2: squared, degree 8."""
-    r, (sp, sm), norm = math.sqrt(delta), summaries, max(float(np.max(np.abs(g))), np.finfo(float).tiny)
-    ap, am, bp, bm, c = g / norm
-    coef = r * np.array([ap + 2.0 * sp.alpha_n * bp + c * sm.alpha_n, r * c, 2.0 * math.sqrt(sp.variance) * bp,
-                         am + 2.0 * sm.alpha_n * bm + c * sp.alpha_n, 2.0 * math.sqrt(sm.variance) * bm])
-    scale = max(float(np.max(np.abs(coef))), np.finfo(float).tiny)
-    p0, p1, qp, R, qm = coef / scale
-    w2, L2 = np.array([-1.0, 0.0, 1.0]), np.array([p1 * p1, 2.0 * p0 * p1, p0 * p0])
-    W2 = L2 + [0.0, 0.0, qp * qp]
-    lhs = np.convolve(R * R * w2 + [qm * qm, 0.0, 0.0], W2) - p1 * p1 * np.convolve(L2, w2)
-    poly = np.convolve(lhs, lhs) - 4.0 * (R * qm) ** 2 * np.convolve([1.0, 0, 0], np.convolve(w2, np.convolve(W2, W2)))
-    # leading terms within the others' rounding move no root of [-1, 1]; dropped, they cannot overflow np.roots
-    poly = poly[np.argmax(np.abs(poly) > 1e-14 * np.max(np.abs(poly))):]
-    s = np.clip(np.concatenate(([-1.0, 1.0, math.sin(t[1])], np.roots(poly).real)), -1.0, 1.0)
-    phi = R * s + qm * np.sqrt(1.0 - s * s) - np.hypot(p0 + p1 * s, qp)
-    k, (sin_p, sin_m) = int(np.argmin(phi)), np.sin(t)
-    here = (p0 + p1 * sin_m) * sin_p + qp * math.cos(t[0]) + R * sin_m + qm * math.cos(t[1])
-    return max(float(here - phi[k]), 0.0) * scale * norm, np.array([math.atan2(-(p0 + p1 * s[k]), abs(qp)),
-                                                                   math.asin(s[k])])
-
-
 def solve_inner(
     model: SpreadModel, domain: SpreadDomain, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float
 ) -> RobustSolution:
     """Maximize the worst-case objective over the box of feasible means.
 
-    Maximizing -gamma * Z is minimizing log Z. In the coordinates
-    alpha = alpha_n + sqrt(delta) sin t, t in [-pi/2, pi/2]^2, the pinned
-    envelope beta = (sd + sqrt(delta) cos t)^2 + alpha^2 is smooth up to
-    the faces of the mean box, and one grid pass gives log Z with its
-    exact gradient and Hessian in t. Projected Newton (Bertsekas 1982)
-    with Armijo backtracking runs from the box center. log Z is convex in the
-    moments x, so the Frank-Wolfe gap (Jaggi 2013) bounds its excess over the
-    least; while the gap exceeds tol, Newton reruns from the gap's vertex, kept
-    if it lowers log Z by more than tol. All runs share one iteration budget.
+    Maximizing -gamma * Z is minimizing log Z. Along the moment set's path
+    (moments.MomentSet), smooth in t in [-pi/2, pi/2]^2 up to the faces of
+    the mean box, one grid pass gives log Z with its exact gradient and
+    Hessian in t. Projected Newton (Bertsekas 1982) with Armijo backtracking
+    runs from the box center. log Z is convex in the moments x, so the
+    Frank-Wolfe gap (Jaggi 2013) bounds its excess over the least; while the
+    gap exceeds tol, Newton reruns from the gap's vertex, kept if it lowers
+    log Z by more than tol. All runs share one iteration budget. The answer's
+    moments and objective are those of the point where log Z was minimized.
     """
-    check_radius(delta)
+    moments = MomentSet(summaries, delta)
     validate_model_on_domain(model, domain)
     ev = _GridEvaluator(model, domain)
     half = math.pi / 2.0
 
     def descend(t: np.ndarray, budget: int) -> tuple[np.ndarray, float, np.ndarray, int, bool]:
-        lz, g, hess, gx = _log_mass_in_t(ev, summaries, delta, t)
+        lz, g, hess, gx = _log_mass_in_t(ev, moments, t)
         for it in range(1, budget + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
@@ -374,7 +342,7 @@ def solve_inner(
             step = 1.0
             for _ in range(60):
                 trial = np.clip(t + step * d, -half, half)
-                lz_new, g_new, hess_new, gx_new = _log_mass_in_t(ev, summaries, delta, trial)
+                lz_new, g_new, hess_new, gx_new = _log_mass_in_t(ev, moments, trial)
                 if lz_new < lz + 1e-4 * float(g @ (trial - t)):
                     break
                 step *= 0.5
@@ -386,7 +354,7 @@ def solve_inner(
     t, lz, gx, iterations, converged = descend(np.zeros(2), _NEWTON_MAX_ITER)
     while True:
         tol = 10.0 * _NEWTON_TOL * (1.0 + abs(lz))
-        gap, vertex = _linear_min(gx, summaries, delta, t)
+        gap, vertex = moments.linear_min(gx, t)
         if gap <= tol or iterations == _NEWTON_MAX_ITER:
             break
         t_run, lz_run, gx_run, its, run_converged = descend(vertex, _NEWTON_MAX_ITER - iterations)
@@ -396,10 +364,8 @@ def solve_inner(
         t, lz, gx = t_run, lz_run, gx_run
 
     # |sin| <= 1 and monotone rounding keep these means inside the box
-    ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(t)).tolist()
-    bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
-    solution = RobustSolution(ap, am, bp, bm, ev.objective(ap, am, bp, bm), concavity_check(summaries, delta),
-                              iterations, gap)
+    a, b = (v.tolist() for v in moments.path(t)[:2])
+    solution = RobustSolution(*a, *b, ev.objective(*a, *b), concavity_check(summaries, delta), iterations, gap)
     if not converged:
         raise SolverError(f"inner solver did not converge in {_NEWTON_MAX_ITER} iterations", best=solution)
     return solution

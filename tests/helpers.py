@@ -29,7 +29,7 @@ from robustmm import (
     w2_squared,
     worst_case_objective,
 )
-from robustmm.moments import check_radius
+from robustmm.moments import MomentSet, check_radius
 from robustmm.policy import _NEWTON_MAX_ITER, _NEWTON_TOL, _GridEvaluator, _log_mass_in_t
 from robustmm.simulator import _EPISODE_BLOCK
 
@@ -328,11 +328,11 @@ def nine_start_solve(model, domain, summaries, delta):
     certificate, kept as a reference: projected Newton from the nine points
     of {-pi/2, 0, pi/2}^2, the center first, keeping the lowest log Z.
     Returns (alpha_plus, alpha_minus, objective, iterations)."""
-    ev = _GridEvaluator(model, domain)
+    ev, moments = _GridEvaluator(model, domain), MomentSet(summaries, delta)
     half = math.pi / 2.0
 
     def descend(t: np.ndarray) -> tuple[np.ndarray, float, int, bool]:
-        lz, g, hess, _ = _log_mass_in_t(ev, summaries, delta, t)
+        lz, g, hess, _ = _log_mass_in_t(ev, moments, t)
         for it in range(1, _NEWTON_MAX_ITER + 1):
             # a coordinate on a bound whose descent direction leaves the box stays put
             free = ~(((t <= -half) & (g > 0.0)) | ((t >= half) & (g < 0.0)))
@@ -349,7 +349,7 @@ def nine_start_solve(model, domain, summaries, delta):
             step = 1.0
             for _ in range(60):
                 trial = np.clip(t + step * d, -half, half)
-                lz_new, g_new, hess_new, _ = _log_mass_in_t(ev, summaries, delta, trial)
+                lz_new, g_new, hess_new, _ = _log_mass_in_t(ev, moments, trial)
                 if lz_new < lz + 1e-4 * float(g @ (trial - t)):
                     break
                 step *= 0.5

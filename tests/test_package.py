@@ -59,6 +59,18 @@ def test_numpy_is_the_one_runtime_dependency():
     assert out.stdout.split() == ["numpy", "robustmm"]
 
 
+def test_one_module_parametrizes_the_moment_set():
+    # moments.MomentSet owns the path a = alpha_n + r sin t, sd = sd_n + r cos t
+    # and the least of g.x over it; no other module takes a sine or an angle
+    for path in sorted(Path(robustmm.__file__).parent.glob("*.py")):
+        if path.name == "moments.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                assert name not in ("sin", "cos", "asin", "atan2"), (path.name, node.lineno)
+
+
 def test_one_module_reads_input_files():
     # moments.read_text_lines decodes every config and sample file; no other
     # module reads a file, or opens one except to write it

@@ -45,7 +45,8 @@ from helpers import (
 )
 from robustmm import policy
 from robustmm.config import parse_config
-from robustmm.policy import _GridEvaluator, _linear_min, _log_mass_in_t
+from robustmm.moments import MomentSet
+from robustmm.policy import _GridEvaluator, _log_mass_in_t
 from robustmm.simulator import _EPISODE_BLOCK
 
 
@@ -231,13 +232,33 @@ def test_solve_rejects_non_finite_radius(delta):
         solve_inner(plain_model(), SpreadDomain(eps_max=0.8, grid_n=33), (sp, sm), delta)
 
 
-def test_solution_betas_sit_on_envelope():
+def test_solution_betas_sit_on_envelope(monkeypatch):
+    # the solve reports the point of the moment set's path where it stopped, the
+    # last t it reads; that point is on moments.py's envelope up to rounding
     sp, sm = small_summaries()
     model = plain_model()
     dom = SpreadDomain(eps_max=0.8, grid_n=33)
+    path, ts = MomentSet.path, []
+    monkeypatch.setattr(MomentSet, "path", lambda self, t: ts.append(np.array(t)) or path(self, t))
     sol = solve_inner(model, dom, (sp, sm), 0.02)
-    assert sol.beta_star_plus == theorem_beta_envelope(sp, 0.02, sol.alpha_star_plus)
-    assert sol.beta_star_minus == theorem_beta_envelope(sm, 0.02, sol.alpha_star_minus)
+    (ap, am), (bp, bm) = path(MomentSet((sp, sm), 0.02), ts[-1])[:2]
+    assert (sol.alpha_star_plus, sol.alpha_star_minus, sol.beta_star_plus, sol.beta_star_minus) == (ap, am, bp, bm)
+    assert sol.beta_star_plus == pytest.approx(theorem_beta_envelope(sp, 0.02, sol.alpha_star_plus), rel=1e-14)
+    assert sol.beta_star_minus == pytest.approx(theorem_beta_envelope(sm, 0.02, sol.alpha_star_minus), rel=1e-14)
+
+
+def test_solve_on_a_face_reports_the_path_point():
+    # the answer sits on the corner t = (-pi/2, pi/2), where sd = sd_n; an sd read
+    # back from the mean through sqrt(delta - (alpha - alpha_n)^2) turns one
+    # rounding of alpha into an error of about 1e-9
+    model, dom, summaries, delta = rand_instance(np.random.default_rng(18), cert=True)
+    sol = solve_inner(replace(model, eta=model.eta * 0.02), dom, summaries, delta)
+    r = math.sqrt(delta)
+    for s, side, a, b in zip(summaries, (-1.0, 1.0), (sol.alpha_star_plus, sol.alpha_star_minus),
+                             (sol.beta_star_plus, sol.beta_star_minus)):
+        assert a == s.alpha_n + side * r
+        want = math.sqrt(s.variance) ** 2 + a * a
+        assert abs(b - want) <= 4 * math.ulp(want)
 
 
 def test_solve_matches_refined_grid():
@@ -608,30 +629,31 @@ def envelope_cases(rng):
 
 
 def test_log_mass_in_t_matches_theorem_envelope():
-    # the solve's envelope in t and moments.py's envelope in alpha give the same
-    # log Z; the face case is left out, where moments.py's sqrt(delta - (alpha -
-    # alpha_n)^2) turns the rounding of alpha into an sd error of about 1e-9
-    for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(36))[:-1]:
-        sp, sm = summaries
-        ap = sp.alpha_n + math.sqrt(delta) * math.sin(t[0])
-        am = sm.alpha_n + math.sqrt(delta) * math.sin(t[1])
-        value = worst_case_objective(model, dom, summaries, delta, ap, am)
-        lz = _log_mass_in_t(_GridEvaluator(model, dom), summaries, delta, t)[0]
-        assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
+    # log Z at t is the objective at the path's point and, inside the mean box,
+    # at moments.py's envelope over the point's means
+    for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(36)):
+        moments, ev = MomentSet(summaries, delta), _GridEvaluator(model, dom)
+        (ap, am), (bp, bm) = moments.path(t)[:2]
+        lz = _log_mass_in_t(ev, moments, t)[0]
+        assert lz == pytest.approx(math.log(-ev.objective(ap, am, bp, bm) / model.gamma), rel=1e-13, abs=1e-13)
+        if np.all(np.abs(t) < math.pi / 2):
+            value = worst_case_objective(model, dom, summaries, delta, ap, am)
+            assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
 
 
 def test_one_pass_derivatives_match_central_differences():
     h = 1e-6
     for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(37)):
         ev = _GridEvaluator(model, dom)
-        _, grad, hess, _ = _log_mass_in_t(ev, summaries, delta, t)
+        moments = MomentSet(summaries, delta)
+        _, grad, hess, _ = _log_mass_in_t(ev, moments, t)
         fd_grad = np.zeros(2)
         fd_hess = np.zeros((2, 2))
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            up = _log_mass_in_t(ev, summaries, delta, t + e)
-            down = _log_mass_in_t(ev, summaries, delta, t - e)
+            up = _log_mass_in_t(ev, moments, t + e)
+            down = _log_mass_in_t(ev, moments, t - e)
             fd_grad[i] = (up[0] - down[0]) / (2.0 * h)
             fd_hess[:, i] = (up[1] - down[1]) / (2.0 * h)
         if delta == 0.0:
@@ -704,7 +726,7 @@ def test_moment_gradient_matches_central_differences():
     h = 1e-6
     for model, dom, summaries, delta, t in envelope_cases(np.random.default_rng(48)):
         ev = _GridEvaluator(model, dom)
-        gx = _log_mass_in_t(ev, summaries, delta, t)[3]
+        gx = _log_mass_in_t(ev, MomentSet(summaries, delta), t)[3]
         sd = np.array([math.sqrt(s.variance) for s in summaries]) + math.sqrt(delta) * np.cos(t)
         a = np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(t)
         x = np.array([a[0], a[1], sd[0] ** 2 + a[0] ** 2, sd[1] ** 2 + a[1] ** 2, a[0] * a[1]])
@@ -755,7 +777,7 @@ _LINEAR_MIN_CASES = ["random", "constant-side", "zero-cross", "zero-radius", "co
 
 @pytest.mark.parametrize("case", _LINEAR_MIN_CASES)
 def test_linear_min_matches_dense_scan(case):
-    # _linear_min's least value, g.x(t) less its gap, is exact: never above a
+    # linear_min's least value, g.x(t) less its gap, is exact: never above a
     # 2001^2 lattice scan over t, and below it by no more than the lattice's
     # own discretization; its vertex attains it
     rng = np.random.default_rng(_LINEAR_MIN_CASES.index(case))
@@ -771,7 +793,7 @@ def test_linear_min_matches_dense_scan(case):
         if case == "corners":
             g[2:4] = 0.0  # eta = 0: g.x is bilinear in sin t, least at a corner
         t = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
-        gap, vertex = _linear_min(g, summaries, delta, t)
+        gap, vertex = MomentSet(summaries, delta).linear_min(g, t)
         least = _moment_dot(g, summaries, delta, t) - gap
         scan = _scan_min(g, summaries, delta)
         size = float(np.sum(np.abs(g))) * (1.0 + max(abs(s.alpha_n) + math.sqrt(s.variance) for s in summaries)
@@ -850,6 +872,47 @@ def test_gap_without_a_saddle_point_is_reported():
     assert not sol.concave_certificate
     assert sol.optimality_gap > 1.0 > tol
     assert abs(lz - _log_z(model, nine_start_solve(model, dom, summaries, 0.5)[2])) <= tol
+
+
+def _disk_points(summary, delta, near, rng, k=200):
+    """k (mean, second moment) pairs of one side's moment set, found by their
+    Gelbrich cost (a - alpha_n)^2 + (sd - sd_n)^2 <= delta: half drawn from the
+    disk's bounding box, half drawn about the (mean, sd) pair near and pushed
+    along their ray from (alpha_n, sd_n) to the disk's edge, within rounding."""
+    r, sd_n = math.sqrt(delta), math.sqrt(summary.variance)
+    a = summary.alpha_n + rng.uniform(-r, r, 8 * k)
+    sd = rng.uniform(max(sd_n - r, 0.0), sd_n + r, 8 * k)
+    keep = np.flatnonzero((a - summary.alpha_n) ** 2 + (sd - sd_n) ** 2 <= delta)[:k // 2]
+    da, dsd = np.array(near)[:, None] - [[summary.alpha_n], [sd_n]] + rng.normal(0.0, 0.1 * r, (2, k // 2))
+    stretch = r / np.maximum(np.hypot(da, dsd), np.finfo(float).tiny)
+    a = np.concatenate((a[keep], summary.alpha_n + da * stretch))
+    sd = np.concatenate((sd[keep], np.maximum(sd_n + dsd * stretch, 0.0)))
+    assert len(a) == k and np.all((a - summary.alpha_n) ** 2 + (sd - sd_n) ** 2 <= delta * (1.0 + 1e-12))
+    return a, sd * sd + a * a
+
+
+@pytest.mark.parametrize("problem", [pytest.param(_fixture_problems()[1], id="fixture")] + [
+    pytest.param(rand_instance(np.random.default_rng(60 + k), cert=True), id=f"random-{k}") for k in range(4)])
+def test_gibbs_policy_guarantees_its_worst_case(problem):
+    # V(pi; x) = E_pi[reward at x] + gamma H(pi) is affine in the moments x. For the
+    # Gibbs policy at the answer x*, V(pi; x*) = gamma log Z(x*), and V(pi; x) - V(pi; x*)
+    # = gamma gx.(x - x*) >= -gamma gap at every x of the moment set
+    model, dom, summaries, delta = problem
+    sol = solve_inner(model, dom, summaries, delta)
+    grid = build_policy(model, dom, sol)
+    mass, held = grid.cell_masses(), grid.cell_masses() > 0.0
+    entropy = -float(np.sum(mass[held] * np.log(grid.density[held])))
+    star = expected_reward(model, grid, sol.alpha_star_plus, sol.alpha_star_minus, sol.beta_star_plus,
+                           sol.beta_star_minus)
+    slack = 1e-12 * (abs(star) + model.gamma * abs(entropy))
+    bound = model.gamma * math.log(-sol.objective / model.gamma)
+    assert abs(star + model.gamma * entropy - bound) <= slack
+    rng = np.random.default_rng(61)
+    (ap, bp), (am, bm) = (_disk_points(s, delta, (a, math.sqrt(max(b - a * a, 0.0))), rng) for s, a, b in zip(
+        summaries, (sol.alpha_star_plus, sol.alpha_star_minus), (sol.beta_star_plus, sol.beta_star_minus)))
+    floor = bound - model.gamma * sol.optimality_gap - slack
+    for x in zip(ap, am, bp, bm):
+        assert expected_reward(model, grid, *x) + model.gamma * entropy >= floor
 
 
 def test_uncertified_solve_takes_few_grid_passes(monkeypatch):
