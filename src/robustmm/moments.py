@@ -9,11 +9,10 @@ feasible moments are the disk
 
     (a - alpha_n)^2 + (sd - sd_n)^2 <= delta,   b = sd^2 + a^2,
 
-and c = a+ a- across the two independent sides. MomentSet owns that set: the
-path a = alpha_n + r sin t, sd = sd_n + r cos t (r = sqrt(delta)) along the
-disk's upper arc, where the worst case lies, with its derivatives in t, and
-the least of a linear function over the set. The closed forms below describe
-the same disk in alpha coordinates, for the validation table:
+and c = a+ a- across the two independent sides. MomentSet owns that set: a
+path in t along the disks' upper arcs, where the worst case lies, and the
+least of a linear function over the set. The closed forms below describe the
+same disk in alpha coordinates, for the validation table:
 
     mean:            alpha in [alpha_n - sqrt(delta), alpha_n + sqrt(delta)]
     second moment:   ell(alpha) <= beta <= u(alpha)
@@ -197,7 +196,7 @@ def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[
     (alpha - alpha_n)^2 + (s - sd_n)^2, so the budget leaves
     |s - sd_n| <= r with r = sqrt(delta - (alpha - alpha_n)^2), and
     lower = alpha^2 + max(sd_n - r, 0)^2. The upper end is
-    theorem_beta_envelope, the function the solve reports beta with.
+    theorem_beta_envelope.
     """
     dev, root = _deviation_root(summary, delta, alpha)
     low_sd = max(math.sqrt(summary.variance) - float(root), 0.0)
