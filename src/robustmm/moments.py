@@ -147,9 +147,9 @@ class MomentSet:
     def linear_min(self, g: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
         """Frank-Wolfe gap g.(x(t) - x') and the t of x', a minimizer of g.x over the set. Along the
         path, with c = a+ a-, g.x = (p0 + p1 s-) s+ + q+ cos t+ + R s- + q- cos t- + const in s = sin t,
-        q = 2 r sd_n g_b <= 0. The least over t+ is -W, W^2 =
-        (p0 + p1 s-)^2 + q+^2; phi(s) = R s + q- w - W, w^2 = 1 - s^2, is least at +-1, at t's own s-,
-        or where (R^2 w^2 + q-^2 s^2) W^2 - p1^2 (p0 + p1 s)^2 w^2 = 2 R q- s w W^2: squared, degree 8."""
+        q = 2 r sd_n g_b <= 0. The least over t+ is -W, W^2 = (p0 + p1 s-)^2 + q+^2; phi(s) = R s
+        + q- w - W, w^2 = 1 - s^2, is least at +-1, at t's own s-, or where (R^2 w^2 + q-^2 s^2) W^2
+        - p1^2 (p0 + p1 s)^2 w^2 = 2 R q- s w W^2: squared, degree 8."""
         r, (sp, sm), norm = math.sqrt(self.delta), self.summaries, max(float(np.max(np.abs(g))), np.finfo(float).tiny)
         ap, am, bp, bm, c = g / norm
         coef = r * np.array([ap + 2.0 * sp.alpha_n * bp + c * sm.alpha_n, r * c, 2.0 * math.sqrt(sp.variance) * bp,
