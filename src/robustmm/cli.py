@@ -13,12 +13,15 @@ written (the message names the key, or the file and line), 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, _keyed, parse_config
@@ -33,26 +36,135 @@ class _WriteError(OSError):
     """An output file that could not be written; filename is the target's path."""
 
 
-def _atomic_write(path: Path, data: str | Iterable[str]) -> None:
-    """Write data, one string or an iterable of chunks, to path in an existing
-    directory. An OSError on the way becomes a _WriteError naming path."""
+def _atomic_write(path: Path, data: str | bytes | Iterable[str | bytes]) -> None:
+    """Write data, str or bytes or an iterable of such chunks (str as UTF-8), to
+    path in an existing directory. An OSError on the way becomes a _WriteError naming path."""
     # a unique temp file beside the target: runs sharing the directory
     # never write the same one, and os.replace stays on one file system
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             # mkstemp makes the file private; give it the mode open() gives
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.writelines([data] if isinstance(data, str) else data)
+            for chunk in [data] if isinstance(data, (str, bytes)) else data:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except OSError as exc:
         raise _WriteError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
+
+
+# grid rows of policy.csv formatted at a time: buffers of a few hundred kB at grid_n 257
+_BLOCK_ROWS = 4
+# a decision this close to its boundary (units of the 17th digit; errors ~1e-14) goes to repr
+_MARGIN = 1e-6
+# 10^p for p <= 20 is an exact double; Dekker's split of it into 26-bit halves
+_P10 = 10.0 ** np.arange(21)
+_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)
+_P10_LO = _P10 - _P10_HI
+_P10_INT = 10 ** np.arange(19, dtype=np.int64)
+# group k is the integer or fraction part // _SHIFT[k], less _CARRY[k] times group k - 1
+_SHIFT = [10**11, 10**7, 10**3, 1, 10**16, 10**12, 10**8, 10**4, 1]
+_CARRY = np.array([10**4, 10**4, 10**3, 0, 10**4, 10**4, 10**4, 10**4], dtype=np.int64)[:, None]
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Text tables, built on first use: a value is nine 4-byte groups of digits (15 integer
+    digits, '.', 20 fraction digits), four zero-padded digits at k < 10000, three and '.'
+    above; keep[17 p + j] NULs all but max(17 - p, 1) integer digits and the last j of 17."""
+    k = np.arange(11000, dtype=np.int16)
+    digits = (np.stack([k // 1000, k // 100, k // 10, k], axis=1) % 10 + ord("0")).astype(np.uint8)
+    digits[10000:] = np.column_stack([digits[10000:, 1:], np.full(1000, ord("."), np.uint8)])
+    p, j, col = np.arange(21)[:, None, None], np.arange(17)[None, :, None], np.arange(36)
+    keep = (col >= 15 - np.maximum(17 - p, 1)) & (col <= 15) | (col >= 36 - p) & (col < 36 - np.minimum(j, p - 1))
+    return digits.view(np.uint32).ravel(), (keep * np.uint8(255)).reshape(-1, 36).view(np.uint32)
+
+
+def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits, the shortest decimal that reads back to the same double
+    and of those the nearest (Steele and White 1990), as best 10^-p whose last
+    dropped of 17 digits are zeros; and the indices of values left to repr.
+
+    For x in [1e-4, 1e15), Dekker's product gives y = x 10^p exactly, with p =
+    16 - floor(log10 x), as a 17-digit integer N plus f. A decimal within w of
+    y, half the gap to x's neighbours, reads back to x: the largest j at which
+    the multiple of 10^j nearest y is that close gives the digits. Powers of two
+    (lower gap half the upper), exact ties and decisions within _MARGIN go to repr.
+    """
+    ok = (values >= 1e-4) & (values < 1e15)
+    x = np.where(ok, values, 1.5)
+    m, e = np.frexp(x)
+    p = 16 - np.floor(np.log10(x)).astype(np.intp)
+    w = np.ldexp(_P10[p], e - 54)
+    hi = x * _P10[p]
+    xh = x * 134217729.0
+    xh -= xh - x
+    x -= xh
+    f = ((xh * _P10_HI[p] - hi) + xh * _P10_LO[p] + x * _P10_HI[p]) + x * _P10_LO[p]
+    ok &= (m != 0.5) & (hi > 1e16) & (hi < 1e17)
+    n17 = np.where(ok, hi, 2e16).astype(np.int64) + np.rint(f).astype(np.int64)
+    f -= np.rint(f)
+    # the multiple of 10 nearest y; an exact tie between two is left to repr
+    r = n17 % 10
+    dist = np.minimum(np.abs(r + f), 10 - (r + f))
+    one = dist < w
+    near = np.abs(dist - w) <= _MARGIN
+    tie = np.where(one, (r == 5) & (f == 0), np.abs(f) == 0.5)
+    best = np.where(one & (10 - 2 * r < 2 * f), n17 - r + 10, n17 - r * one)
+    # within w < 12 of y lies at most one multiple of 100: drop all its trailing zeros
+    c = (n17 + 50) // 100 * 100
+    dist = np.abs((c - n17) - f)
+    two = ok & (dist < w)
+    near |= np.abs(dist - w) <= _MARGIN
+    np.copyto(best, c, where=two)
+    dropped = one + two.astype(np.intp)
+    dropped[two] += (c[two, None] // 100 % _P10_INT[1:15] == 0).sum(axis=1)
+    slow = np.flatnonzero(~ok | near | (tie & ~two))
+    best[slow] = 10**16
+    return best, p, dropped, slow
+
+
+def _format_floats(values: np.ndarray, out: np.ndarray) -> int:
+    """Write repr of each value into a NUL-padded row of out, (n, 36) uint8; return how many went to repr."""
+    best, p, dropped, slow = _shortest_digits(values)
+    whole, frac = np.divmod(best, _P10_INT[np.minimum(p, 18)])
+    groups = np.empty((9, best.size), np.int64)
+    for row, shift in enumerate(_SHIFT):
+        np.floor_divide(whole if row < 4 else frac, shift, out=groups[row])
+    groups[1:] -= groups[:-1] * _CARRY
+    groups[3] += 10000
+    digits, keep = _text_tables()
+    np.bitwise_and(np.take(digits, groups).T, np.take(keep, 17 * p + dropped, axis=0), out=out.view(np.uint32))
+    for i in slow:
+        out[i] = np.frombuffer(repr(float(values[i])).encode().ljust(36, b"\0"), np.uint8)
+    return slow.size
+
+
+def _policy_csv(nodes: np.ndarray, density: np.ndarray) -> Iterator[bytes]:
+    """policy.csv in bytes: a header, then x,y,density lines, each field exactly repr of its float."""
+    names = [repr(v).encode() for v in nodes.tolist()]
+    width = max(map(len, names))
+    names = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in names), np.uint8).reshape(-1, width)
+    n = len(names)
+    start = -(-(2 * width + 2) // 4) * 4  # the value field is read as uint32 groups
+    text = bytearray(_BLOCK_ROWS * n * (start + 40))
+    lines = np.frombuffer(text, np.uint8).reshape(_BLOCK_ROWS, n, start + 40)
+    lines[..., width] = lines[..., 2 * width + 1] = ord(",")
+    lines[..., width + 1:2 * width + 1] = names
+    lines[..., start + 36] = ord("\n")
+    yield b"eps_plus,eps_minus,density\n"
+    for i in range(0, n, _BLOCK_ROWS):
+        rows = density[i:i + _BLOCK_ROWS]
+        block = lines[:len(rows)]
+        block[..., :width] = names[i:i + len(rows), None]
+        _format_floats(rows.ravel(), block[..., start:start + 36].reshape(-1, 36))
+        yield (text if len(rows) == _BLOCK_ROWS else text[:block.nbytes]).translate(None, b"\0")
 
 
 def _json_dumps(obj) -> str:
@@ -105,20 +217,8 @@ def cmd_solve(cfg: RunConfig, samples) -> int:
     delta = _resolve_budget(cfg, samples)
     solution = solve_inner(model, domain, summaries, delta)
     policy = build_policy(model, domain, solution)
-
-    # Python floats repr as plain round-trip numbers; numpy scalars would
-    # write np.float64(...). Each node is formatted once, so per line only
-    # the density goes through repr. The file is written one grid row at a
-    # time: no copy of the whole text (several MB at the default grid) is built.
-    nodes = domain.axis_nodes.tolist()
-    columns = [f",{y!r}," for y in nodes]
-
-    def policy_rows():
-        yield "eps_plus,eps_minus,density\n"
-        for x, row in zip(map(repr, nodes), policy.density):
-            yield "".join([f"{x}{y}{v!r}\n" for y, v in zip(columns, row.tolist())])
-
-    _atomic_write(cfg.out_dir / "policy.csv", policy_rows())
+    # every field is repr of its float, the densities formatted in numpy a block of rows at a time
+    _atomic_write(cfg.out_dir / "policy.csv", _policy_csv(domain.axis_nodes, policy.density))
 
     summary = {
         "alpha_star": {"plus": solution.alpha_star_plus, "minus": solution.alpha_star_minus},

@@ -422,20 +422,22 @@ def test_write_ignores_stale_temp_name(tmp_path):
 
 
 def test_streamed_write_is_atomic(tmp_path):
-    # policy.csv is written as a stream of chunks; a stream that fails
-    # part way must leave the old file and no temp file behind
+    # policy.csv is written as a stream of chunks, of bytes or of text (as
+    # UTF-8); a stream that fails part way must leave the old file and no
+    # temp file behind
     target = tmp_path / "policy.csv"
-    _atomic_write(target, iter(["a,b\n", "1,2\n"]))
-    assert target.read_text() == "a,b\n1,2\n"
+    for chunk in (str, str.encode):
+        _atomic_write(target, iter([chunk("a,b\n"), chunk("1,\u00e9\n")]))
+        assert target.read_bytes() == "a,b\n1,\u00e9\n".encode()
 
-    def broken():
-        yield "partial\n"
-        raise RuntimeError("stream failed")
+        def broken():
+            yield chunk("partial\n")
+            raise RuntimeError("stream failed")
 
-    with pytest.raises(RuntimeError, match="stream failed"):
-        _atomic_write(target, broken())
-    assert target.read_text() == "a,b\n1,2\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["policy.csv"]
+        with pytest.raises(RuntimeError, match="stream failed"):
+            _atomic_write(target, broken())
+        assert target.read_bytes() == "a,b\n1,\u00e9\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["policy.csv"]
 
 
 def test_config_comments_and_relative_paths():
@@ -544,10 +546,12 @@ def test_missing_or_bad_key_exits_2_naming_it(tmp_path, capsys, command, text, k
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.skipif(os.geteuid() == 0, reason="root may write to any directory, so the rule cannot fire")
-def test_read_only_output_dir_names_its_key(tmp_path, capsys):
+def test_read_only_output_dir_names_its_key(tmp_path, capsys, monkeypatch):
+    # root may write to any directory, so the access check is made to deny it
     out = tmp_path / "locked"
     out.mkdir(mode=0o500)
+    access = os.access
+    monkeypatch.setattr("robustmm.cli.os.access", lambda path, mode: path != out and access(path, mode))
     assert run("solve", FIXTURES / "solve.cfg", out) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--out" in err and "not writable" in err
