@@ -168,7 +168,8 @@ def _policy_csv(nodes: np.ndarray, density: np.ndarray) -> Iterator[bytes]:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # no indent: json encodes indented output in pure Python, unindented in C
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _make_out_dir(path: Path, key: str) -> None:

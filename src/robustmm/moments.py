@@ -198,9 +198,8 @@ def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[
     lower = alpha^2 + max(sd_n - r, 0)^2. The upper end is
     theorem_beta_envelope.
     """
-    dev, root = _deviation_root(summary, delta, alpha)
-    low_sd = max(math.sqrt(summary.variance) - float(root), 0.0)
-    return (alpha * alpha + low_sd * low_sd, _upper_envelope(summary, alpha, dev, root))
+    low_sd = max(math.sqrt(summary.variance) - float(_deviation_root(summary, delta, alpha)[1]), 0.0)
+    return (alpha * alpha + low_sd * low_sd, theorem_beta_envelope(summary, delta, alpha))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
@@ -226,11 +225,7 @@ def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha):
     collapses to beta_n exactly. A scalar alpha gives a float, an array
     of means an array.
     """
-    return _upper_envelope(summary, alpha, *_deviation_root(summary, delta, alpha))
-
-
-def _upper_envelope(summary: EmpiricalSummary, alpha, dev: np.ndarray, root: np.ndarray):
-    """theorem_beta_envelope from the deviation and root of _deviation_root."""
+    dev, root = _deviation_root(summary, delta, alpha)
     s = math.sqrt(summary.variance) + root
     a = np.asarray(alpha, dtype=float)
     beta = np.where((dev == 0.0) & (root == 0.0), summary.beta_n, s * s + a * a)

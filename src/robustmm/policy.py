@@ -152,7 +152,6 @@ class _GridEvaluator:
     over the square, a row or a chunk at a time."""
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
-        self.model = model
         x, eta, gamma = domain.axis_nodes, model.eta, model.gamma
         # extreme inputs can overflow to inf here; gibbs checks the exponent
         with np.errstate(over="ignore", invalid="ignore"):
@@ -214,25 +213,6 @@ class _GridEvaluator:
         p /= total
         return (m + np.log(total))[..., 0, 0], p
 
-    def objective(self, ap, am, bp, bm):
-        """-gamma * integral of M over the spread square at paired moments:
-        a float for scalar moments, else an array of their broadcast shape.
-
-        +inf or nan exponents mean the integrand itself overflowed; -inf
-        is a vanishing integrand and gives -0.0.
-        """
-        ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ap, am, bp, bm)))
-        tabs = self.tables(*(v.ravel() for v in (ap, am, bp, bm)))
-        chunk = max(1, _CHUNK_NODES // len(self.logw) ** 2)
-        lz = np.concatenate([np.empty(0)] + [self.gibbs(*(v[s : s + chunk] for v in tabs))[0]
-                                             for s in range(0, ap.size, chunk)])
-        with np.errstate(over="ignore"):
-            out = (-self.model.gamma * np.exp(lz)).reshape(ap.shape)
-        if not np.all(np.isfinite(out)):
-            # finite exponents, unrepresentable objective
-            raise ValueError("integrand overflow")
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class RobustSolution:
@@ -265,11 +245,23 @@ def worst_case_objective(
 ):
     """Objective -gamma * integral(M) with second moments pinned at their
     adversarial envelopes for the given means: scalar means give a float,
-    arrays of paired means an array."""
+    arrays of paired means an array of their broadcast shape. A +inf or nan
+    exponent is an overflowed integrand; -inf vanishes and gives -0.0."""
     sp, sm = summaries
     bp = theorem_beta_envelope(sp, delta, alpha_plus)
     bm = theorem_beta_envelope(sm, delta, alpha_minus)
-    return _GridEvaluator(model, domain).objective(alpha_plus, alpha_minus, bp, bm)
+    ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha_plus, alpha_minus, bp, bm)))
+    ev = _GridEvaluator(model, domain)
+    tabs = ev.tables(*(v.ravel() for v in (ap, am, bp, bm)))
+    chunk = max(1, _CHUNK_NODES // domain.grid_n ** 2)
+    lz = np.concatenate([np.empty(0)] + [ev.gibbs(*(v[s : s + chunk] for v in tabs))[0]
+                                         for s in range(0, ap.size, chunk)])
+    with np.errstate(over="ignore"):
+        out = (-model.gamma * np.exp(lz)).reshape(ap.shape)
+    if not np.all(np.isfinite(out)):
+        # finite exponents, unrepresentable objective
+        raise ValueError("integrand overflow")
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_mass_in_t(ev: _GridEvaluator, moments: MomentSet,
@@ -317,7 +309,8 @@ def solve_inner(
     Frank-Wolfe gap (Jaggi 2013) bounds its excess over the least; while the
     gap exceeds tol, Newton reruns from the gap's vertex, kept if it lowers
     log Z by more than tol. All runs share one iteration budget. The answer's
-    moments and objective are those of the point where log Z was minimized.
+    moments are those of the point where log Z was minimized, and its
+    objective is -gamma * Z at the log Z the descent kept there.
     """
     moments = MomentSet(summaries, delta)
     validate_model_on_domain(model, domain)
@@ -363,9 +356,14 @@ def solve_inner(
             break
         t, lz, gx = t_run, lz_run, gx_run
 
+    with np.errstate(over="ignore"):
+        objective = float(-model.gamma * np.exp(lz))
+    if not math.isfinite(objective):
+        # finite log Z, unrepresentable objective
+        raise ValueError("integrand overflow")
     # |sin| <= 1 and monotone rounding keep these means inside the box
     a, b = (v.tolist() for v in moments.path(t)[:2])
-    solution = RobustSolution(*a, *b, ev.objective(*a, *b), concavity_check(summaries, delta), iterations, gap)
+    solution = RobustSolution(*a, *b, objective, concavity_check(summaries, delta), iterations, gap)
     if not converged:
         raise SolverError(f"inner solver did not converge in {_NEWTON_MAX_ITER} iterations", best=solution)
     return solution

@@ -76,7 +76,10 @@ class ShiftSpec:
             x = sample.as_array()
             # scale about the sample mean so the two knobs stay independent
             shift = mean_shift + float(np.mean(x)) * (1.0 - sd_scale)
-            laws.append(MetaDistribution(tuple(shift + sd_scale * x)))
+            # a push past the float range (inf, or nan from inf - inf) is reported by
+            # shift_experiment as overflowing episodes
+            with np.errstate(over="ignore", invalid="ignore"):
+                laws.append(MetaDistribution(tuple(shift + sd_scale * x)))
         return laws[0], laws[1]
 
 

@@ -19,9 +19,9 @@ from .moments import (
     EmpiricalSummary,
     SampleSet,
     alpha_range,
-    beta_bounds,
     beta_lower_raw,
     empirical_moments,
+    theorem_beta_envelope,
 )
 from .oracle import (
     DiscreteMeasure,
@@ -79,7 +79,7 @@ def envelope_check_rows(side: str, measure: DiscreteMeasure, summary: EmpiricalS
     root = math.sqrt(delta)
     for frac in _INTERIOR_FRACTIONS:
         alpha = summary.alpha_n + frac * root
-        checks.append((f"beta_upper[{at},t={frac:g}]", beta_bounds(summary, delta, alpha)[1],
+        checks.append((f"beta_upper[{at},t={frac:g}]", theorem_beta_envelope(summary, delta, alpha),
                        "max_second_moment", alpha, tol))
     # the printed lower envelope, which misses beta_n; beta_bounds gives the exact end
     alpha = summary.alpha_n

@@ -373,7 +373,7 @@ def nine_start_solve(model, domain, summaries, delta):
 
     ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(best_t)).tolist()
     bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
-    return ap, am, ev.objective(ap, am, bp, bm), total_iter
+    return ap, am, float(-model.gamma * np.exp(ev.gibbs(*ev.tables(ap, am, bp, bm))[0])), total_iter
 
 
 def fd_hessian(fun, x: np.ndarray, h: float) -> np.ndarray:

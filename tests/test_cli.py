@@ -184,13 +184,12 @@ def test_validate_failure_exit_code(tmp_path):
 def test_validate_catches_an_error_inside_tol(tmp_path, monkeypatch):
     # an upper envelope 1e-6 relative too high is inside validate.tol = 1e-4
     # but outside the oracle bracket, so the gate fails
-    exact = validation.beta_bounds
+    exact = validation.theorem_beta_envelope
 
     def planted(summary, delta, alpha):
-        lower, upper = exact(summary, delta, alpha)
-        return lower, upper * (1.0 + 1e-6)
+        return exact(summary, delta, alpha) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(validation, "beta_bounds", planted)
+    monkeypatch.setattr(validation, "theorem_beta_envelope", planted)
     out = tmp_path / "out"
     assert run("validate", FIXTURES / "validate.cfg", out) == 5
     rows = {r["check"]: r for r in json.loads((out / "validation.json").read_text())}
@@ -637,8 +636,11 @@ _LEAK_GAMMA = [("model.gamma = 2.0", "model.gamma = 1e308"), ("domain.eps_max = 
     # a finite policy whose booked episodes overflow
     ("simulate", [("seed = 7", "seed = 7\nsimulate.shift_sd_scale_plus = 1e200")], 3,
      "episode objectives overflow"),
+    # a shifted law whose atoms overflow, to inf and to nan (-inf + inf)
+    ("simulate", [("seed = 7", "seed = 7\nsimulate.shift_sd_scale_plus = 1.5e308\nsimulate.shift_mean_plus = -1e308")],
+     3, "episode objectives overflow"),
 ], ids=["curve-overflow", "radius-overflow", "objective-overflow", "objective-overflow-simulate",
-        "intensity-overflow", "episode-overflow"])
+        "intensity-overflow", "episode-overflow", "shift-overflow"])
 def test_overflow_reports_one_line(tmp_path, capsys, command, edits, code, text):
     # no numpy overflow warning on the way: the one stderr line is the verdict
     for name in ("buy.csv", "sell.csv"):

@@ -635,7 +635,7 @@ def test_log_mass_in_t_matches_theorem_envelope():
         moments, ev = MomentSet(summaries, delta), _GridEvaluator(model, dom)
         (ap, am), (bp, bm) = moments.path(t)[:2]
         lz = _log_mass_in_t(ev, moments, t)[0]
-        assert lz == pytest.approx(math.log(-ev.objective(ap, am, bp, bm) / model.gamma), rel=1e-13, abs=1e-13)
+        assert lz == pytest.approx(float(ev.gibbs(*ev.tables(ap, am, bp, bm))[0]), rel=1e-13, abs=1e-13)
         if np.all(np.abs(t) < math.pi / 2):
             value = worst_case_objective(model, dom, summaries, delta, ap, am)
             assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
@@ -874,6 +874,26 @@ def test_gap_without_a_saddle_point_is_reported():
     assert abs(lz - _log_z(model, nine_start_solve(model, dom, summaries, 0.5)[2])) <= tol
 
 
+def test_restart_from_the_gap_vertex_is_kept():
+    # a near-constant buy side past the certificate: Newton from the center
+    # stops at a log Z 0.0225 above the least, and only the rerun from the
+    # Frank-Wolfe vertex reaches the nine-start answer, so the solve must keep it
+    buy = (0.6032448928727807, 0.601194749300936, 0.6018050074632468, 0.6014368238115619, 0.605189496617635,
+           0.6036504470798216, 0.5999988712733194)
+    sell = (1.5033268934971948, 1.7030247730701218, 2.3336579556962507, 1.3773445208687067, 1.6658944618121678)
+    summaries = (empirical_moments(SampleSet("buy", buy)), empirical_moments(SampleSet("sell", sell)))
+    model = SpreadModel(S=3.519454999911896, Q=1.843894785039958, eta=0.8511922646179604, gamma=1.7617560654320168,
+                        f_plus=constant(0.32948092239484705), f_minus=constant(-0.217571050394265),
+                        h_plus=exp_decay(1.4629703514768937, 2.389827185983334),
+                        h_minus=exp_decay(0.8603960413052112, 2.8374219805494425))
+    dom, delta = SpreadDomain(eps_max=0.584855630948507, grid_n=33), 1.9868997225703426
+    sol = solve_inner(model, dom, summaries, delta)
+    lz = _log_z(model, sol.objective)
+    tol = 10.0 * policy._NEWTON_TOL * (1.0 + abs(lz))
+    assert not sol.concave_certificate and sol.optimality_gap > tol
+    assert abs(lz - _log_z(model, nine_start_solve(model, dom, summaries, delta)[2])) <= tol
+
+
 def _disk_points(summary, delta, near, rng, k=200):
     """k (mean, second moment) pairs of one side's moment set, found by their
     Gelbrich cost (a - alpha_n)^2 + (sd - sd_n)^2 <= delta: half drawn from the
@@ -930,3 +950,16 @@ def test_uncertified_solve_takes_few_grid_passes(monkeypatch):
         passes.append(len(calls))
     assert np.median(iterations) <= 8
     assert np.median(passes) <= 8
+
+
+def test_zero_budget_solve_takes_one_grid_pass(monkeypatch):
+    # at delta = 0 the moment set is one point: its one pass gives log Z with a
+    # zero gradient, Newton stops there and the objective is that pass's log Z
+    calls = []
+    gibbs = _GridEvaluator.gibbs
+    monkeypatch.setattr(_GridEvaluator, "gibbs", lambda self, *tabs: calls.append(1) or gibbs(self, *tabs))
+    rng = np.random.default_rng(48)
+    for problem in [_fixture_problems()[0]] + [rand_instance(rng, cert=cert)[:3] + (0.0,) for cert in (True, False)]:
+        calls.clear()
+        solve_inner(*problem)
+        assert len(calls) == 1
