@@ -59,112 +59,90 @@ def _atomic_write(path: Path, data: str | bytes | Iterable[str | bytes]) -> None
             Path(tmp).unlink(missing_ok=True)
 
 
-# grid rows of policy.csv formatted at a time: buffers of a few hundred kB at grid_n 257
+# grid rows of policy.csv formatted at a time: a buffer of about 70 kB at grid_n 257
 _BLOCK_ROWS = 4
-# a decision this close to its boundary (units of the 17th digit; errors ~1e-14) goes to repr
-_MARGIN = 1e-6
-# 10^p for p <= 20 is an exact double; Dekker's split of it into 26-bit halves
-_P10 = 10.0 ** np.arange(21)
-_P10_HI = _P10 * 134217729.0 - (_P10 * 134217729.0 - _P10)
-_P10_LO = _P10 - _P10_HI
-_P10_INT = 10 ** np.arange(19, dtype=np.int64)
-# group k is the integer or fraction part // _SHIFT[k], less _CARRY[k] times group k - 1
-_SHIFT = [10**11, 10**7, 10**3, 1, 10**16, 10**12, 10**8, 10**4, 1]
-_CARRY = np.array([10**4, 10**4, 10**3, 0, 10**4, 10**4, 10**4, 10**4], dtype=np.int64)[:, None]
+# a field '%.16e' % v is 22 bytes while v's exponent has two digits: x,y,density\n is 69 bytes
+_FIELD = 22
+_LINE = 3 * _FIELD + 3
 
 
 @functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Text tables, built on first use: a value is nine 4-byte groups of digits (15 integer
-    digits, '.', 20 fraction digits), four zero-padded digits at k < 10000, three and '.'
-    above; keep[17 p + j] NULs all but max(17 - p, 1) integer digits and the last j of 17."""
-    k = np.arange(11000, dtype=np.int16)
-    digits = (np.stack([k // 1000, k // 100, k // 10, k], axis=1) % 10 + ord("0")).astype(np.uint8)
-    digits[10000:] = np.column_stack([digits[10000:, 1:], np.full(1000, ord("."), np.uint8)])
-    p, j, col = np.arange(21)[:, None, None], np.arange(17)[None, :, None], np.arange(36)
-    keep = (col >= 15 - np.maximum(17 - p, 1)) & (col <= 15) | (col >= 36 - p) & (col < 36 - np.minimum(j, p - 1))
-    return digits.view(np.uint32).ravel(), (keep * np.uint8(255)).reshape(-1, 36).view(np.uint32)
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Tables built on first use: 10^p for p <= 22 (exact doubles) and Dekker's split of
+    it into 26-bit halves; and 4-byte ASCII words, at k < 10000 the digits of k, at
+    10000 + d "  d." for one digit d, at 10109 + e "e+ee" for an exponent |e| < 100."""
+    p10 = 10.0 ** np.arange(23)
+    p10_hi = p10 * 134217729.0 - (p10 * 134217729.0 - p10)
+    k = np.arange(10000, dtype=np.int16)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1).astype(np.uint8) + ord("0")
+    rest = b"".join([*(b"  %d." % d for d in range(10)), *(b"e%+03d" % e for e in range(-99, 100))])
+    words = np.concatenate([digits.ravel(), np.frombuffer(rest, np.uint8)]).view(np.uint32)
+    return p10, p10_hi, p10 - p10_hi, words
 
 
-def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """repr's digits, the shortest decimal that reads back to the same double
-    and of those the nearest (Steele and White 1990), as best 10^-p whose last
-    dropped of 17 digits are zeros; and the indices of values left to repr.
+def _exact_fields(values: np.ndarray, out: np.ndarray) -> int | None:
+    """Write '%.16e' % v of each value into a row of out, (n, 22) uint8, and return how
+    many went to '%.16e' itself; None, out part written, if some field is not 22 bytes.
 
-    For x in [1e-4, 1e15), Dekker's product gives y = x 10^p exactly, with p =
-    16 - floor(log10 x), as a 17-digit integer N plus f. A decimal within w of
-    y, half the gap to x's neighbours, reads back to x: the largest j at which
-    the multiple of 10^j nearest y is that close gives the digits. Powers of two
-    (lower gap half the upper), exact ties and decisions within _MARGIN go to repr.
-    """
-    ok = (values >= 1e-4) & (values < 1e15)
-    x = np.where(ok, values, 1.5)
-    m, e = np.frexp(x)
-    p = 16 - np.floor(np.log10(x)).astype(np.intp)
-    w = np.ldexp(_P10[p], e - 54)
-    hi = x * _P10[p]
+    For x in [1e-6, 1e16), 10^p with p = 16 - floor(log10 x) is exact, and Dekker's
+    product gives x 10^p exactly as hi + lo. hi >= 1e16 > 2^53 is an even integer, so
+    N = hi + rint(lo) is the exact value rounded half to even, as '%.16e' rounds it,
+    and its 17 digits are the field's. log10 only guesses p: the guess stands when the
+    exact value is at least 1e16 and N below 10^17. +0.0 is written directly; any other
+    value (out of range, a rejected guess, a carry to 10^17) goes to '%.16e' itself."""
+    p10, p10_hi, p10_lo, words = _digit_tables()
+    zero = values.view(np.int64) == 0
+    ok = (values >= 1e-6) & (values < 1e16)
+    x = np.where(ok, values, 1.0)
+    p = np.minimum(16 - np.floor(np.log10(x)).astype(np.intp), 22)
+    hi = x * p10[p]
     xh = x * 134217729.0
     xh -= xh - x
     x -= xh
-    f = ((xh * _P10_HI[p] - hi) + xh * _P10_LO[p] + x * _P10_HI[p]) + x * _P10_LO[p]
-    ok &= (m != 0.5) & (hi > 1e16) & (hi < 1e17)
-    n17 = np.where(ok, hi, 2e16).astype(np.int64) + np.rint(f).astype(np.int64)
-    f -= np.rint(f)
-    # the multiple of 10 nearest y; an exact tie between two is left to repr
-    r = n17 % 10
-    dist = np.minimum(np.abs(r + f), 10 - (r + f))
-    one = dist < w
-    near = np.abs(dist - w) <= _MARGIN
-    tie = np.where(one, (r == 5) & (f == 0), np.abs(f) == 0.5)
-    best = np.where(one & (10 - 2 * r < 2 * f), n17 - r + 10, n17 - r * one)
-    # within w < 12 of y lies at most one multiple of 100: drop all its trailing zeros
-    c = (n17 + 50) // 100 * 100
-    dist = np.abs((c - n17) - f)
-    two = ok & (dist < w)
-    near |= np.abs(dist - w) <= _MARGIN
-    np.copyto(best, c, where=two)
-    dropped = one + two.astype(np.intp)
-    dropped[two] += (c[two, None] // 100 % _P10_INT[1:15] == 0).sum(axis=1)
-    slow = np.flatnonzero(~ok | near | (tie & ~two))
-    best[slow] = 10**16
-    return best, p, dropped, slow
-
-
-def _format_floats(values: np.ndarray, out: np.ndarray) -> int:
-    """Write repr of each value into a NUL-padded row of out, (n, 36) uint8; return how many went to repr."""
-    best, p, dropped, slow = _shortest_digits(values)
-    whole, frac = np.divmod(best, _P10_INT[np.minimum(p, 18)])
-    groups = np.empty((9, best.size), np.int64)
-    for row, shift in enumerate(_SHIFT):
-        np.floor_divide(whole if row < 4 else frac, shift, out=groups[row])
-    groups[1:] -= groups[:-1] * _CARRY
-    groups[3] += 10000
-    digits, keep = _text_tables()
-    np.bitwise_and(np.take(digits, groups).T, np.take(keep, 17 * p + dropped, axis=0), out=out.view(np.uint32))
-    for i in slow:
-        out[i] = np.frombuffer(repr(float(values[i])).encode().ljust(36, b"\0"), np.uint8)
+    lo = ((xh * p10_hi[p] - hi) + xh * p10_lo[p] + x * p10_hi[p]) + x * p10_lo[p]
+    n17 = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & (n17 < 10**17)
+    # words: "d." of the leading digit, four groups of four digits, "e+ee"; +0.0 reads N = 0, e = 0
+    index = np.empty((6, values.size), np.intp)
+    index[4] = np.where(ok, n17, 0)
+    for row, shift in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(index[4], shift, out=index[row])
+    index[1:5] -= index[:4] * 10000
+    index[0] += 10000
+    index[5] = np.where(ok, 10109 + 16 - p, 10109)
+    out[...] = np.take(words, index.T).view(np.uint8)[:, 2:]
+    slow = np.flatnonzero(~(ok | zero))
+    for i in slow.tolist():
+        field = b"%.16e" % values[i]
+        if len(field) != _FIELD:
+            return None
+        out[i] = np.frombuffer(field, np.uint8)
     return slow.size
 
 
 def _policy_csv(nodes: np.ndarray, density: np.ndarray) -> Iterator[bytes]:
-    """policy.csv in bytes: a header, then x,y,density lines, each field exactly repr of its float."""
-    names = [repr(v).encode() for v in nodes.tolist()]
-    width = max(map(len, names))
-    names = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in names), np.uint8).reshape(-1, width)
-    n = len(names)
-    start = -(-(2 * width + 2) // 4) * 4  # the value field is read as uint32 groups
-    text = bytearray(_BLOCK_ROWS * n * (start + 40))
-    lines = np.frombuffer(text, np.uint8).reshape(_BLOCK_ROWS, n, start + 40)
-    lines[..., width] = lines[..., 2 * width + 1] = ord(",")
-    lines[..., width + 1:2 * width + 1] = names
-    lines[..., start + 36] = ord("\n")
+    """policy.csv in bytes: a header, then x,y,density lines, each field exactly '%.16e' of its float.
+    A block whose fields are all 22 bytes is one uint8 buffer of 69-byte lines; any other
+    block (an exponent of 100 or more, a subnormal) is written line by line."""
+    n = len(nodes)
+    names = np.empty((n, _FIELD), np.uint8)
+    narrow = _exact_fields(nodes, names) is not None
+    lines = np.empty((_BLOCK_ROWS, n, _LINE), np.uint8)
+    lines[..., _FIELD] = lines[..., 2 * _FIELD + 1] = ord(",")
+    lines[..., _LINE - 1] = ord("\n")
+    lines[..., _FIELD + 1:2 * _FIELD + 1] = names
     yield b"eps_plus,eps_minus,density\n"
     for i in range(0, n, _BLOCK_ROWS):
         rows = density[i:i + _BLOCK_ROWS]
         block = lines[:len(rows)]
-        block[..., :width] = names[i:i + len(rows), None]
-        _format_floats(rows.ravel(), block[..., start:start + 36].reshape(-1, 36))
-        yield (text if len(rows) == _BLOCK_ROWS else text[:block.nbytes]).translate(None, b"\0")
+        block[..., :_FIELD] = names[i:i + len(rows), None]
+        fields = block[..., 2 * _FIELD + 2:-1].reshape(-1, _FIELD)
+        if narrow and _exact_fields(rows.ravel(), fields) is not None:
+            yield block.tobytes()
+        else:
+            yield b"".join(b"%.16e,%.16e,%.16e\n" % (x, y, v)
+                           for x, row in zip(nodes[i:i + len(rows)].tolist(), rows.tolist())
+                           for y, v in zip(nodes.tolist(), row))
 
 
 def _json_dumps(obj) -> str:
@@ -218,7 +196,7 @@ def cmd_solve(cfg: RunConfig, samples) -> int:
     delta = _resolve_budget(cfg, samples)
     solution = solve_inner(model, domain, summaries, delta)
     policy = build_policy(model, domain, solution)
-    # every field is repr of its float, the densities formatted in numpy a block of rows at a time
+    # each field is '%.16e' of its float, exact in 22 bytes, formatted in numpy a block of grid rows at a time
     _atomic_write(cfg.out_dir / "policy.csv", _policy_csv(domain.axis_nodes, policy.density))
 
     summary = {

@@ -89,8 +89,8 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
 
 
 def test_default_grid_policy_bytes(tmp_path):
-    # at the default grid_n = 257, policy.csv is exactly repr of each field
-    # of each node pair and its density, written from the solve's own table
+    # at the default grid_n = 257, policy.csv is exactly '%.16e' of each
+    # field of each node pair and its density, written from the solve's own table
     text = "".join(line + "\n" for line in (FIXTURES / "solve.cfg").read_text().splitlines()
                    if not line.startswith("domain."))
     cfg_path = tmp_path / "run.cfg"
@@ -107,7 +107,7 @@ def test_default_grid_policy_bytes(tmp_path):
     policy = build_policy(model, domain, solve_inner(model, domain, summaries, cfg.delta))
     nodes = domain.axis_nodes.tolist()
     want = "eps_plus,eps_minus,density\n" + "".join(
-        f"{x!r},{y!r},{v!r}\n"
+        "%.16e,%.16e,%.16e\n" % (x, y, v)
         for x, row in zip(nodes, policy.density.tolist()) for y, v in zip(nodes, row))
     assert (tmp_path / "out" / "policy.csv").read_bytes() == want.encode()
 

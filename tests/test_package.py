@@ -9,7 +9,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import robustmm
+import robustmm.cli
+import robustmm.config
 import robustmm.oracle
 import robustmm.validation
 
@@ -29,6 +33,27 @@ def test_benchmark_doors_resolve():
     assert spans.WRAPPED
     for module, attr in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_reads_policy_csv_exactly(tmp_path, monkeypatch):
+    # the benchmark's quote check parses policy.csv with its own reader: a
+    # format that it cannot read, or reads off the solver's doubles, fails here
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads imports references by name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    config = Path(__file__).parent / "fixtures" / "solve.cfg"
+    assert robustmm.cli.main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+    cfg = robustmm.config.parse_config(config)
+    model, domain = cfg.require_model()
+    summaries = tuple(robustmm.empirical_moments(robustmm.read_sample_csv(path, side))
+                      for path, side in zip(cfg.require_samples(), ("buy", "sell")))
+    policy = robustmm.build_policy(model, domain, robustmm.solve_inner(model, domain, summaries, cfg.delta))
+    nodes, n = domain.axis_nodes, domain.grid_n
+    want = np.column_stack([np.repeat(nodes, n), np.tile(nodes, n), policy.density.ravel()])
+    assert np.array_equal(workloads.read_policy_csv(tmp_path / "policy.csv"), want)
 
 
 def test_benchmark_door_to_the_oracle_is_the_oracle():
