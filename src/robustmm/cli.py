@@ -124,7 +124,7 @@ def _policy_csv(nodes: np.ndarray, density: np.ndarray) -> Iterator[bytes]:
     """policy.csv in bytes: a header, then x,y,density lines, each field exactly '%.16e' of its float.
     A block whose fields are all 22 bytes is one uint8 buffer of 69-byte lines; any other
     block (an exponent of 100 or more, a subnormal) is written line by line."""
-    n = len(nodes)
+    n, xs = len(nodes), nodes.tolist()
     names = np.empty((n, _FIELD), np.uint8)
     narrow = _exact_fields(nodes, names) is not None
     lines = np.empty((_BLOCK_ROWS, n, _LINE), np.uint8)
@@ -141,8 +141,7 @@ def _policy_csv(nodes: np.ndarray, density: np.ndarray) -> Iterator[bytes]:
             yield block.tobytes()
         else:
             yield b"".join(b"%.16e,%.16e,%.16e\n" % (x, y, v)
-                           for x, row in zip(nodes[i:i + len(rows)].tolist(), rows.tolist())
-                           for y, v in zip(nodes.tolist(), row))
+                           for x, row in zip(xs[i:i + len(rows)], rows.tolist()) for y, v in zip(xs, row))
 
 
 def _json_dumps(obj) -> str:
