@@ -14,7 +14,6 @@ from .moments import (
     EmpiricalSummary,
     SampleSet,
     alpha_range,
-    beta_bounds,
     beta_lower_raw,
     empirical_moments,
     read_sample_csv,
@@ -39,7 +38,6 @@ from .policy import (
     sample_policy,
     solve_inner,
     validate_model_on_domain,
-    worst_case_objective,
 )
 from .profile import (
     MomentTarget,
@@ -61,14 +59,14 @@ __all__ = [
     # functions
     "FunctionSpec", "affine", "constant", "exp_decay", "parse_function_spec",
     # moments
-    "EmpiricalSummary", "SampleSet", "alpha_range", "beta_bounds", "beta_lower_raw",
+    "EmpiricalSummary", "SampleSet", "alpha_range", "beta_lower_raw",
     "empirical_moments", "read_sample_csv", "theorem_beta_envelope",
     # oracle
     "DiscreteMeasure", "min_cost_given_moments", "moment_range_search", "w2_squared",
     # policy
     "DegeneratePolicyError", "PolicyGrid", "RobustSolution", "SolverError", "SpreadDomain",
     "SpreadModel", "build_policy", "concavity_check", "expected_reward", "sample_policy",
-    "solve_inner", "validate_model_on_domain", "worst_case_objective",
+    "solve_inner", "validate_model_on_domain",
     # profile
     "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices", "robust_profile",
     "select_radius",

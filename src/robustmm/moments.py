@@ -178,58 +178,43 @@ def alpha_range(summary: EmpiricalSummary, delta: float) -> tuple[float, float]:
     return (summary.alpha_n - r, summary.alpha_n + r)
 
 
-def _deviation_root(summary: EmpiricalSummary, delta: float, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Return (dev, sqrt(delta - dev^2)) with the feasibility clamp applied,
-    elementwise over a scalar or an array alpha."""
+def _deviation_root(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[float, float]:
+    """Return (dev, sqrt(delta - dev^2)) with the feasibility clamp applied."""
     check_radius(delta)
-    dev = np.asarray(alpha, dtype=float) - summary.alpha_n
+    dev = alpha - summary.alpha_n
     rem = delta - dev * dev
-    if np.any(rem < -_FEAS_SLACK * (1.0 + delta)):
+    if rem < -_FEAS_SLACK * (1.0 + delta):
         raise ValueError("alpha infeasible")
-    return dev, np.sqrt(np.maximum(rem, 0.0))
-
-
-def beta_bounds(summary: EmpiricalSummary, delta: float, alpha: float) -> tuple[float, float]:
-    """Second-moment range [lower, upper] attainable at a given mean alpha.
-
-    Reaching mean alpha and standard deviation s costs exactly
-    (alpha - alpha_n)^2 + (s - sd_n)^2, so the budget leaves
-    |s - sd_n| <= r with r = sqrt(delta - (alpha - alpha_n)^2), and
-    lower = alpha^2 + max(sd_n - r, 0)^2. The upper end is
-    theorem_beta_envelope.
-    """
-    low_sd = max(math.sqrt(summary.variance) - float(_deviation_root(summary, delta, alpha)[1]), 0.0)
-    return (alpha * alpha + low_sd * low_sd, theorem_beta_envelope(summary, delta, alpha))
+    return dev, math.sqrt(max(rem, 0.0))
 
 
 def beta_lower_raw(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
     """The printed lower envelope ell(alpha); diagnostic only.
 
-    When sd_n >= r it equals the exact lower end of beta_bounds minus
-    beta_n, and otherwise it is not attained by any distribution (it can
-    fall below alpha^2, even below zero). Validation reports show it
-    beside the oracle's minimum.
+    When sd_n >= r it equals the exact lower end alpha^2 + (sd_n - r)^2 of the
+    module docstring minus beta_n, and otherwise it is not attained by any
+    distribution (it can fall below alpha^2, even below zero). Validation
+    reports show it beside the oracle's minimum.
     """
     dev, root = _deviation_root(summary, delta, alpha)
     sd = math.sqrt(summary.variance)
-    return float(2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root)
+    return 2.0 * dev * summary.alpha_n + delta - 2.0 * sd * root
 
 
-def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha):
+def theorem_beta_envelope(summary: EmpiricalSummary, delta: float, alpha: float) -> float:
     """Worst-case second moment pinned by the inner adversary:
 
         beta(alpha) = (sqrt(beta_n - alpha_n^2) + sqrt(delta - (alpha - alpha_n)^2))^2
                       + alpha^2
 
-    It is the upper end of beta_bounds. At delta = 0 the expression
-    collapses to beta_n exactly. A scalar alpha gives a float, an array
-    of means an array.
+    It is u(alpha), the upper end of the module docstring's second-moment
+    range. At delta = 0 the expression collapses to beta_n exactly.
     """
     dev, root = _deviation_root(summary, delta, alpha)
+    if dev == 0.0 and root == 0.0:
+        return summary.beta_n
     s = math.sqrt(summary.variance) + root
-    a = np.asarray(alpha, dtype=float)
-    beta = np.where((dev == 0.0) & (root == 0.0), summary.beta_n, s * s + a * a)
-    return float(beta) if beta.ndim == 0 else beta
+    return s * s + alpha * alpha
 
 
 def read_text_lines(path: Path) -> list[str]:

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .functions import FunctionSpec
-from .moments import EmpiricalSummary, MomentSet, theorem_beta_envelope
+# theorem_beta_envelope is not called here: it is the door perfbench/spans.py wraps
+from .moments import EmpiricalSummary, MomentSet, theorem_beta_envelope  # noqa: F401
 
 _GRID_N_MAX = 2049
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
@@ -46,8 +47,6 @@ _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 500
 # buckets of the sampler's guide table; a power of two keeps u * m and k / m exact
 _GUIDE_SIZE = 1 << 16
-# grid nodes per chunk of objective rows, a cache-sized table
-_CHUNK_NODES = 100_000
 
 
 class SolverError(RuntimeError):
@@ -148,8 +147,8 @@ def validate_model_on_domain(model: SpreadModel, domain: SpreadDomain) -> None:
 class _GridEvaluator:
     """Per-axis coefficients of the Gibbs exponent on a domain, read off each side's
     (price m - eta (u^2 + v h^2)) / gamma with signed price S + eps+ or eps- - S and
-    inventory u = Q + m+ or m-, and the axis log weights. Only gibbs forms tables
-    over the square, a row or a chunk at a time."""
+    inventory u = Q + m+ or m-, and the axis log weights. Only gibbs forms a table
+    over the square."""
 
     def __init__(self, model: SpreadModel, domain: SpreadDomain):
         x, eta, gamma = domain.axis_nodes, model.eta, model.gamma
@@ -184,34 +183,32 @@ class _GridEvaluator:
         k = [self.Ap @ row + self.Cp @ yd0, self.Am @ col + self.C0 @ ydm, self.Bp @ row, self.Bm @ col, self.Cp @ ydm]
         return float(self.A0 @ row + self.B0 @ col + self.C0 @ yd0), np.array(k)
 
-    def tables(self, ap, am, bp, bm) -> tuple[np.ndarray, ...]:
-        """(A, B, C, D) at moments (a, b) per side: one row for scalar
-        moments, a row per entry for 1-D arrays of them."""
-        ap, am, bp, bm = (np.asarray(v, dtype=float)[..., None] for v in (ap, am, bp, bm))
+    def tables(self, ap: float, am: float, bp: float, bm: float) -> tuple[np.ndarray, ...]:
+        """(A, B, C, D) at moments (a, b) per side."""
         with np.errstate(over="ignore", invalid="ignore"):
             return tuple(c + v for c, v in zip((self.A0, self.B0, self.C0, self.D0), self.linear(ap, am, bp, bm)))
 
-    def gibbs(self, A, B, C, D) -> tuple[np.ndarray, np.ndarray]:
+    def gibbs(self, A, B, C, D) -> tuple[float, np.ndarray]:
         """log Z and the normalized Gibbs weights exp(exponent) * w / Z of the
-        exponent A_i + B_j + C_i D_j per row: A and C run over the eps+ nodes,
-        B and D over the eps- nodes, on the last axis. A row that is -inf at
-        every node has log Z = -inf and zero weights."""
+        exponent A_i + B_j + C_i D_j: A and C run over the eps+ nodes, B and D
+        over the eps- nodes. An exponent that is -inf at every node has
+        log Z = -inf and zero weights."""
         with np.errstate(over="ignore", invalid="ignore"):
-            e = C[..., :, None] * D[..., None, :]
-            e += (A + self.logw)[..., :, None]
-            e += (B + self.logw)[..., None, :]
-        m = np.max(e, axis=(-2, -1), keepdims=True)
-        # a nan or +inf term, of the exponent or after its log weight, is its row's max
-        if not np.all(m < math.inf):
+            e = C[:, None] * D[None, :]
+            e += (A + self.logw)[:, None]
+            e += (B + self.logw)[None, :]
+        m = float(np.max(e))
+        # a nan or +inf term, of the exponent or after its log weight, is the max
+        if not m < math.inf:
             raise ValueError("integrand overflow")
-        e -= np.where(m == -math.inf, 0.0, m)
+        if m == -math.inf:
+            return m, np.zeros_like(e)
+        e -= m
         p = np.exp(e, out=e)
-        # the largest shifted term is exp(0) = 1, so only a row that is -inf
-        # everywhere sums to 0; dividing it by 1 keeps its weights and log Z
-        total = np.sum(p, axis=(-2, -1), keepdims=True)
-        total[total == 0.0] = 1.0
+        # the largest shifted term is exp(0) = 1, so the sum is at least 1
+        total = np.sum(p)
         p /= total
-        return (m + np.log(total))[..., 0, 0], p
+        return float(m + np.log(total)), p
 
 
 @dataclass(frozen=True)
@@ -237,31 +234,6 @@ def concavity_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta:
     (moments eliminated via the envelopes) is concave over the mean box."""
     sp, sm = summaries
     return sp.variance * sm.variance >= delta * delta
-
-
-def worst_case_objective(
-    model: SpreadModel, domain: SpreadDomain, summaries: tuple[EmpiricalSummary, EmpiricalSummary], delta: float,
-    alpha_plus, alpha_minus,
-):
-    """Objective -gamma * integral(M) with second moments pinned at their
-    adversarial envelopes for the given means: scalar means give a float,
-    arrays of paired means an array of their broadcast shape. A +inf or nan
-    exponent is an overflowed integrand; -inf vanishes and gives -0.0."""
-    sp, sm = summaries
-    bp = theorem_beta_envelope(sp, delta, alpha_plus)
-    bm = theorem_beta_envelope(sm, delta, alpha_minus)
-    ap, am, bp, bm = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha_plus, alpha_minus, bp, bm)))
-    ev = _GridEvaluator(model, domain)
-    tabs = ev.tables(*(v.ravel() for v in (ap, am, bp, bm)))
-    chunk = max(1, _CHUNK_NODES // domain.grid_n ** 2)
-    lz = np.concatenate([np.empty(0)] + [ev.gibbs(*(v[s : s + chunk] for v in tabs))[0]
-                                         for s in range(0, ap.size, chunk)])
-    with np.errstate(over="ignore"):
-        out = (-model.gamma * np.exp(lz)).reshape(ap.shape)
-    if not np.all(np.isfinite(out)):
-        # finite exponents, unrepresentable objective
-        raise ValueError("integrand overflow")
-    return float(out) if out.ndim == 0 else out
 
 
 def _log_mass_in_t(ev: _GridEvaluator, moments: MomentSet,
@@ -293,7 +265,7 @@ def _log_mass_in_t(ev: _GridEvaluator, moments: MomentSet,
         hess = np.array([[hpp, hpm], [hpm, hmm]]) - np.outer(g, g)
         if not all(np.all(np.isfinite(v)) for v in (g, hess, gx)):
             raise ValueError("integrand overflow")
-    return float(lz), g, hess, gx
+    return lz, g, hess, gx
 
 
 def solve_inner(

@@ -81,7 +81,7 @@ def envelope_check_rows(side: str, measure: DiscreteMeasure, summary: EmpiricalS
         alpha = summary.alpha_n + frac * root
         checks.append((f"beta_upper[{at},t={frac:g}]", theorem_beta_envelope(summary, delta, alpha),
                        "max_second_moment", alpha, tol))
-    # the printed lower envelope, which misses beta_n; beta_bounds gives the exact end
+    # the printed lower envelope, which misses beta_n and is not the exact lower end
     alpha = summary.alpha_n
     checks.append((f"beta_lower_raw[{at}]", beta_lower_raw(summary, delta, alpha),
                    "min_second_moment", alpha, None))

@@ -27,7 +27,6 @@ from robustmm import (
     moment_matrices,
     theorem_beta_envelope,
     w2_squared,
-    worst_case_objective,
 )
 from robustmm.moments import MomentSet, check_radius
 from robustmm.policy import _NEWTON_MAX_ITER, _NEWTON_TOL, _GridEvaluator, _log_mass_in_t
@@ -282,45 +281,76 @@ def mean_box(summaries, delta, margin_frac: float = 1e-9):
     return lo, hi
 
 
-def _grid_fallback(fun_batch, lo: np.ndarray, hi: np.ndarray, fun, n: int = 201):
-    """Exhaustive scan of the mean box plus a shrinking pattern search."""
-    gp = np.linspace(lo[0], hi[0], n)
-    gm = np.linspace(lo[1], hi[1], n)
-    pp, mm = np.meshgrid(gp, gm, indexing="ij")
-    vals = fun_batch(pp.ravel(), mm.ravel())
+def beta_bounds(summary, delta: float, alpha: float) -> tuple[float, float]:
+    """The exact second-moment range at mean alpha: the budget leaves |sd - sd_n| <= r,
+    r = sqrt(delta - (alpha - alpha_n)^2), so it is [alpha^2 + max(sd_n - r, 0)^2,
+    theorem_beta_envelope], and an infeasible alpha or radius raises."""
+    upper, dev = theorem_beta_envelope(summary, delta, alpha), alpha - summary.alpha_n
+    low_sd = max(math.sqrt(summary.variance) - math.sqrt(max(delta - dev * dev, 0.0)), 0.0)
+    return alpha * alpha + low_sd * low_sd, upper
+
+
+def _side_terms(a, summary, delta, f, h):
+    """One side's mean fills m = f + a h and variance terms v h^2 for a column of means a:
+    v = b - a^2 with b = (sd_n + r)^2 + a^2 at its envelope, r = sqrt(delta - (a - alpha_n)^2)."""
+    r = np.sqrt(np.maximum(delta - (a - summary.alpha_n) ** 2, 0.0))
+    b = (math.sqrt(summary.variance) + r) ** 2 + a * a
+    return f + a * h, (b - a * a) * h * h
+
+
+def worst_case_objective(model, domain, summaries, delta, alpha_plus, alpha_minus, chunk_nodes=100_000):
+    """The solve's objective -gamma * integral(M) at paired means inside the mean box, with
+    second moments at their envelopes: scalar means give a float, 1-D arrays an array.
+    Written from the policy docstring's exponent on every node,
+
+        gamma * exponent = (S + eps+) m+ - (S - eps-) m- - eta [(Q + m+ - m-)^2 + v+ h+^2 + v- h-^2],
+
+    so it shares no code with the Gibbs kernel."""
+    x, w, eta = domain.axis_nodes, domain.axis_weights, model.eta
+    curves = [np.asarray(c(x), dtype=float) for c in (model.f_plus, model.h_plus, model.f_minus, model.h_minus)]
+    ap, am = (np.atleast_1d(a).astype(float)[:, None] for a in (alpha_plus, alpha_minus))
+    out = np.empty(len(ap))
+    # mean pairs per chunk, about chunk_nodes nodes each, in two reused tables
+    step = min(len(out), max(1, chunk_nodes // x.size ** 2))
+    e_buf, u_buf = np.empty((2, step, x.size, x.size))
+    for start in range(0, len(out), step):
+        rows = slice(start, start + step)
+        mp, vp = _side_terms(ap[rows], summaries[0], delta, *curves[:2])
+        mm, vm = _side_terms(am[rows], summaries[1], delta, *curves[2:])
+        e, u = e_buf[:len(mp)], u_buf[:len(mp)]
+        np.add(((model.S + x) * mp - eta * vp)[:, :, None], (-(model.S - x) * mm - eta * vm)[:, None, :], out=e)
+        np.subtract((model.Q + mp)[:, :, None], mm[:, None, :], out=u)
+        u *= u
+        u *= eta
+        e -= u
+        e /= model.gamma
+        np.exp(e, out=e)
+        out[rows] = e.reshape(len(mp), -1) @ np.outer(w, w).ravel()
+    out *= -model.gamma
+    assert np.all(np.isfinite(out)), "integrand overflow"
+    return float(out[0]) if np.ndim(alpha_plus) == 0 and np.ndim(alpha_minus) == 0 else out
+
+
+def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
+    """Grid-search oracle: exhaustive lattice scan of the mean box plus a shrinking
+    pattern refinement, independent of the solver's Newton iteration."""
+    lo, hi = mean_box(summaries, delta)
+    gp, gm = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
+    pp, mm = (v.ravel() for v in np.meshgrid(gp, gm, indexing="ij"))
+    vals = worst_case_objective(model, domain, summaries, delta, pp, mm)
     k = int(np.argmax(vals))
-    x = np.array([pp.ravel()[k], mm.ravel()[k]])
-    best = float(vals[k])
-    step = max(gp[1] - gp[0] if n > 1 else 1.0, gm[1] - gm[0] if n > 1 else 1.0)
-    floor = 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
+    x, best = np.array([pp[k], mm[k]]), float(vals[k])
+    step, floor = max(gp[1] - gp[0], gm[1] - gm[0]), 1e-12 * max(hi[0] - lo[0], hi[1] - lo[1], 1.0)
     while step > floor:
         improved = False
         for d in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             cand = np.clip(x + d, lo, hi)
-            v = fun(cand)
-            if v > best + 0.0:
-                best = v
-                x = cand
-                improved = True
+            v = worst_case_objective(model, domain, summaries, delta, float(cand[0]), float(cand[1]))
+            if v > best:
+                best, x, improved = v, cand, True
         if not improved:
             step *= 0.5
-    return x, best
-
-
-def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
-    """Grid-search oracle: exhaustive lattice scan plus a shrinking
-    pattern refinement, independent of the solver's Newton iteration."""
-    lo, hi = mean_box(summaries, delta)
-
-    def fun(x):
-        return worst_case_objective(model, domain, summaries, delta,
-                                    float(x[0]), float(x[1]))
-
-    def fun_batch(ap, am):
-        return worst_case_objective(model, domain, summaries, delta, ap, am)
-
-    _, best = _grid_fallback(fun_batch, lo, hi, fun, n=n)
-    return float(best)
+    return best
 
 
 def nine_start_solve(model, domain, summaries, delta):

@@ -29,14 +29,13 @@ from robustmm import (
     simulate_batch,
     solve_inner,
     theorem_beta_envelope,
-    worst_case_objective,
 )
 from robustmm.cli import main
 from robustmm.policy import _GridEvaluator
 from robustmm.validation import BRACKET_SLACK
 
 from helpers import (GaussianLaw, exponent_table, fd_hessian, mean_box, one_shot_batch, rand_instance, rand_samples,
-                     refined_grid_max)
+                     refined_grid_max, worst_case_objective)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

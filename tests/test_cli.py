@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import robustmm.validation as validation
-from robustmm import (SpreadDomain, __version__, build_policy, constant, empirical_moments, read_sample_csv,
-                      solve_inner, worst_case_objective)
+from robustmm import SpreadDomain, __version__, build_policy, constant, empirical_moments, read_sample_csv, solve_inner
 from robustmm.cli import _atomic_write, main
 from robustmm.config import _KNOWN_KEYS, _SCALAR_KEYS, ConfigError, parse_config
+
+from helpers import worst_case_objective
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

