@@ -298,9 +298,10 @@ def _side_terms(a, summary, delta, f, h):
     return f + a * h, (b - a * a) * h * h
 
 
-def worst_case_objective(model, domain, summaries, delta, alpha_plus, alpha_minus, chunk_nodes=100_000):
+def worst_case_objective(model, domain, summaries, delta, alpha_plus, alpha_minus):
     """The solve's objective -gamma * integral(M) at paired means inside the mean box, with
-    second moments at their envelopes: scalar means give a float, 1-D arrays an array.
+    second moments at their envelopes: an array over the pairs of two 1-D arrays of means
+    (a scalar counts as one pair).
     Written from the policy docstring's exponent on every node,
 
         gamma * exponent = (S + eps+) m+ - (S - eps-) m- - eta [(Q + m+ - m-)^2 + v+ h+^2 + v- h-^2],
@@ -310,8 +311,8 @@ def worst_case_objective(model, domain, summaries, delta, alpha_plus, alpha_minu
     curves = [np.asarray(c(x), dtype=float) for c in (model.f_plus, model.h_plus, model.f_minus, model.h_minus)]
     ap, am = (np.atleast_1d(a).astype(float)[:, None] for a in (alpha_plus, alpha_minus))
     out = np.empty(len(ap))
-    # mean pairs per chunk, about chunk_nodes nodes each, in two reused tables
-    step = min(len(out), max(1, chunk_nodes // x.size ** 2))
+    # mean pairs per chunk, about 1e5 nodes each, in two reused tables
+    step = min(len(out), max(1, 100_000 // x.size ** 2))
     e_buf, u_buf = np.empty((2, step, x.size, x.size))
     for start in range(0, len(out), step):
         rows = slice(start, start + step)
@@ -328,7 +329,7 @@ def worst_case_objective(model, domain, summaries, delta, alpha_plus, alpha_minu
         out[rows] = e.reshape(len(mp), -1) @ np.outer(w, w).ravel()
     out *= -model.gamma
     assert np.all(np.isfinite(out)), "integrand overflow"
-    return float(out[0]) if np.ndim(alpha_plus) == 0 and np.ndim(alpha_minus) == 0 else out
+    return out
 
 
 def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
@@ -345,7 +346,7 @@ def refined_grid_max(model, domain, summaries, delta, n: int = 201) -> float:
         improved = False
         for d in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             cand = np.clip(x + d, lo, hi)
-            v = worst_case_objective(model, domain, summaries, delta, float(cand[0]), float(cand[1]))
+            v = float(worst_case_objective(model, domain, summaries, delta, cand[0], cand[1])[0])
             if v > best:
                 best, x, improved = v, cand, True
         if not improved:
@@ -402,20 +403,20 @@ def nine_start_solve(model, domain, summaries, delta):
     assert any_converged
 
     ap, am = (np.array([s.alpha_n for s in summaries]) + math.sqrt(delta) * np.sin(best_t)).tolist()
-    bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (ap, am)))
-    return ap, am, float(-model.gamma * np.exp(ev.gibbs(*ev.tables(ap, am, bp, bm))[0])), total_iter
+    return ap, am, kernel_objective(model, domain, summaries, delta, ap, am), total_iter
+
+
+def kernel_objective(model, domain, summaries, delta, alpha_plus: float, alpha_minus: float) -> float:
+    """-gamma * Z at one mean pair through the solve's own envelope and Gibbs kernel."""
+    ev = _GridEvaluator(model, domain)
+    bp, bm = (theorem_beta_envelope(s, delta, a) for s, a in zip(summaries, (alpha_plus, alpha_minus)))
+    return float(-model.gamma * np.exp(ev.gibbs(*ev.tables(alpha_plus, alpha_minus, bp, bm))[0]))
 
 
 def fd_hessian(fun, x: np.ndarray, h: float) -> np.ndarray:
-    H = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            ei = np.zeros(2)
-            ei[i] = h
-            ej = np.zeros(2)
-            ej[j] = h
-            H[i, j] = (fun(x + ei + ej) - fun(x + ei - ej)
-                       - fun(x - ei + ej) + fun(x - ei - ej)) / (4.0 * h * h)
+    e = h * np.eye(2)
+    H = np.array([[(fun(x + e[i] + e[j]) - fun(x + e[i] - e[j]) - fun(x - e[i] + e[j]) + fun(x - e[i] - e[j]))
+                   / (4.0 * h * h) for j in range(2)] for i in range(2)])
     return 0.5 * (H + H.T)
 
 

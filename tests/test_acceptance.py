@@ -115,8 +115,7 @@ def test_03_concavity_certificate():
         width = hi - lo
 
         def fun(x):
-            return worst_case_objective(
-                model, dom, summaries, delta, float(x[0]), float(x[1]))
+            return float(worst_case_objective(model, dom, summaries, delta, x[0], x[1])[0])
 
         h = 2e-4 * float(np.min(width))
         for _ in range(20):

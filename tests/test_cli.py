@@ -388,7 +388,7 @@ def test_huge_intensity_on_zero_samples(tmp_path, capsys, delta, code):
     model, domain = parsed.require_model()
     summaries = tuple(empirical_moments(read_sample_csv(p, side))
                       for p, side in zip(parsed.require_samples(), ("buy", "sell")))
-    flat = worst_case_objective(replace(model, h_plus=constant(0.0)), domain, summaries, 0.0, 0.0, 0.0)
+    flat = worst_case_objective(replace(model, h_plus=constant(0.0)), domain, summaries, 0.0, 0.0, 0.0)[0]
     got = json.loads((tmp_path / "out" / "solution.json").read_text())["objective"]
     assert got == pytest.approx(flat, rel=1e-14)
 

@@ -35,6 +35,7 @@ from helpers import (
     binary_search_sample,
     exponent_table,
     fd_hessian,
+    kernel_objective,
     nine_start_solve,
     policy_with_masses,
     rand_instance,
@@ -589,8 +590,7 @@ def test_hessian_negative_under_certificate():
     root = math.sqrt(delta)
 
     def fun(x):
-        return worst_case_objective(model, dom, summaries, delta,
-                                    float(x[0]), float(x[1]))
+        return kernel_objective(model, dom, summaries, delta, float(x[0]), float(x[1]))
 
     for _ in range(5):
         u = rng.uniform(0.2, 0.8, size=2)
@@ -624,7 +624,7 @@ def test_log_mass_in_t_matches_theorem_envelope():
         lz = _log_mass_in_t(ev, moments, t)[0]
         assert lz == pytest.approx(ev.gibbs(*ev.tables(ap, am, bp, bm))[0], rel=1e-13, abs=1e-13)
         if np.all(np.abs(t) < math.pi / 2):
-            value = worst_case_objective(model, dom, summaries, delta, ap, am)
+            value = worst_case_objective(model, dom, summaries, delta, ap, am)[0]
             assert lz == pytest.approx(math.log(-value / model.gamma), rel=1e-13, abs=1e-13)
 
 
@@ -680,13 +680,13 @@ def test_zero_eta_mass_is_a_product_of_two_axis_sums():
         sp, sm = summaries
         ap = sp.alpha_n + rng.uniform(-1.0, 1.0, size=5) * math.sqrt(delta)
         am = sm.alpha_n + rng.uniform(-1.0, 1.0, size=5) * math.sqrt(delta)
-        got = worst_case_objective(model, dom, summaries, delta, ap, am)
         x, w = dom.axis_nodes, dom.axis_weights
         for k in range(5):
+            got = kernel_objective(model, dom, summaries, delta, float(ap[k]), float(am[k]))
             z_plus = np.sum(w * np.exp((model.S + x) * (model.f_plus(x) + ap[k] * model.h_plus(x)) / model.gamma))
             z_minus = np.sum(w * np.exp(-(model.S - x) * (model.f_minus(x) + am[k] * model.h_minus(x))
                                         / model.gamma))
-            assert got[k] == pytest.approx(-model.gamma * z_plus * z_minus, rel=1e-13)
+            assert got == pytest.approx(-model.gamma * z_plus * z_minus, rel=1e-13)
 
 
 def test_gibbs_layer_memory_stays_per_axis():
