@@ -40,7 +40,6 @@ from .policy import (
     validate_model_on_domain,
 )
 from .profile import (
-    MomentTarget,
     RadiusSelection,
     gram_bound_check,
     moment_matrices,
@@ -68,8 +67,7 @@ __all__ = [
     "SpreadModel", "build_policy", "concavity_check", "expected_reward", "sample_policy",
     "solve_inner", "validate_model_on_domain",
     # profile
-    "MomentTarget", "RadiusSelection", "gram_bound_check", "moment_matrices", "robust_profile",
-    "select_radius",
+    "RadiusSelection", "gram_bound_check", "moment_matrices", "robust_profile", "select_radius",
     # simulator
     "MetaDistribution", "ShiftRow", "ShiftSpec", "shift_experiment",
     "simulate_batch",

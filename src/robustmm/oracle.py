@@ -78,10 +78,6 @@ class DiscreteMeasure:
     def mean(self) -> float:
         return float(np.dot(self.weights, self.atoms))
 
-    def second_moment(self) -> float:
-        x = np.asarray(self.atoms)
-        return float(np.dot(self.weights, x * x))
-
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Atoms in stable ascending order, their weights and cumulative weights."""
@@ -129,15 +125,18 @@ def _dots(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([np.dot(w, row) for row in rows])[:, None]
 
 
-def moment_range_search(empirical: DiscreteMeasure, delta: float, objective: str | list[str],
-                        alpha: float | None | list[float | None] = None):
-    """Bracket an extremal moment over the ball of squared W2 radius delta.
+def moment_range_search(empirical: DiscreteMeasure, delta: float, objectives: list[str],
+                        alphas: list[float | None]) -> list[tuple[float, float]]:
+    """Bracket extremal moments over the ball of squared W2 radius delta.
 
-    objective is max_mean, min_mean, max_second_moment or
-    min_second_moment; the second-moment objectives fix the mean at alpha.
-    Returns (value, bound) with the extremum between them. value is the
-    moment of a witness measure that w2_squared prices within delta, except
-    on the edge (below), where the price may exceed delta by rounding.
+    objectives and alphas are equal-length lists, one row each. An objective
+    is max_mean, min_mean, max_second_moment or min_second_moment; the
+    second-moment objectives fix the mean at the row's alpha (None on the
+    mean rows). The rows share one sort of the atoms and one array pass over
+    them. Each row gives (value, bound) with the extremum between them.
+    value is the moment of a witness measure that w2_squared prices within
+    delta, except on the edge (below), where the price may exceed delta by
+    rounding.
     bound is the weak-duality value over couplings
 
         lam delta + mu a + sum_i w_i sup_u [phi(u) - mu u - lam (u - d_i)^2]
@@ -163,19 +162,16 @@ def moment_range_search(empirical: DiscreteMeasure, delta: float, objective: str
     the float spacing at 1.
     Nothing here uses the analytic envelopes, so agreement with them is
     evidence, not tautology.
-
-    objective and alpha may also be equal-length sequences, one row each
-    (alpha None on the mean rows). The rows share one sort of the atoms and
-    one array pass over them, and the result is a list of (value, bound).
     """
-    single = isinstance(objective, str)
-    rows = _bracket(empirical, delta, [objective] if single else objective, [alpha] if single else alpha)
-    return rows[0][2:] if single else [row[2:] for row in rows]
+    return [row[2:] for row in _bracket(empirical, delta, objectives, alphas)]
 
 
 def _bracket(empirical: DiscreteMeasure, delta: float, objectives: list[str],
              alphas: list[float | None]) -> list[tuple[np.ndarray, np.ndarray, float, float]]:
     """Per row of moment_range_search: the witness atoms and weights, value and bound."""
+    if not objectives or len(objectives) != len(alphas):
+        raise ValueError("objectives and alphas must be non-empty lists of equal length, "
+                         f"got {len(objectives)} and {len(alphas)}")
     for objective, alpha in zip(objectives, alphas):
         if objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {tuple(_OBJECTIVES)}, got {objective!r}")

@@ -45,35 +45,14 @@ def _check_targets(alpha: np.ndarray, sigma: np.ndarray) -> None:
     (k, 2, 2): finite, symmetric, each diagonal entry at least the squared
     mean, both up to 1e-12 times the row's scale 1 + max |sigma|."""
     if alpha.ndim != 2 or alpha.shape[1] != 2 or not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha must be two finite numbers")
+        raise ValueError(f"alpha must be a finite (k, 2) stack, got shape {alpha.shape}")
     if sigma.shape != (len(alpha), 2, 2) or not np.all(np.isfinite(sigma)):
-        raise ValueError("sigma must be a finite 2x2 matrix")
+        raise ValueError(f"sigma must be a finite (k, 2, 2) stack with k = {len(alpha)}, got shape {sigma.shape}")
     slack = 1e-12 * (1.0 + np.max(np.abs(sigma), axis=(1, 2)))
     if np.any(np.abs(sigma[:, 0, 1] - sigma[:, 1, 0]) > slack):
         raise ValueError("sigma must be symmetric")
     if np.any(np.diagonal(sigma, axis1=1, axis2=2) < alpha * alpha - slack[:, None]):
         raise ValueError("diagonal of sigma must dominate squared means")
-
-
-@dataclass(frozen=True)
-class MomentTarget:
-    """Candidate mean vector (buy, sell) and 2x2 second-moment matrix."""
-
-    alpha: tuple[float, float]
-    sigma: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=float)
-        sig = np.asarray(self.sigma, dtype=float)
-        _check_targets(alpha[None], sig[None])
-        object.__setattr__(self, "alpha", tuple(alpha.tolist()))
-        object.__setattr__(self, "sigma", tuple(map(tuple, sig.tolist())))
-
-    @classmethod
-    def from_moments(cls, alpha_plus: float, alpha_minus: float,
-                     beta_plus: float, beta_minus: float) -> "MomentTarget":
-        """Product-measure structure: off-diagonal is the product of means."""
-        return cls(*product_moments(alpha_plus, alpha_minus, beta_plus, beta_minus))
 
 
 def product_moments(alpha_plus, alpha_minus, beta_plus, beta_minus) -> tuple[np.ndarray, np.ndarray]:
@@ -90,19 +69,15 @@ def moment_matrices(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> tup
     return product_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
 
 
-def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    scale = max(abs(sigma[0, 0]), abs(sigma[1, 1]), 1e-300)
-    if abs(det) <= _DET_TOL * scale * scale:
-        raise ValueError("degenerate empirical covariance")
-    return np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
-
-
 def _gram(summaries: tuple[EmpiricalSummary, EmpiricalSummary]):
     """(alpha_n, Sigma_n, P, g); raises unless Sigma_n is nonsingular and g < 1.
     A constant side makes g exactly 1, which rounding can put just below it."""
     alpha, sigma = moment_matrices(summaries)
-    p = _sigma_inverse(sigma)
+    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
+    scale = max(abs(sigma[0, 0]), abs(sigma[1, 1]), 1e-300)
+    if abs(det) <= _DET_TOL * scale * scale:
+        raise ValueError("degenerate empirical covariance")
+    p = np.array([[sigma[1, 1], -sigma[0, 1]], [-sigma[1, 0], sigma[0, 0]]]) / det
     g = float(alpha @ p @ alpha)
     if g >= 1.0 - _DET_TOL:
         raise ValueError(f"gram bound violated: alpha_n' P alpha_n = {g!r} >= 1 (one side is constant)")
@@ -115,21 +90,17 @@ def gram_bound_check(summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> fl
     return _gram(summaries)[3]
 
 
-def profile_batch(alpha: np.ndarray, sigma: np.ndarray,
-                  summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> np.ndarray:
-    """Profile values R for a stack of targets, means alpha (k, 2) and second-moment
-    matrices sigma (k, 2, 2) under MomentTarget's rules; n is summaries[0].n."""
+def robust_profile(alpha: np.ndarray, sigma: np.ndarray,
+                   summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> np.ndarray:
+    """Profile values R for a stack of k targets, means alpha (k, 2) and
+    second-moment matrices sigma (k, 2, 2) under _check_targets' rules, against
+    the empirical summaries; n is summaries[0].n."""
     _check_targets(alpha, sigma)
     alpha_n, sigma_n, p, g = _gram(summaries)
     d = sigma_n - sigma
     v = alpha - alpha_n + d @ (p @ alpha_n)
     trace = np.einsum("kij,ji->k", d @ d, p)
     return (np.einsum("ki,ki->k", v, v) / (1.0 - g) + 3.0 * trace) / (4.0 * summaries[0].n)
-
-
-def robust_profile(target: MomentTarget, summaries: tuple[EmpiricalSummary, EmpiricalSummary]) -> float:
-    """Profile value R(alpha*, Sigma*) against the empirical summaries."""
-    return float(profile_batch(np.array([target.alpha]), np.array([target.sigma]), summaries)[0])
 
 
 @dataclass(frozen=True)
@@ -193,7 +164,7 @@ def select_radius(
             seconds[side, start:start + len(block)] = (block * block).mean(axis=1)
 
     # one product-measure target per round
-    values = profile_batch(*product_moments(means[0], means[1], seconds[0], seconds[1]), summaries)
+    values = robust_profile(*product_moments(means[0], means[1], seconds[0], seconds[1]), summaries)
     q = float(np.quantile(values, 1.0 - chi, method="higher"))
     q = max(q, 0.0)  # the trace term can round below zero
     return RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q, gram_bound=g)

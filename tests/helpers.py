@@ -14,7 +14,6 @@ import numpy as np
 
 from robustmm import (
     DiscreteMeasure,
-    MomentTarget,
     PolicyGrid,
     SampleSet,
     SpreadDomain,
@@ -436,15 +435,16 @@ def product_w2_squared(
     return w2_squared(p1, q1) + w2_squared(p2, q2)
 
 
-def robust_profile_scalar(target: MomentTarget, summaries, n: int) -> float:
-    """The profile formula for one target, term by term with 2x2 matrix
-    products and the adjugate inverse: the oracle for the batched kernel."""
+def robust_profile_scalar(alpha: np.ndarray, sigma: np.ndarray, summaries, n: int) -> float:
+    """The profile formula for one target, means alpha (2,) and second-moment
+    matrix sigma (2, 2), term by term with 2x2 matrix products and the
+    adjugate inverse: the oracle for the stacked kernel."""
     alpha_n, sigma_n = moment_matrices(summaries)
     (s00, s01), (s10, s11) = sigma_n
     p = np.array([[s11, -s01], [-s10, s00]]) / (s00 * s11 - s01 * s10)
     g = float(alpha_n @ p @ alpha_n)
-    d = sigma_n - np.asarray(target.sigma)
-    da = np.asarray(target.alpha) - alpha_n
+    d = sigma_n - sigma
+    da = alpha - alpha_n
     dpa = d @ (p @ alpha_n)
     denom4 = 4.0 * n * (1.0 - g)
     t1 = float(da @ da) / denom4
@@ -455,15 +455,16 @@ def robust_profile_scalar(target: MomentTarget, summaries, n: int) -> float:
     return t1 + t2 + t3 + t4 + t5
 
 
-def pair_average_quadratic(target: MomentTarget,
+def pair_average_quadratic(sigma: np.ndarray,
                            samples_plus: SampleSet,
                            samples_minus: SampleSet) -> float:
-    """E[u' P D^2 P u] over the empirical product measure, evaluated as the
+    """E[u' P D^2 P u] over the empirical product measure, with D = Sigma_n -
+    sigma for a target second-moment matrix sigma (2, 2), evaluated as the
     literal average over all n^2 sample pairs; cross-checks the trace form."""
     summaries = (empirical_moments(samples_plus), empirical_moments(samples_minus))
     _, sigma_n = moment_matrices(summaries)
     p = np.linalg.inv(sigma_n)
-    d = sigma_n - np.asarray(target.sigma)
+    d = sigma_n - sigma
     q = p @ d @ d @ p
     xp = samples_plus.as_array()
     xm = samples_minus.as_array()
@@ -473,3 +474,9 @@ def pair_average_quadratic(target: MomentTarget,
         + (q[0, 1] + q[1, 0]) * np.mean(xp) * np.mean(xm)
     )
     return float(total)
+
+
+def second_moment(measure: DiscreteMeasure) -> float:
+    """E[X^2] under a discrete measure."""
+    x = np.asarray(measure.atoms)
+    return float(np.dot(measure.weights, x * x))

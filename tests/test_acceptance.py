@@ -14,7 +14,6 @@ import numpy as np
 from robustmm import (
     DiscreteMeasure,
     EmpiricalSummary,
-    MomentTarget,
     RobustSolution,
     SampleSet,
     alpha_range,
@@ -23,6 +22,7 @@ from robustmm import (
     empirical_moments,
     expected_reward,
     gram_bound_check,
+    moment_matrices,
     moment_range_search,
     robust_profile,
     select_radius,
@@ -32,6 +32,7 @@ from robustmm import (
 )
 from robustmm.cli import main
 from robustmm.policy import _GridEvaluator
+from robustmm.profile import product_moments
 from robustmm.validation import BRACKET_SLACK
 
 from helpers import (GaussianLaw, exponent_table, fd_hessian, mean_box, one_shot_batch, rand_instance, rand_samples,
@@ -68,12 +69,12 @@ def test_01_moment_bounds_match_oracle():
         for delta in (0.01, 0.04, 0.25):
             lo, hi = alpha_range(summary, delta)
             for objective, ref in (("max_mean", hi), ("min_mean", lo)):
-                check(ref, moment_range_search(measure, delta, objective))
+                check(ref, moment_range_search(measure, delta, [objective], [None])[0])
             root = math.sqrt(delta)
             for frac in (-0.8, -0.4, 0.0, 0.4, 0.8):
                 alpha = summary.alpha_n + frac * root
                 ref = theorem_beta_envelope(summary, delta, alpha)
-                check(ref, moment_range_search(measure, delta, "max_second_moment", alpha=alpha))
+                check(ref, moment_range_search(measure, delta, ["max_second_moment"], [alpha])[0])
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and outside == 0 and elapsed <= 120.0
     report(1, "moment bounds match transport oracle", ok,
@@ -219,15 +220,14 @@ def test_06_profile_sanity():
         summaries = (empirical_moments(buy), empirical_moments(sell))
         sp, sm = summaries
         worst_gram = max(worst_gram, gram_bound_check(summaries))
-        center = MomentTarget.from_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        worst_center = max(worst_center, abs(robust_profile(center, summaries)))
+        alpha_n, sigma_n = moment_matrices(summaries)
+        worst_center = max(worst_center, abs(robust_profile(alpha_n[None], sigma_n[None], summaries)[0]))
         for _ in range(5):
             ap = sp.alpha_n + rng.normal(0, 0.2)
             am = sm.alpha_n + rng.normal(0, 0.2)
             bp = max(sp.beta_n * rng.uniform(0.7, 1.4), ap * ap + 1e-6)
             bm = max(sm.beta_n * rng.uniform(0.7, 1.4), am * am + 1e-6)
-            target = MomentTarget.from_moments(float(ap), float(am), float(bp), float(bm))
-            worst_neg = min(worst_neg, robust_profile(target, summaries))
+            worst_neg = min(worst_neg, robust_profile(*product_moments([ap], [am], [bp], [bm]), summaries)[0])
     ok = worst_center <= 1e-12 and worst_neg >= -1e-12 and worst_gram < 1.0
     report(6, "profile zero at center, nonnegative, gram bound", ok,
            f"|R(center)| {worst_center:.1e}, min R {worst_neg:.1e}, max gram {worst_gram:.4f}")
@@ -265,7 +265,7 @@ def test_08_radius_covers_true_moments():
     rng = np.random.default_rng(108)
     n = 100
     draws = 500
-    truth = MomentTarget.from_moments(0.0, 0.0, 1.0, 1.0)
+    truth = product_moments([0.0], [0.0], [1.0], [1.0])
     hits = 0
     for _ in range(draws):
         buy = SampleSet("buy", tuple(rng.standard_normal(n)))
@@ -273,7 +273,7 @@ def test_08_radius_covers_true_moments():
         sel = select_radius(buy, sell, chi=0.1, resamples=300,
                             rng_seed=int(rng.integers(0, 2**63)))
         summaries = (empirical_moments(buy), empirical_moments(sell))
-        if robust_profile(truth, summaries) <= 2.0 * sel.delta_hat**2:
+        if robust_profile(*truth, summaries)[0] <= 2.0 * sel.delta_hat**2:
             hits += 1
     rate = hits / draws
     ok = rate >= 0.88

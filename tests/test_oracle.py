@@ -20,7 +20,8 @@ import robustmm.validation
 from robustmm.oracle import _bracket, _merge, _price
 from robustmm.validation import BRACKET_SLACK
 
-from helpers import beta_bounds, product_w2_squared, reference_bracket, reference_w2_squared, w2_distance
+from helpers import (beta_bounds, product_w2_squared, reference_bracket, reference_w2_squared, second_moment,
+                     w2_distance)
 
 
 def lp_w2_squared(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -140,16 +141,16 @@ def test_measure_rejects_bad_weights():
 def test_max_mean_two_symmetric_atoms():
     # budget 0.25 lets both atoms translate by 0.5 exactly
     emp = DiscreteMeasure((-1.0, 1.0), (0.5, 0.5))
-    best = moment_range_search(emp, 0.25, "max_mean")
+    best = moment_range_search(emp, 0.25, ["max_mean"], [None])[0]
     assert best == pytest.approx((0.5, 0.5), rel=1e-6, abs=1e-7)
-    worst = moment_range_search(emp, 0.25, "min_mean")
+    worst = moment_range_search(emp, 0.25, ["min_mean"], [None])[0]
     assert worst == pytest.approx((-0.5, -0.5), rel=1e-6, abs=1e-7)
 
 
 def test_max_second_moment_matches_envelope_at_center():
     emp = DiscreteMeasure((-1.0, 1.0), (0.5, 0.5))
     s = empirical_moments(SampleSet("buy", (-1.0, 1.0)))
-    got = moment_range_search(emp, 0.25, "max_second_moment", alpha=0.0)
+    got = moment_range_search(emp, 0.25, ["max_second_moment"], [0.0])[0]
     want = theorem_beta_envelope(s, 0.25, 0.0)
     assert want == pytest.approx(2.25, rel=1e-15)
     assert got == pytest.approx((want, want), rel=1e-4)
@@ -160,17 +161,17 @@ def test_search_at_zero_radius_returns_empirical():
     emp = DiscreteMeasure((0.3, 0.9, 1.2), (0.25, 0.5, 0.25))
     for objective in ("max_mean", "min_mean"):
         mean = emp.mean()
-        assert moment_range_search(emp, 0.0, objective) == pytest.approx((mean, mean), abs=1e-15)
+        assert moment_range_search(emp, 0.0, [objective], [None])[0] == pytest.approx((mean, mean), abs=1e-15)
     for objective in ("max_second_moment", "min_second_moment"):
-        second = emp.second_moment()
-        assert moment_range_search(emp, 0.0, objective, alpha=emp.mean()) == pytest.approx(
+        second = second_moment(emp)
+        assert moment_range_search(emp, 0.0, [objective], [emp.mean()])[0] == pytest.approx(
             (second, second), abs=1e-15)
 
 
 def test_search_rejects_unreachable_alpha():
     emp = DiscreteMeasure((0.5, 1.0), (0.5, 0.5))
     with pytest.raises(ValueError, match="no feasible measure"):
-        moment_range_search(emp, 0.01, "max_second_moment", alpha=2.0)
+        moment_range_search(emp, 0.01, ["max_second_moment"], [2.0])
 
 
 @pytest.mark.parametrize("objective", ["max_second_moment", "min_second_moment"])
@@ -178,13 +179,21 @@ def test_search_rejects_unreachable_alpha():
 def test_search_rejects_non_finite_alpha(objective, alpha):
     emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
     with pytest.raises(ValueError, match="finite mean constraint"):
-        moment_range_search(emp, 0.1, objective, alpha=alpha)
+        moment_range_search(emp, 0.1, [objective], [alpha])
+
+
+def test_search_rejects_rows_of_unequal_length():
+    # one alpha per objective and at least one row; an extra alpha is not dropped
+    emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
+    for objectives, alphas in ((["max_mean", "min_mean"], [None]), (["max_second_moment"], [0.7, 0.6]), ([], [])):
+        with pytest.raises(ValueError, match="non-empty lists of equal length"):
+            moment_range_search(emp, 0.1, objectives, alphas)
 
 
 def test_search_rejects_unknown_objective():
     emp = DiscreteMeasure((0.5, 1.0), (0.5, 0.5))
     with pytest.raises(ValueError):
-        moment_range_search(emp, 0.01, "median")
+        moment_range_search(emp, 0.01, ["median"], [None])
 
 
 def test_mean_endpoints_against_closed_form():
@@ -194,8 +203,7 @@ def test_mean_endpoints_against_closed_form():
         emp = DiscreteMeasure.from_samples(SampleSet("buy", vals))
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.01, 0.3))
-        hi, _ = moment_range_search(emp, delta, "max_mean")
-        lo, _ = moment_range_search(emp, delta, "min_mean")
+        (hi, _), (lo, _) = moment_range_search(emp, delta, ["max_mean", "min_mean"], [None, None])
         root = np.sqrt(delta)
         assert hi == pytest.approx(s.alpha_n + root, rel=1e-5)
         assert lo == pytest.approx(s.alpha_n - root, rel=1e-5)
@@ -210,7 +218,7 @@ def test_envelope_against_oracle_random():
         delta = float(rng.uniform(0.02, 0.3))
         frac = float(rng.uniform(-0.8, 0.8))
         alpha = s.alpha_n + frac * np.sqrt(delta)
-        got, _ = moment_range_search(emp, delta, "max_second_moment", alpha=float(alpha))
+        got, _ = moment_range_search(emp, delta, ["max_second_moment"], [float(alpha)])[0]
         want = theorem_beta_envelope(s, delta, float(alpha))
         assert got == pytest.approx(want, rel=1e-4)
 
@@ -223,11 +231,12 @@ def test_searches_at_the_six_atom_cap():
     s = empirical_moments(SampleSet("buy", vals))
     delta = 0.04
     lo, hi = alpha_range(s, delta)
-    assert moment_range_search(emp, delta, "max_mean") == pytest.approx((hi, hi), rel=1e-6)
-    assert moment_range_search(emp, delta, "min_mean") == pytest.approx((lo, lo), rel=1e-6)
+    top, bottom = moment_range_search(emp, delta, ["max_mean", "min_mean"], [None, None])
+    assert top == pytest.approx((hi, hi), rel=1e-6)
+    assert bottom == pytest.approx((lo, lo), rel=1e-6)
     alpha = s.alpha_n + 0.4 * math.sqrt(delta)
     beta = theorem_beta_envelope(s, delta, alpha)
-    got = moment_range_search(emp, delta, "max_second_moment", alpha=alpha)
+    got = moment_range_search(emp, delta, ["max_second_moment"], [alpha])[0]
     assert got == pytest.approx((beta, beta), rel=1e-6)
     # the envelope is the budget boundary, so reaching it costs delta
     assert min_cost_given_moments(emp, alpha, beta) == pytest.approx(delta, rel=1e-6)
@@ -235,7 +244,7 @@ def test_searches_at_the_six_atom_cap():
 
 def test_min_cost_zero_at_empirical_moments():
     emp = DiscreteMeasure((0.2, 0.8, 1.1), (1 / 3, 1 / 3, 1 / 3))
-    cost = min_cost_given_moments(emp, emp.mean(), emp.second_moment())
+    cost = min_cost_given_moments(emp, emp.mean(), second_moment(emp))
     assert cost <= 1e-10
 
 
@@ -283,7 +292,7 @@ def test_min_cost_is_a_lower_bound():
     for _ in range(200):
         emp = rand_measure(rng, max_atoms=8)
         target = rand_measure(rng, max_atoms=8)
-        cost = min_cost_given_moments(emp, target.mean(), target.second_moment())
+        cost = min_cost_given_moments(emp, target.mean(), second_moment(target))
         assert cost <= w2_squared(emp, target) * (1.0 + 1e-12) + 1e-15
 
 
@@ -311,14 +320,14 @@ def test_from_points_rejects_empty():
 def test_search_rejects_non_finite_radius(delta):
     emp = DiscreteMeasure.from_points([0.2, 0.8, 1.1])
     with pytest.raises(ValueError, match="radius must be finite"):
-        moment_range_search(emp, delta, "max_mean")
+        moment_range_search(emp, delta, ["max_mean"], [None])
 
 
 def test_search_rejects_overflowing_support():
     # a finite budget can still move an atom past where its squared gap is finite
     emp = DiscreteMeasure.from_points([0.0, 1.0])
     with pytest.raises(ValueError, match="leaves the float range"):
-        moment_range_search(emp, 1e308, "max_mean")
+        moment_range_search(emp, 1e308, ["max_mean"], [None])
 
 
 def test_beta_lower_end_matches_oracle():
@@ -335,7 +344,7 @@ def test_beta_lower_end_matches_oracle():
         s = empirical_moments(SampleSet("buy", vals))
         delta = float(rng.uniform(0.02, 0.5))
         alpha = s.alpha_n + float(rng.uniform(-0.8, 0.8)) * math.sqrt(delta)
-        got, _ = moment_range_search(emp, delta, "min_second_moment", alpha=alpha)
+        got, _ = moment_range_search(emp, delta, ["min_second_moment"], [alpha])[0]
         assert beta_bounds(s, delta, alpha)[0] == pytest.approx(got, rel=1e-8, abs=1e-10)
 
 
@@ -349,7 +358,7 @@ def bracket(sample: DiscreteMeasure, delta: float, objective: str, alpha):
 
 
 def moment_of(measure: DiscreteMeasure, objective: str) -> float:
-    return measure.second_moment() if objective.endswith("second_moment") else measure.mean()
+    return second_moment(measure) if objective.endswith("second_moment") else measure.mean()
 
 
 def pulled_into_ball(sample: DiscreteMeasure, far: DiscreteMeasure, delta: float, alpha):
@@ -452,7 +461,7 @@ def test_bracket_has_no_atom_cap():
             "max_second_moment": hi, "min_second_moment": lo}
     for objective, moment in want.items():
         a = alpha if objective.endswith("second_moment") else None
-        assert moment_range_search(emp, delta, objective, a) == pytest.approx(
+        assert moment_range_search(emp, delta, [objective], [a])[0] == pytest.approx(
             (moment, moment), rel=1e-14)
 
 

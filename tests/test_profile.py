@@ -7,7 +7,6 @@ import pytest
 
 from robustmm import (
     EmpiricalSummary,
-    MomentTarget,
     SampleSet,
     empirical_moments,
     gram_bound_check,
@@ -17,7 +16,7 @@ from robustmm import (
 )
 import robustmm.profile
 from robustmm.moments import read_sample_csv
-from robustmm.profile import RadiusSelection, profile_batch
+from robustmm.profile import RadiusSelection, product_moments
 
 from helpers import pair_average_quadratic, robust_profile_scalar
 
@@ -32,9 +31,8 @@ def test_profile_zero_at_empirical():
     rng = np.random.default_rng(21)
     for _ in range(20):
         _, _, summaries = summaries_from(rng)
-        sp, sm = summaries
-        target = MomentTarget.from_moments(sp.alpha_n, sm.alpha_n, sp.beta_n, sm.beta_n)
-        assert abs(robust_profile(target, summaries)) <= 1e-12
+        alpha_n, sigma_n = moment_matrices(summaries)
+        assert abs(robust_profile(alpha_n[None], sigma_n[None], summaries)[0]) <= 1e-12
 
 
 def test_profile_nonnegative_on_random_targets():
@@ -46,8 +44,7 @@ def test_profile_nonnegative_on_random_targets():
         am = sm.alpha_n + rng.normal(0, 0.2)
         bp = max(sp.beta_n * rng.uniform(0.7, 1.4), ap * ap + 1e-6)
         bm = max(sm.beta_n * rng.uniform(0.7, 1.4), am * am + 1e-6)
-        target = MomentTarget.from_moments(float(ap), float(am), float(bp), float(bm))
-        assert robust_profile(target, summaries) >= -1e-12
+        assert robust_profile(*product_moments([ap], [am], [bp], [bm]), summaries)[0] >= -1e-12
 
 
 def test_gram_bound_unit_variance_unit_means():
@@ -89,22 +86,29 @@ def test_pair_average_equals_trace_form():
         am = sm.alpha_n + rng.normal(0, 0.1)
         bp = max(sp.beta_n * rng.uniform(0.8, 1.2), ap * ap + 1e-6)
         bm = max(sm.beta_n * rng.uniform(0.8, 1.2), am * am + 1e-6)
-        target = MomentTarget.from_moments(float(ap), float(am), float(bp), float(bm))
+        _, target = product_moments(float(ap), float(am), float(bp), float(bm))
         _, sigma = moment_matrices(summaries)
         p = np.linalg.inv(sigma)
-        d = sigma - np.asarray(target.sigma)
+        d = sigma - target
         trace_form = float(np.trace(p @ d @ d @ p @ sigma))
         averaged = pair_average_quadratic(target, buy, sell)
         assert averaged == pytest.approx(trace_form, rel=1e-12, abs=1e-14)
 
 
 def test_moment_target_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        MomentTarget(alpha=(0.0, 0.0), sigma=((1.0, 0.3), (0.1, 1.0)))
-    with pytest.raises(ValueError, match="dominate"):
-        MomentTarget(alpha=(2.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(ValueError):
-        MomentTarget(alpha=(0.0,), sigma=((1.0, 0.0), (0.0, 1.0)))
+    # one-row stacks, and unstacked or short shapes, which the messages name
+    _, _, summaries = summaries_from(np.random.default_rng(33))
+    eye = np.eye(2)
+    cases = [
+        ("symmetric", [[0.0, 0.0]], [[[1.0, 0.3], [0.1, 1.0]]]),
+        ("dominate", [[2.0, 0.0]], [eye]),
+        (r"alpha must be a finite \(k, 2\) stack, got shape \(1, 1\)", [[0.0]], [eye]),
+        (r"alpha must be a finite \(k, 2\) stack, got shape \(2,\)", [0.0, 0.0], [eye]),
+        (r"sigma must be a finite \(k, 2, 2\) stack with k = 1, got shape \(2, 2\)", [[0.0, 0.0]], eye),
+    ]
+    for message, alpha, sigma in cases:
+        with pytest.raises(ValueError, match=message):
+            robust_profile(np.array(alpha), np.array(sigma), summaries)
 
 
 def random_targets(rng, summaries, k, general):
@@ -129,11 +133,11 @@ def test_profile_batch_matches_scalar_oracle(general):
         _, _, summaries = summaries_from(rng, n=int(rng.integers(2, 40)))
         n = summaries[0].n
         alpha, sigma = random_targets(rng, summaries, 25, general)
-        values = profile_batch(alpha, sigma, summaries)
-        for a, s, value in zip(alpha, sigma, values):
-            target = MomentTarget(alpha=tuple(a), sigma=tuple(map(tuple, s)))
-            assert value == pytest.approx(robust_profile_scalar(target, summaries, n), rel=1e-13)
-            assert robust_profile(target, summaries) == value
+        values = robust_profile(alpha, sigma, summaries)
+        for i, value in enumerate(values):
+            assert value == pytest.approx(robust_profile_scalar(alpha[i], sigma[i], summaries, n), rel=1e-13)
+            # a one-row stack prices its row bit for bit as the whole stack does
+            assert robust_profile(alpha[i:i + 1], sigma[i:i + 1], summaries)[0] == value
 
 
 def test_profile_batch_applies_target_rules_to_every_row():
@@ -142,9 +146,7 @@ def test_profile_batch_applies_target_rules_to_every_row():
     alpha, sigma = random_targets(rng, summaries, 10, general=True)
     sigma[6, 1, 1] = alpha[6, 1] ** 2 - 1e-3
     with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
-        profile_batch(alpha, sigma, summaries)
-    with pytest.raises(ValueError, match="diagonal of sigma must dominate squared means"):
-        MomentTarget(alpha=tuple(alpha[6]), sigma=tuple(map(tuple, sigma[6])))
+        robust_profile(alpha, sigma, summaries)
 
 
 def test_degenerate_covariance_rejected():
@@ -212,7 +214,7 @@ def test_bootstrap_chunks_keep_the_stream(monkeypatch):
     (ap, bp), (am, bm) = [(v.mean(axis=1), (v * v).mean(axis=1)) for v in draws]
     sigma = np.stack([bp, ap * am, ap * am, bm], axis=1).reshape(-1, 2, 2)
     summaries = (empirical_moments(buy), empirical_moments(sell))
-    values = profile_batch(np.stack([ap, am], axis=1), sigma, summaries)
+    values = robust_profile(np.stack([ap, am], axis=1), sigma, summaries)
     q = max(float(np.quantile(values, 0.9, method="higher")), 0.0)
     assert whole == RadiusSelection(delta_hat=math.sqrt(q / 2.0), profile_quantile=q,
                                     gram_bound=gram_bound_check(summaries))
